@@ -22,6 +22,7 @@ import numpy as np
 
 from .bench import benchmark_stage1
 from .cloud import load_labels, load_point_cloud, save_labels, save_point_cloud
+from .clustering import group_members
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, RingSegError
 from .metrics import pointwise_metrics, proposal_recall
@@ -161,11 +162,12 @@ def _prepare_one(item, seg_dir: str, cfg: PipelineConfig):
         raise RingSegError(f"frame {stem}: cluster file length mismatch")
 
     prep = cfg.prep
+    groups = group_members(cluster_ids)
     samples = []
     for entry in sorted(_read_manifest(manifest_path), key=lambda e: int(e["cluster"])):
         cid = int(entry["cluster"])
-        members = np.flatnonzero(cluster_ids == cid)
-        if members.size == 0:
+        members = groups.get(cid)
+        if members is None:
             continue
         bbox = OrientedBBox(
             center=np.array([float(entry["cx"]), float(entry["cy"]), float(entry["cz"])]),
@@ -217,15 +219,6 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
 # eval
 
 
-def _group_members(cluster_ids: np.ndarray) -> list[np.ndarray]:
-    out = []
-    for cid in np.unique(cluster_ids):
-        if cid == 0:
-            continue
-        out.append(np.flatnonzero(cluster_ids == cid))
-    return out
-
-
 def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
              output: str | None) -> int:
     gt_files = sorted(Path(gt_dir).glob("*.label"))
@@ -260,7 +253,9 @@ def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
                                    dtype="<u4")
                 if cids.size != gt.size:
                     raise RingSegError(f"cluster file length {cids.size} != {gt.size}")
-                cov = proposal_recall(_group_members(cids), gt)
+                groups = group_members(cids)
+                groups.pop(0, None)
+                cov = proposal_recall(list(groups.values()), gt)
                 rec.update(cov.to_record())
                 rec_frames += 1
                 rec_fg += cov.fg_points

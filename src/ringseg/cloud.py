@@ -136,16 +136,20 @@ def load_point_cloud(path) -> PointCloud:
         raise FileFormatError(
             f"{path}: size {raw.size} is not a multiple of {POINT_RECORD_BYTES}"
         )
-    rec = raw.view("<f4").reshape(-1, 4).astype(np.float64)
-    finite = np.all(np.isfinite(rec), axis=1)
-    if not finite.all():
+    rec = raw.view("<f4").reshape(-1, 4)
+    if not np.isfinite(rec).all():
+        finite = np.isfinite(rec).all(axis=1)
         bad = np.flatnonzero(~finite)
         log.warning(
             "%s: dropped %d non-finite record(s), first indices %s",
             path, bad.size, bad[:8].tolist(),
         )
         rec = rec[finite]
-    return PointCloud(xyz=rec[:, :3], intensity=np.clip(rec[:, 3], 0.0, 1.0))
+    intensity = rec[:, 3].astype(np.float64)
+    np.clip(intensity, 0.0, 1.0, out=intensity)
+    # finite and clamped here, so the constructor's content scans are skipped
+    return PointCloud(xyz=np.asfortranarray(rec[:, :3], dtype=np.float64),
+                      intensity=intensity, validate=False)
 
 
 def save_point_cloud(cloud: PointCloud, path) -> None:

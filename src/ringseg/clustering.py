@@ -55,16 +55,17 @@ def resolve_labels(raw_labels: np.ndarray, merges: Iterable[tuple[int, int]]) ->
     edges = np.asarray(list(merges), dtype=np.int64).reshape(-1, 2)
     root = kernels.min_label_components(max_label + 1, edges[:, 0], edges[:, 1])
     labels = root[raw]
+    return ClusterLabeling(labels=labels, clusters=group_members(labels))
 
-    clusters: dict[int, np.ndarray] = {}
-    if labels.size:
-        # a stable sort keeps each cluster's members ascending
-        order = np.argsort(labels, kind="stable")
-        sorted_labels = labels[order]
-        cut = np.flatnonzero(np.diff(sorted_labels)) + 1
-        for chunk in np.split(order, cut):
-            clusters[int(labels[chunk[0]])] = chunk
-    return ClusterLabeling(labels=labels, clusters=clusters)
+
+def group_members(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """Indices of each label value, ascending, keyed in ascending label order."""
+    if not labels.size:
+        return {}
+    # a stable sort keeps each group's members ascending
+    order = np.argsort(labels, kind="stable")
+    cut = np.flatnonzero(np.diff(labels[order])) + 1
+    return {int(labels[chunk[0]]): chunk for chunk in np.split(order, cut)}
 
 
 def _ring_offsets(ring_ids: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Boxes are ground-aligned: the box z-axis is the fitted ground normal of
 the cluster's segment, and yaw rotates about it. Filtering combines a
 distance-adaptive point-count threshold with per-class size priors;
 surviving proposals are enlarged downward to re-absorb near-ground points
-(wheels, feet) that the ground fit swallowed.
+(wheels, feet) that the ground fit swallowed. The box fit needs only numpy:
+the hull is Andrew's monotone chain and the rotating calipers run over its
+edges.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .cloud import ClassId, PointCloud
 from .clustering import ClusterLabeling
 
 # degenerate clusters (single point, collinear, flat) get this half extent
 EPS_HALF_EXTENT = 0.01
-# clusters from this size on drop interior points before qhull. Timed per
-# fit on traffic frames (2-vCPU Xeon VM), the filter adds 50-110 us below
-# 1024 points, breaks even between 1024 and 2048, saves 300-500 us above
-_HULL_FILTER_MIN = 1024
+# clusters from this size on drop interior points before the hull. Timed
+# per box fit on traffic frames (2-vCPU Xeon VM), the filter adds about
+# 40 us below 64 points, breaks even at 64-127, saves 70-90 us at 128-255
+# and 0.2-0.3 ms at 256-511, growing to 3.6-5 ms from 2048 points on
+_HULL_FILTER_MIN = 64
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,7 +203,7 @@ def _hull_candidates(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     The extreme points in eight directions span a convex polygon; a point
     strictly inside it cannot be a hull vertex (Akl & Toussaint 1978).
     "Strictly" carries a margin far above rounding, so points near the
-    polygon's edges stay and qhull sees every point that could matter.
+    polygon's edges stay and the hull sees every point that could matter.
     """
     s, d = u + v, u - v
     extremes = [u.argmax(), s.argmax(), v.argmax(), d.argmin(),
@@ -209,12 +211,45 @@ def _hull_candidates(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     extremes = [e for i, e in enumerate(extremes) if e != extremes[i - 1]]
     if len(extremes) < 3:
         return np.arange(u.size)
-    corners = np.column_stack([u[extremes], v[extremes]])
-    edges = np.roll(corners, -1, axis=0) - corners
-    span = (u.max() - u.min()) + (v.max() - v.min())
-    margin = 1e-9 * span * np.abs(edges).sum(axis=1)
-    cross = (edges[:, :1] * (v - corners[:, 1:]) - edges[:, 1:] * (u - corners[:, :1]))
-    return np.flatnonzero(~(cross > margin[:, None]).all(axis=0))
+    cu, cv = u[extremes], v[extremes]
+    nxt = [*range(1, len(extremes)), 0]
+    eu, ev = cu[nxt] - cu, cv[nxt] - cv
+    lu, lv = cu.tolist(), cv.tolist()  # the extremes hold both coordinate ranges
+    span = (max(lu) - min(lu)) + (max(lv) - min(lv))
+    margin = 1e-9 * span * (np.abs(eu) + np.abs(ev))
+    cross = eu[:, None] * (v - cv[:, None])
+    cross -= ev[:, None] * (u - cu[:, None])
+    return np.flatnonzero((cross <= margin[:, None]).any(axis=0))
+
+
+def _hull_vertices(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the convex-hull vertices of the 2D points (u, v), counter-clockwise.
+
+    Andrew's monotone chain (1979): the points sorted by (u, v) are split
+    by the line from the first to the last one; the lower chain scans those
+    on or below it left to right, the upper chain those on or above it
+    right to left. Both keep only strict left turns, so duplicates and
+    points on a hull edge are dropped, and a collinear set gives fewer
+    than 3 vertices.
+    """
+    order = np.lexsort((v, u))
+    us, vs = u[order], v[order]
+    side = (us[-1] - us[0]) * (vs - vs[0]) - (vs[-1] - vs[0]) * (us - us[0])
+    pts = list(zip(us.tolist(), vs.tolist()))
+    halves = []
+    for seq in (np.flatnonzero(side <= 0), np.flatnonzero(side >= 0)[::-1]):
+        chain: list[int] = []
+        for k in seq.tolist():
+            x, y = pts[k]
+            while len(chain) >= 2:
+                ax, ay = pts[chain[-2]]
+                bx, by = pts[chain[-1]]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                chain.pop()
+            chain.append(k)
+        halves.append(chain[:-1])
+    return order[halves[0] + halves[1]]
 
 
 def _best_edge_angle(hv: np.ndarray) -> float:
@@ -248,10 +283,11 @@ def min_oriented_bbox(points: np.ndarray, normal: np.ndarray) -> OrientedBBox:
     theta = 0.0
     if points.shape[0] >= 3:
         keep = _hull_candidates(u, v) if points.shape[0] >= _HULL_FILTER_MIN else slice(None)
-        uv = np.column_stack([u[keep], v[keep]])
-        try:
-            theta = _best_edge_angle(uv[ConvexHull(uv).vertices])
-        except QhullError:
+        uk, vk = u[keep], v[keep]
+        hull = _hull_vertices(uk, vk)
+        if hull.size >= 3:
+            theta = _best_edge_angle(np.column_stack([uk[hull], vk[hull]]))
+        else:
             theta = _pca_direction(np.column_stack([u, v]))
     elif points.shape[0] == 2:
         theta = _pca_direction(np.column_stack([u, v]))

@@ -114,6 +114,34 @@ def sweep_min_rect_area(uv: np.ndarray, step_deg: float = 0.05) -> float:
     return best
 
 
+def brute_force_hull(uv: np.ndarray) -> list[tuple[float, float]]:
+    """Convex-hull vertices of 2D points, counter-clockwise from the least (u, v).
+
+    Every ordered pair (p, q) of distinct points is tested against every
+    point r: it is a hull edge iff no r lies strictly right of p -> q and
+    every r on that line lies within the segment. Duplicate points count
+    once and points inside an edge are not vertices, so a collinear set
+    gives its two end points and a single repeated point gives itself.
+    """
+    pts = np.unique(np.asarray(uv, dtype=np.float64), axis=0)  # sorted by (u, v)
+    if len(pts) < 2:
+        return [tuple(p) for p in pts.tolist()]
+    d = pts[None, :, :] - pts[:, None, :]  # d[i, j] = p_j - p_i
+    cross = d[:, :, None, 0] * d[:, None, :, 1] - d[:, :, None, 1] * d[:, None, :, 0]
+    dot = d[:, :, None, 0] * d[:, None, :, 0] + d[:, :, None, 1] * d[:, None, :, 1]
+    length2 = (d ** 2).sum(axis=2)[:, :, None]
+    on_segment = (cross == 0) & (dot >= 0) & (dot <= length2)
+    edge = ((cross > 0) | on_segment).all(axis=2)
+    np.fill_diagonal(edge, False)
+    out, i = [], 0
+    while True:
+        out.append(tuple(pts[i].tolist()))
+        (succ,) = np.flatnonzero(edge[i])
+        i = int(succ)
+        if i == 0:
+            return out
+
+
 def counting_metrics(pred, gt, num_classes: int = 4):
     """Per-class |P|, |G|, |P n G| by an explicit per-point loop."""
     p = [0] * num_classes

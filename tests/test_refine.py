@@ -18,7 +18,7 @@ from ringseg import (
 from ringseg import refine
 from ringseg.refine import plane_basis
 
-from oracles import points_in_oriented_box, sweep_min_rect_area
+from oracles import brute_force_hull, points_in_oriented_box, sweep_min_rect_area
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -114,6 +114,38 @@ def test_hull_prefilter_leaves_box_unchanged(rng, monkeypatch):
         assert filtered.yaw == plain.yaw
         assert np.array_equal(filtered.center, plain.center)
         assert np.array_equal(filtered.half_extents, plain.half_extents)
+
+
+def _hull_cases(rng):
+    for _ in range(40):  # generic sets
+        yield rng.normal(0, rng.uniform(0.2, 4), (int(rng.integers(3, 60)), 2))
+    for _ in range(15):  # a few points, each repeated
+        base = rng.normal(0, 2, (int(rng.integers(1, 8)), 2))
+        yield base[rng.integers(0, len(base), int(rng.integers(3, 40)))]
+    for _ in range(15):
+        yield rng.normal(0, 3, (3, 2))
+    for _ in range(15):  # integer grids: collinear and duplicate points everywhere
+        yield rng.integers(0, int(rng.integers(2, 6)), (int(rng.integers(3, 60)), 2)).astype(float)
+    for _ in range(15):  # exactly collinear, with repeats
+        step = rng.integers(-3, 4, 2)
+        step[0] += step[0] == 0 and step[1] == 0
+        t = rng.integers(-20, 20, int(rng.integers(3, 30)))
+        yield (rng.integers(-5, 5, 2) + np.outer(t, step)) * 0.25
+
+
+def test_hull_vertices_match_brute_force_oracle(rng):
+    for uv in _hull_cases(rng):
+        hull = refine._hull_vertices(uv[:, 0], uv[:, 1])
+        got = [tuple(p) for p in uv[hull].tolist()]
+        want = brute_force_hull(uv)
+        if len(want) >= 3:
+            assert got == want  # same vertices, counter-clockwise, same start
+            x, y = uv[hull, 0], uv[hull, 1]
+            assert (x * np.roll(y, -1) - np.roll(x, -1) * y).sum() > 0
+        else:  # collinear: the box fit falls back to the PCA direction
+            assert len(got) < 3 and set(got) == set(want)
+            pts = np.column_stack([uv, np.zeros(len(uv))])
+            assert min_oriented_bbox(pts, UP).yaw == refine._pca_direction(uv) % np.pi
 
 
 def test_bbox_tilted_normal_alignment(rng):
