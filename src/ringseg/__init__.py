@@ -13,7 +13,6 @@ from .cloud import (
     CLASS_NAMES,
     FOREGROUND_CLASSES,
     ClassId,
-    Point,
     PointCloud,
     assign_rings,
     load_labels,

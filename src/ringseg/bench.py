@@ -2,8 +2,7 @@
 
 Timing is observational: the benchmark re-runs the identical pipeline and
 reports median/p95 per stage, so its outputs always equal an untimed run.
-A warm-up iteration is excluded from the statistics. A kernel backend can
-be named per run; "numpy" is the only one.
+A warm-up iteration is excluded from the statistics.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .cloud import PointCloud
 from .pipeline import Stage1Result, run_stage1
 
@@ -21,7 +19,6 @@ STAGES = ("ground", "cluster", "refine", "total")
 
 @dataclass(frozen=True)
 class TimingReport:
-    backend: str
     repetitions: int
     points_in: int
     proposals_out: int
@@ -31,7 +28,6 @@ class TimingReport:
 
     def to_record(self) -> dict:
         rec: dict = {
-            "backend": self.backend,
             "reps": self.repetitions,
             "points_in": self.points_in,
             "proposals": self.proposals_out,
@@ -50,7 +46,6 @@ def benchmark_stage1(
     refine_params,
     num_rings: int,
     repetitions: int = 10,
-    backend: str | None = None,
 ) -> tuple[TimingReport, Stage1Result]:
     """Run the pipeline repetitions times and aggregate per-stage timings.
 
@@ -58,26 +53,20 @@ def benchmark_stage1(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    previous = kernels.select_backend(backend) if backend else None
-    try:
-        args = (ground_params, cluster_params, refine_params, num_rings)
-        result = run_stage1(cloud, *args)  # warm-up, excluded
-        samples = {stage: [] for stage in STAGES}
-        for _ in range(repetitions):
-            timings: dict = {}
-            result = run_stage1(cloud, *args, timings=timings)
-            for stage in STAGES:
-                samples[stage].append(timings[stage] * 1e6)
-        report = TimingReport(
-            backend=kernels.active_backend(),
-            repetitions=repetitions,
-            points_in=result.points_in,
-            proposals_out=len(result.proposals),
-            points_passed=result.points_passed,
-            median_us={s: float(np.median(samples[s])) for s in STAGES},
-            p95_us={s: float(np.percentile(samples[s], 95)) for s in STAGES},
-        )
-        return report, result
-    finally:
-        if previous:
-            kernels.select_backend(previous)
+    args = (ground_params, cluster_params, refine_params, num_rings)
+    result = run_stage1(cloud, *args)  # warm-up, excluded
+    samples = {stage: [] for stage in STAGES}
+    for _ in range(repetitions):
+        timings: dict = {}
+        result = run_stage1(cloud, *args, timings=timings)
+        for stage in STAGES:
+            samples[stage].append(timings[stage] * 1e6)
+    report = TimingReport(
+        repetitions=repetitions,
+        points_in=result.points_in,
+        proposals_out=len(result.proposals),
+        points_passed=result.points_passed,
+        median_us={s: float(np.median(samples[s])) for s in STAGES},
+        p95_us={s: float(np.percentile(samples[s], 95)) for s in STAGES},
+    )
+    return report, result

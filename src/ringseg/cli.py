@@ -37,7 +37,6 @@ from .samples import (
     sample_rng,
 )
 from .synth import generate_synthetic_scene, sample_traffic_scene, scene_from_file
-from . import kernels
 
 log = logging.getLogger("ringseg")
 
@@ -293,8 +292,7 @@ def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
 # bench / synth
 
 
-def cmd_bench(cfg: PipelineConfig, reps: int, compare_backends: bool,
-              output: str | None) -> int:
+def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
     if cfg.input_path:
         frames = [(p.stem, None, p) for p in _list_frames(cfg.input_path)]
         if not frames:
@@ -303,18 +301,13 @@ def cmd_bench(cfg: PipelineConfig, reps: int, compare_backends: bool,
     else:
         scene = generate_synthetic_scene(sample_traffic_scene(cfg.rng_seed, n_objects=6))
         frames = [("synthetic", scene.cloud, None)]
-    backends = kernels.available_backends() if compare_backends else (
-        kernels.active_backend(),)
     records = []
     for stem, cloud, path in frames:
         if cloud is None:
             cloud = load_point_cloud(path)
-        for backend in backends:
-            report, _ = benchmark_stage1(
-                cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings,
-                repetitions=reps, backend=backend,
-            )
-            records.append(format_record({"frame": stem, **report.to_record()}))
+        report, _ = benchmark_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine,
+                                     cfg.num_rings, repetitions=reps)
+        records.append(format_record({"frame": stem, **report.to_record()}))
     _emit(records, output)
     return 0
 
@@ -374,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the pipeline per frame")
     _add_common(p)
     p.add_argument("--reps", type=int, default=10, help="timed repetitions")
-    p.add_argument("--compare-backends", action="store_true",
-                   help="benchmark every kernel backend")
 
     p = sub.add_parser("synth", help="generate synthetic frames from a scene file")
     _add_common(p)
@@ -408,7 +399,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args.gt, args.pred, args.clusters, args.output)
         if args.command == "bench":
-            return cmd_bench(cfg, args.reps, args.compare_backends, args.output)
+            return cmd_bench(cfg, args.reps, args.output)
         if args.command == "synth":
             if not args.output:
                 raise ConfigError("output", "synth needs --output")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 from dataclasses import InitVar, dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,15 +36,6 @@ CLASS_NAMES = {
     ClassId.CYCLIST: "cyclist",
 }
 FOREGROUND_CLASSES = (ClassId.CAR, ClassId.PEDESTRIAN, ClassId.CYCLIST)
-
-
-class Point(NamedTuple):
-    """One sensor return in the global (sensor-centred) frame."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -102,9 +92,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def point(self, i: int) -> Point:
-        return Point(*self.xyz[i], self.intensity[i])
 
     def with_ring_ids(self, ring_ids: np.ndarray) -> "PointCloud":
         return PointCloud(self.xyz, self.intensity, ring_ids=ring_ids,

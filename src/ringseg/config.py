@@ -1,15 +1,15 @@
-"""Dotted-key configuration: file parsing, validation, defaults.
+"""Dotted-key configuration: file parsing and validation.
 
-The zero-config path reproduces the published run: every default below is
-the stock parameter set. A config file is plain `key = value` lines with
-`#` comments; CLI flags override file values. Every key is validated
-before any frame is touched, and a rejected config leaves the filesystem
-alone.
+The zero-config path reproduces the published run: the defaults of the
+parameter dataclasses are the stock parameter set, and a key that is not
+given keeps its default. A config file is plain `key = value` lines with
+`#` comments; CLI flags override file values. Every key, from a file or a
+flag, is validated before any frame is touched, and a rejected config
+leaves the filesystem alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .cloud import ClassId
@@ -60,10 +60,6 @@ def _prob(v) -> bool:
     return 0.0 <= v <= 1.0
 
 
-def _finite(v) -> bool:
-    return math.isfinite(v)
-
-
 # key -> (caster, predicate, requirement text)
 _SCHEMA: dict[str, tuple] = {
     "ground.n_seg": (int, _ge(1), "integer >= 1"),
@@ -87,6 +83,16 @@ _SCHEMA: dict[str, tuple] = {
     "input": (str, lambda v: True, "path"),
     "output": (str, lambda v: True, "path"),
 }
+# top-level keys -> PipelineConfig fields; every other key is <section>.<field>
+_TOP_LEVEL = {"num_rings": "num_rings", "rng_seed": "rng_seed", "jobs": "jobs",
+              "input": "input_path", "output": "output_path"}
+
+
+def _schema_entry(key: str) -> tuple:
+    try:
+        return _SCHEMA[key]
+    except KeyError:
+        raise ConfigError(key, "unknown key") from None
 
 
 def _parse_prior_key(key: str) -> tuple[str, str, str]:
@@ -120,10 +126,18 @@ def build_config(
 
     `file_values` are raw strings from read_kv_file; `overrides` are typed
     values (from CLI flags) keyed by the same dotted names and win over the
-    file. Raises ConfigError naming the offending key.
+    file; None means not given. Both pass the same schema check, and keys
+    given by neither keep the parameter dataclasses' defaults. Raises
+    ConfigError naming the offending key.
     """
     values: dict[str, object] = {}
     prior_values: dict[tuple[str, str, str], float] = {}
+
+    def check(key: str, value, shown) -> None:
+        _, pred, req = _schema_entry(key)
+        if not pred(value):
+            raise ConfigError(key, f"expected {req}, got {shown!r}")
+        values[key] = value
 
     for key, raw in (file_values or {}).items():
         if key.startswith("refine.size_priors."):
@@ -133,26 +147,25 @@ def build_config(
             except ValueError:
                 raise ConfigError(key, f"invalid float: {raw!r}")
             continue
-        if key not in _SCHEMA:
-            raise ConfigError(key, "unknown key")
-        caster, pred, req = _SCHEMA[key]
+        caster, _, req = _schema_entry(key)
         try:
             value = caster(raw)
         except ValueError:
             raise ConfigError(key, f"expected {req}, got {raw!r}")
-        if not pred(value):
-            raise ConfigError(key, f"expected {req}, got {raw!r}")
-        values[key] = value
+        check(key, value, raw)
 
     for key, value in (overrides or {}).items():
         if value is not None:
-            values[key] = value
+            check(key, value, value)
 
-    def take(key: str, default):
-        return values.get(key, default)
+    def given(section: str) -> dict[str, object]:
+        prefix = section + "."
+        return {key[len(prefix):]: value for key, value in values.items()
+                if key.startswith(prefix)}
 
-    priors = {cid: prior for cid, prior in DEFAULT_SIZE_PRIORS.items()}
+    refine_kw = given("refine")
     if prior_values:
+        priors = dict(DEFAULT_SIZE_PRIORS)
         for cls_name, cid in _PRIOR_CLASSES.items():
             base = priors[cid]
             mins = list(base.mins)
@@ -166,33 +179,16 @@ def build_config(
                 priors[cid] = SizePrior(tuple(mins), tuple(maxes))
             except ValueError as exc:
                 raise ConfigError(f"refine.size_priors.{cls_name}", str(exc))
+        refine_kw["size_priors"] = priors
+    prep_kw = given("prep")
+    if "rng_seed" in values:
+        prep_kw["rng_seed"] = values["rng_seed"]
 
     try:
-        ground = GroundParams(
-            n_seg=take("ground.n_seg", 3),
-            n_iter=take("ground.n_iter", 3),
-            n_lpr=take("ground.n_lpr", 20),
-            th_seeds=take("ground.th_seeds", 0.4),
-            th_dist=take("ground.th_dist", 0.3),
-        )
-        cluster = ClusterParams(
-            th_ring=take("cluster.th_ring", 0.5),
-            th_prop=take("cluster.th_prop", 1.0),
-        )
-        refine = RefineParams(
-            th_num_base=take("refine.th_num_base", 30),
-            d_ref=take("refine.d_ref", 10.0),
-            th_num_floor=take("refine.th_num_floor", 5),
-            enlarge_xy=take("refine.enlarge_xy", 0.1),
-            enlarge_z=take("refine.enlarge_z", 0.4),
-            size_priors=priors,
-        )
-        prep = SamplePrepParams(
-            n_points=take("prep.n_points", 512),
-            rng_seed=take("rng_seed", 0),
-            augment=take("prep.augment", False),
-            background_keep_prob=take("prep.background_keep_prob", 0.25),
-        )
+        ground = GroundParams(**given("ground"))
+        cluster = ClusterParams(**given("cluster"))
+        refine = RefineParams(**refine_kw)
+        prep = SamplePrepParams(**prep_kw)
     except ValueError as exc:
         raise ConfigError("<params>", str(exc))
 
@@ -201,11 +197,8 @@ def build_config(
         cluster=cluster,
         refine=refine,
         prep=prep,
-        num_rings=take("num_rings", 64),
-        rng_seed=take("rng_seed", 0),
-        jobs=take("jobs", 1),
-        input_path=take("input", None),
-        output_path=take("output", None),
+        **{field_name: values[key] for key, field_name in _TOP_LEVEL.items()
+           if key in values},
     )
 
 

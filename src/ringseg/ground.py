@@ -62,23 +62,33 @@ class PlaneModel:
         return np.abs(xyz @ self.normal + self.offset)
 
 
-def split_segments(cloud: PointCloud, n_seg: int) -> np.ndarray:
-    """Equal-width partition of the x range into n_seg bins.
-
-    Points exactly on an interior boundary fall into the lower bin; the
-    maximum-x point falls into bin n_seg - 1.
-    """
+def segment_bounds(x: np.ndarray, n_seg: int) -> tuple[float, float]:
+    """(lo, width) of the equal-width partition of the x range into n_seg bins."""
     if n_seg < 1:
         raise ValueError("n_seg must be >= 1")
-    x = cloud.xyz[:, 0]
     if x.size == 0:
-        return np.empty(0, dtype=np.int64)
-    lo = x.min()
-    width = (x.max() - lo) / n_seg
+        return 0.0, 0.0
+    lo = float(x.min())
+    return lo, (float(x.max()) - lo) / n_seg
+
+
+def segment_of(x, lo: float, width: float, n_seg: int):
+    """Bin of x (a scalar or an array) in the partition (lo, width).
+
+    Points exactly on an interior boundary fall into the lower bin; the
+    maximum x falls into bin n_seg - 1.
+    """
     if width == 0.0:
-        return np.zeros(x.size, dtype=np.int64)
+        return np.zeros(np.shape(x), dtype=np.int64)
     idx = np.ceil((x - lo) / width).astype(np.int64) - 1
-    return np.clip(idx, 0, n_seg - 1)
+    # np.clip costs ~10 us on a scalar; the box fit bins one per cluster
+    return np.minimum(np.maximum(idx, 0), n_seg - 1)
+
+
+def split_segments(cloud: PointCloud, n_seg: int) -> np.ndarray:
+    """Segment index of every point of the cloud (see `segment_of`)."""
+    x = cloud.xyz[:, 0]
+    return segment_of(x, *segment_bounds(x, n_seg), n_seg)
 
 
 def _seed_mask(z: np.ndarray, n_lpr: int, th_seeds: float) -> np.ndarray:

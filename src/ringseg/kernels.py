@@ -18,9 +18,6 @@ Both kernels give the same ids as the scalar scans they replace (kept as
 oracles in the test suite): distances use the scan's `dx*dx + dy*dy +
 dz*dz` in the same order, the same strict `<` thresholds, and the same
 binary searches over each ring's ascending azimuths.
-
-There is a single backend, "numpy"; `available_backends`,
-`active_backend` and `select_backend` keep the benchmark interface.
 """
 
 from __future__ import annotations
@@ -28,28 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-BACKEND = "numpy"
 
 # rounding margin added to every asin-derived azimuth half-window
 WINDOW_MARGIN = 1e-7
 # candidate pairs evaluated at once; bounds the temporary arrays of frames
 # where many points search a whole previous ring
 _PAIR_CHUNK = 1 << 18
-
-
-def available_backends() -> tuple[str, ...]:
-    return (BACKEND,)
-
-
-def active_backend() -> str:
-    return BACKEND
-
-
-def select_backend(name: str) -> str:
-    """Validate a backend name; returns the previous (only) backend."""
-    if name != BACKEND:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    return BACKEND
 
 
 def trace_rings(quadrant: np.ndarray) -> tuple[np.ndarray, int]:

@@ -16,14 +16,20 @@ import numpy as np
 
 from .cloud import PointCloud, assign_rings
 from .clustering import ClusterParams, cluster_ring_based
-from .ground import GroundParams, PlaneModel, ground_plane_fit, split_segments
+from .ground import (
+    GroundParams,
+    PlaneModel,
+    ground_plane_fit,
+    segment_bounds,
+    segment_of,
+    split_segments,
+)
 from .refine import (
     OrientedBBox,
     Proposal,
     RefineParams,
-    enlarge_bbox,
+    enlarge_and_merge,
     filter_proposals,
-    merge_candidates,
     min_oriented_bbox,
 )
 
@@ -38,13 +44,6 @@ class Stage1Result:
     planes: list[PlaneModel | None]
     points_in: int
     points_passed: int
-
-
-def _segment_of(x: float, lo: float, width: float, n_seg: int) -> int:
-    if width <= 0.0:
-        return 0
-    idx = int(np.ceil((x - lo) / width)) - 1
-    return min(max(idx, 0), n_seg - 1)
 
 
 def _normal_for_segment(planes: list[PlaneModel | None], seg: int) -> np.ndarray:
@@ -80,7 +79,8 @@ def run_stage1(
     ringed = assign_rings(cloud, num_rings)
     t_rings = time.perf_counter()
 
-    segment_idx = split_segments(cloud, ground_params.n_seg)
+    n_seg = ground_params.n_seg
+    segment_idx = split_segments(cloud, n_seg)
     ground_mask, planes = ground_plane_fit(cloud, segment_idx, ground_params)
     t_ground = time.perf_counter()
 
@@ -89,37 +89,29 @@ def run_stage1(
     labeling = cluster_ring_based(sub, cluster_params)
     t_cluster = time.perf_counter()
 
-    x = cloud.xyz[:, 0]
-    lo = float(x.min()) if n else 0.0
-    width = ((float(x.max()) - lo) / ground_params.n_seg) if n else 0.0
-
+    lo, width = segment_bounds(cloud.xyz[:, 0], n_seg)
     bboxes: dict[int, OrientedBBox] = {}
-    centroids: dict[int, np.ndarray] = {}
+    distances: dict[int, float] = {}
     for cid, members in labeling.clusters.items():
         pts = sub.xyz[members]
-        centroids[cid] = pts.mean(axis=0)
-        seg = _segment_of(float(pts[:, 0].mean()), lo, width, ground_params.n_seg)
+        distances[cid] = float(np.linalg.norm(pts.mean(axis=0)))
+        seg = int(segment_of(pts[:, 0].mean(), lo, width, n_seg))
         bboxes[cid] = min_oriented_bbox(pts, _normal_for_segment(planes, seg))
-    kept, labeling = filter_proposals(labeling, sub.xyz, bboxes, refine_params)
+    kept, labeling = filter_proposals(labeling, distances, bboxes, refine_params)
 
     cluster_labels = np.zeros(n, dtype=np.uint32)
     proposals: list[Proposal] = []
+    # ground points no proposal has claimed yet
     ground_free = ground_mask.copy()
     points_passed = 0
     for cid in kept:
-        members_full = nonground[labeling.clusters[cid]]
-        ebox = enlarge_bbox(bboxes[cid], refine_params)
-        merged = merge_candidates(ebox, cloud.xyz, ground_free)
-        ground_free[merged] = False
-        members = np.concatenate([members_full, merged])
-        prop = Proposal(
-            cluster_id=cid,
-            member_indices=members,
-            bbox=ebox,
-            distance=float(np.linalg.norm(centroids[cid])),
-        )
+        members = labeling.clusters[cid]
+        prop = enlarge_and_merge(
+            Proposal(cid, nonground[members], bboxes[cid], distances[cid]),
+            cloud, ground_free, refine_params)
+        ground_free[prop.member_indices[members.size:]] = False
         cluster_labels[prop.member_indices] = cid
-        points_passed += members.size
+        points_passed += prop.member_indices.size
         proposals.append(prop)
     t_refine = time.perf_counter()
 

@@ -321,26 +321,24 @@ def adaptive_threshold(d: float, params: RefineParams) -> int:
 
 def filter_proposals(
     labeling: ClusterLabeling,
-    xyz: np.ndarray,
+    distances: dict[int, float],
     bboxes: dict[int, OrientedBBox],
     params: RefineParams,
 ) -> tuple[list[int], ClusterLabeling]:
     """Keep clusters that pass both the count and the size-prior test.
 
     A cluster survives iff its member count reaches the adaptive threshold
-    at its centroid distance and its box extents fit inside at least one
-    class prior. Rejected clusters are relabeled 0 (background). The kept
-    set is a pure function of per-cluster statistics.
+    at its centroid distance (`distances`, by cluster id) and its box
+    extents fit inside at least one class prior. Rejected clusters are
+    relabeled 0 (background). The kept set is a pure function of
+    per-cluster statistics.
     """
     kept: list[int] = []
     labels = labeling.labels.copy()
     for cid in sorted(labeling.clusters):
         members = labeling.clusters[cid]
-        centroid = xyz[members].mean(axis=0)
-        d = float(np.linalg.norm(centroid))
-        bbox = bboxes[cid]
-        extents = 2.0 * bbox.half_extents
-        ok = members.size >= adaptive_threshold(d, params) and any(
+        extents = 2.0 * bboxes[cid].half_extents
+        ok = members.size >= adaptive_threshold(distances[cid], params) and any(
             prior.admits(extents) for prior in params.size_priors.values()
         )
         if ok:
@@ -389,16 +387,15 @@ def enlarge_and_merge(
     cloud: PointCloud,
     ground_mask: np.ndarray,
     params: RefineParams,
-    exclude: np.ndarray | None = None,
 ) -> Proposal:
-    """Enlarge the proposal's box and append contained ground points.
+    """Enlarge the proposal's box and append the contained masked points.
 
-    Only ground-masked points are merged (non-ground points already belong
-    to clusters); `exclude` marks points some earlier proposal claimed so
-    no point ends up in two proposals. Original members are always kept.
+    Only points set in `ground_mask` are merged: non-ground points already
+    belong to clusters, and a caller that merges several proposals clears
+    the points each one claims so that no point ends up in two. The merged
+    points follow the original members, which are always kept.
     """
     bbox = enlarge_bbox(proposal.bbox, params)
-    eligible = ground_mask if exclude is None else (ground_mask & ~exclude)
-    merged = merge_candidates(bbox, cloud.xyz, eligible)
+    merged = merge_candidates(bbox, cloud.xyz, ground_mask)
     members = np.concatenate([proposal.member_indices, merged])
     return replace(proposal, member_indices=members, bbox=bbox)

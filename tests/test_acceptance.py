@@ -149,7 +149,7 @@ def test_04_timing_envelope():
     total_ms = report.median_us["total"] / 1000.0
     assert total_ms <= 50.0, f"median stage-1 {total_ms:.1f} ms"
     print(f"ACCEPTANCE 4 timing-envelope ({len(scene.cloud)} pts, median "
-          f"{total_ms:.1f} ms <= 50 ms, backend {report.backend}): PASS")
+          f"{total_ms:.1f} ms <= 50 ms): PASS")
 
 
 def test_05_min_area_box_vs_sweep():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ringseg import benchmark_stage1, load_config, run_stage1
-from ringseg import kernels
 from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 
 
@@ -38,16 +37,6 @@ def test_timing_does_not_change_results(small_frame):
         np.testing.assert_array_equal(a.member_indices, b.member_indices)
 
 
-def test_backend_override_restored(small_frame):
-    cfg = load_config()
-    active = kernels.active_backend()
-    other = next(b for b in kernels.available_backends() if b != active) \
-        if len(kernels.available_backends()) > 1 else active
-    benchmark_stage1(small_frame, cfg.ground, cfg.cluster, cfg.refine,
-                     cfg.num_rings, repetitions=1, backend=other)
-    assert kernels.active_backend() == active
-
-
 def test_repetitions_validated(small_frame):
     cfg = load_config()
     with pytest.raises(ValueError):
@@ -60,7 +49,7 @@ def test_record_fields(small_frame):
     report, _ = benchmark_stage1(small_frame, cfg.ground, cfg.cluster,
                                  cfg.refine, cfg.num_rings, repetitions=2)
     rec = report.to_record()
-    for key in ("backend", "reps", "points_in", "proposals", "points_passed",
+    for key in ("reps", "points_in", "proposals", "points_passed",
                 "ground_us_med", "cluster_us_med", "refine_us_med",
                 "total_us_med", "total_us_p95"):
         assert key in rec

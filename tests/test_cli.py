@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringseg import load_samples
+from ringseg import PipelineConfig, build_config, load_samples
 from ringseg.cli import main
 
 SCENE_TEXT = """
@@ -176,11 +176,22 @@ def test_empty_input_dir_ok(tmp_path, caplog):
 def test_invalid_config_names_key(tmp_path, caplog):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("ground.n_seg = -2\n")
-    code = main(["segment", "--config", str(cfg), "--input", str(tmp_path),
-                 "--output", str(tmp_path / "o")])
-    assert code == 2
-    assert "ground.n_seg" in caplog.text
-    assert not (tmp_path / "o").exists()
+    io = ["--input", str(tmp_path), "--output", str(tmp_path / "o")]
+    cases = [(["segment", "--config", str(cfg)], "ground.n_seg"),
+             (["bench", "--reps", "1", "--seed", "-1"], "rng_seed"),
+             (["segment", "--jobs", "0"], "jobs"),
+             (["prepare", "--n-points", "0"], "prep.n_points")]
+    for argv, key in cases:
+        caplog.clear()
+        assert main(argv + io) == 2, argv
+        assert key in caplog.text
+        assert not (tmp_path / "o").exists()
+
+
+def test_default_config_is_dataclass_defaults():
+    assert build_config() == PipelineConfig()
+    assert build_config({"jobs": "2", "prep.n_points": "64"}) == build_config(
+        None, {"jobs": 2, "prep.n_points": 64})
 
 
 def test_unknown_config_key(tmp_path, caplog):
@@ -210,18 +221,17 @@ def test_bench_synthetic_record(tmp_path):
     line = report.read_text().strip().splitlines()[0]
     rec = dict(tok.split("=", 1) for tok in line.split())
     assert rec["frame"] == "synthetic"
-    assert "total_us_med" in rec and "backend" in rec
+    assert "total_us_med" in rec
 
 
 def test_bench_compare_backends_on_frames(synth_dir, tmp_path):
+    # `bench --input` times every frame of the directory once
     report = tmp_path / "bench.txt"
     assert main(["bench", "--input", str(synth_dir), "--reps", "1",
-                 "--compare-backends", "--output", str(report)]) == 0
-    lines = report.read_text().strip().splitlines()
-    backends = {dict(t.split("=", 1) for t in line.split())["backend"]
-                for line in lines}
-    from ringseg import kernels
-    assert backends == set(kernels.available_backends())
+                 "--output", str(report)]) == 0
+    frames = [dict(t.split("=", 1) for t in line.split())["frame"]
+              for line in report.read_text().strip().splitlines()]
+    assert frames == [p.stem for p in sorted(synth_dir.glob("*.bin"))]
 
 
 def test_config_file_overrides_and_flag_priority(synth_dir, tmp_path):

@@ -83,21 +83,16 @@ def test_empty_input():
     assert lab.labels.size == 0 and lab.clusters == {}
 
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
-def test_oracle_equivalence_sample(backend, rng):
-    previous = kernels.select_backend(backend)
-    try:
-        for _ in range(60):
-            cloud = random_ring_scene(rng)
-            params = ClusterParams(th_ring=float(rng.uniform(0.2, 2.0)),
-                                   th_prop=float(rng.uniform(0.3, 3.0)))
-            lab = cluster_ring_based(cloud, params)
-            oracle = brute_force_clusters(cloud.xyz, cloud.ring_ids,
-                                          params.th_ring, params.th_prop)
-            np.testing.assert_array_equal(canonical_partition(lab.labels),
-                                          canonical_partition(oracle))
-    finally:
-        kernels.select_backend(previous)
+def test_oracle_equivalence_sample(rng):
+    for _ in range(60):
+        cloud = random_ring_scene(rng)
+        params = ClusterParams(th_ring=float(rng.uniform(0.2, 2.0)),
+                               th_prop=float(rng.uniform(0.3, 3.0)))
+        lab = cluster_ring_based(cloud, params)
+        oracle = brute_force_clusters(cloud.xyz, cloud.ring_ids,
+                                      params.th_ring, params.th_prop)
+        np.testing.assert_array_equal(canonical_partition(lab.labels),
+                                      canonical_partition(oracle))
 
 
 def _scan_args(cloud, params):

@@ -11,6 +11,7 @@ from ringseg import (
     ground_plane_fit,
     split_segments,
 )
+from ringseg.ground import segment_bounds, segment_of
 from ringseg.synth import ObjectSpec, SceneSpec
 
 
@@ -35,14 +36,17 @@ def test_split_segments_empty():
 
 def test_split_segments_matches_recomputation(rng):
     x = rng.uniform(-40, 40, 500)
-    cloud = _cloud(np.column_stack([x, np.zeros(500), np.zeros(500)]))
+    lo, width = segment_bounds(x, 3)
+    assert (lo, width) == (x.min(), (x.max() - x.min()) / 3)
+    x = np.concatenate([x, lo + width * np.arange(4)])  # every bin boundary
+    cloud = _cloud(np.column_stack([x, np.zeros(x.size), np.zeros(x.size)]))
     seg = split_segments(cloud, 3)
-    lo, hi = x.min(), x.max()
-    width = (hi - lo) / 3
-    assert abs(width - (hi - lo) / 3) < 1e-9
     for xi, si in zip(x, seg):
         expect = min(max(int(np.ceil((xi - lo) / width)) - 1, 0), 2)
         assert si == expect
+        # the box fit bins one scalar per cluster with the same rule
+        assert segment_of(xi, lo, width, 3) == expect
+    assert segment_of(0.0, *segment_bounds(np.zeros(4), 3), 3) == 0
 
 
 def test_seeds_low_band():

@@ -181,11 +181,16 @@ def _labeling_with_clusters(clusters: dict[int, np.ndarray], n: int) -> ClusterL
     return ClusterLabeling(labels=labels, clusters=clusters)
 
 
+def _centroid_distances(xyz: np.ndarray, clusters: dict[int, np.ndarray]) -> dict[int, float]:
+    return {cid: float(np.linalg.norm(xyz[m].mean(axis=0))) for cid, m in clusters.items()}
+
+
 def test_filter_rejects_small_cluster():
     xyz = np.tile([[10.0, 0.0, 0.0]], (5, 1)) + np.random.default_rng(0).normal(0, 0.2, (5, 3))
     labeling = _labeling_with_clusters({1: np.arange(5)}, 5)
     bboxes = {1: min_oriented_bbox(xyz, UP)}
-    kept, out = filter_proposals(labeling, xyz, bboxes, RefineParams())
+    kept, out = filter_proposals(labeling, _centroid_distances(xyz, labeling.clusters),
+                                 bboxes, RefineParams())
     assert kept == []
     assert (out.labels == 0).all()
 
@@ -196,7 +201,8 @@ def test_filter_rejects_oversized_box():
                            rng.uniform(0, 3, 200)]) + [5, 0, 0]
     labeling = _labeling_with_clusters({1: np.arange(200)}, 200)
     bboxes = {1: min_oriented_bbox(xyz, UP)}
-    kept, _ = filter_proposals(labeling, xyz, bboxes, RefineParams())
+    kept, _ = filter_proposals(labeling, _centroid_distances(xyz, labeling.clusters),
+                               bboxes, RefineParams())
     assert kept == []
 
 
@@ -205,7 +211,8 @@ def test_filter_accepts_car_sized_cluster(rng):
                            rng.uniform(0, 1.5, 300)]) + [8, 0, -1]
     labeling = _labeling_with_clusters({1: np.arange(300)}, 300)
     bboxes = {1: min_oriented_bbox(xyz, UP)}
-    kept, out = filter_proposals(labeling, xyz, bboxes, RefineParams())
+    kept, out = filter_proposals(labeling, _centroid_distances(xyz, labeling.clusters),
+                                 bboxes, RefineParams())
     assert kept == [1]
     assert (out.labels == labeling.labels).all()
 
@@ -228,7 +235,8 @@ def test_filter_matches_predicate_oracle(rng):
         xyz = np.vstack(xyz_parts)
         labeling = _labeling_with_clusters(clusters, start)
         bboxes = {cid: min_oriented_bbox(xyz[m], UP) for cid, m in clusters.items()}
-        kept, _ = filter_proposals(labeling, xyz, bboxes, params)
+        kept, _ = filter_proposals(labeling, _centroid_distances(xyz, clusters),
+                                   bboxes, params)
         expect = []
         for cid, m in clusters.items():
             d = float(np.linalg.norm(xyz[m].mean(axis=0)))
@@ -245,11 +253,12 @@ def test_filter_order_independent(rng):
     clusters = {3: np.arange(0, 40), 1: np.arange(40, 80), 2: np.arange(80, 120)}
     labeling = _labeling_with_clusters(clusters, 120)
     bboxes = {cid: min_oriented_bbox(xyz[m], UP) for cid, m in clusters.items()}
-    kept1, _ = filter_proposals(labeling, xyz, bboxes, RefineParams())
+    distances = _centroid_distances(xyz, clusters)
+    kept1, _ = filter_proposals(labeling, distances, bboxes, RefineParams())
     relabeled = {cid: clusters[cid] for cid in (2, 3, 1)}
     kept2, _ = filter_proposals(
         ClusterLabeling(labels=labeling.labels, clusters=relabeled),
-        xyz, bboxes, RefineParams())
+        distances, bboxes, RefineParams())
     assert kept1 == kept2
 
 
@@ -310,7 +319,7 @@ def test_enlarge_exclude_prevents_double_claims(rng):
     first = enlarge_and_merge(prop, cloud, ground, RefineParams())
     claimed = np.zeros(60, dtype=bool)
     claimed[first.member_indices] = True
-    second = enlarge_and_merge(prop, cloud, ground, RefineParams(), exclude=claimed)
+    second = enlarge_and_merge(prop, cloud, ground & ~claimed, RefineParams())
     overlap = set(first.member_indices.tolist()) & set(
         second.member_indices.tolist()) - set(range(5))
     assert not overlap
