@@ -5,6 +5,10 @@ ground truth) or a single sample archive; metric and timing reports are
 line-delimited `key=value` records on stdout (or --output). Frames are
 processed in lexicographic filename order and, with --jobs > 1, by a
 process pool whose output is byte-identical to a sequential run.
+
+Every per-frame command has one failure policy: a frame that cannot be
+read or processed is skipped with one logged line, the outputs of the
+other frames are written, and the command exits 1.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .bench import benchmark_stage1
 from .cloud import load_labels, load_point_cloud, save_labels, save_point_cloud
 from .clustering import group_members
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, RingSegError
-from .metrics import pointwise_metrics, proposal_recall
+from .errors import AlignmentError, ConfigError, FileFormatError, RingSegError
+from .metrics import eval_summary, pointwise_metrics, proposal_recall
 from .pipeline import run_stage1
 from .refine import OrientedBBox, Proposal
 from .samples import (
@@ -42,17 +46,14 @@ log = logging.getLogger("ringseg")
 
 _MANIFEST_SUFFIX = ".proposals.txt"
 _CLUSTER_SUFFIX = ".cluster"
+# the manifest fields prepare reads; `count` is informational
+_MANIFEST_KEYS = ("cluster", "d", "cx", "cy", "cz", "yaw", "hx", "hy", "hz", "nx", "ny", "nz")
 
 
 def format_record(fields: dict) -> str:
     """One `key=value` record per line; floats use repr for exact replay."""
-    parts = []
-    for key, value in fields.items():
-        if isinstance(value, (float, np.floating)):
-            parts.append(f"{key}={float(value)!r}")
-        else:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
+    return " ".join(f"{key}={float(value)!r}" if isinstance(value, (float, np.floating))
+                    else f"{key}={value}" for key, value in fields.items())
 
 
 def _emit(records: list[str], output: str | None) -> None:
@@ -63,19 +64,41 @@ def _emit(records: list[str], output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _frame_id_of(stem: str, index: int) -> int:
-    return int(stem) if stem.isdigit() else index
+_FRAME_ERRORS = (RingSegError, OSError, ValueError)
 
 
-def _list_frames(directory: str) -> list[Path]:
-    return sorted(Path(directory).glob("*.bin"))
+def _list_frames(directory: str, suffix: str = ".bin") -> list[tuple[str, Path]]:
+    return [(p.stem, p) for p in sorted(Path(directory).glob(f"*{suffix}"))]
 
 
-def _run_frames(worker, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
+def _attempt(worker, frame: tuple[str, object]):
+    try:
+        return worker(*frame), None
+    except _FRAME_ERRORS as exc:  # caught in the worker, so it crosses a pool
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_frames(worker, frames: list[tuple[str, object]], jobs: int = 1):
+    """The one frame loop: `worker(stem, arg)` per frame, in a process pool
+    when jobs > 1.
+
+    A frame that raises one of _FRAME_ERRORS is logged and skipped. Returns
+    the good frames' results in frame order and how many frames failed.
+    """
+    attempt = functools.partial(_attempt, worker)
+    if jobs <= 1 or len(frames) <= 1:
+        outcomes = map(attempt, frames)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(attempt, frames))
+    results, failed = [], 0
+    for (stem, _), (result, error) in zip(frames, outcomes):
+        if error:
+            failed += 1
+            log.error("frame %s skipped: %s", stem, error)
+        else:
+            results.append(result)
+    return results, failed
 
 
 # ---------------------------------------------------------------------------
@@ -98,27 +121,33 @@ def _write_manifest(path: Path, proposals: list[Proposal]) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _read_manifest(path: Path) -> list[dict[str, str]]:
+def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
+    """(cluster id, distance, box) per manifest line, in file order."""
     entries = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        entries.append(dict(tok.split("=", 1) for tok in line.split()))
+        tokens = [tok.split("=", 1) for tok in line.split()]
+        if any(len(tok) != 2 for tok in tokens):
+            raise FileFormatError(f"{path}:{lineno}: expected key=value tokens")
+        e = dict(tokens)
+        missing = [key for key in _MANIFEST_KEYS if key not in e]
+        if missing:
+            raise FileFormatError(f"{path}:{lineno}: no {', '.join(missing)} field")
+        center, half_extents, normal = (
+            np.array([float(e[v + axis]) for axis in "xyz"]) for v in "chn")
+        bbox = OrientedBBox(center, float(e["yaw"]), half_extents, normal)
+        entries.append((int(e["cluster"]), float(e["d"]), bbox))
     return entries
 
 
-def _segment_one(bin_path: Path, out_dir: str, cfg: PipelineConfig):
-    stem = bin_path.stem
-    try:
-        cloud = load_point_cloud(bin_path)
-        result = run_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
-        out = Path(out_dir)
-        result.cluster_labels.astype("<u4").tofile(out / f"{stem}{_CLUSTER_SUFFIX}")
-        _write_manifest(out / f"{stem}{_MANIFEST_SUFFIX}", result.proposals)
-        return stem, None
-    except (RingSegError, OSError, ValueError) as exc:
-        return stem, f"{type(exc).__name__}: {exc}"
+def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -> None:
+    cloud = load_point_cloud(bin_path)
+    result = run_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
+    out = Path(out_dir)
+    result.cluster_labels.astype("<u4").tofile(out / f"{stem}{_CLUSTER_SUFFIX}")
+    _write_manifest(out / f"{stem}{_MANIFEST_SUFFIX}", result.proposals)
 
 
 def cmd_segment(cfg: PipelineConfig) -> int:
@@ -130,53 +159,35 @@ def cmd_segment(cfg: PipelineConfig) -> int:
         return 0
     Path(cfg.output_path).mkdir(parents=True, exist_ok=True)
     worker = functools.partial(_segment_one, out_dir=cfg.output_path, cfg=cfg)
-    failures = 0
-    for stem, err in _run_frames(worker, frames, cfg.jobs):
-        if err:
-            failures += 1
-            log.error("frame %s skipped: %s", stem, err)
-    log.info("segmented %d frame(s), %d failed", len(frames), failures)
-    return 1 if failures else 0
+    _, failed = _run_frames(worker, frames, cfg.jobs)
+    log.info("segmented %d frame(s), %d failed", len(frames), failed)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # prepare
 
 
-def _prepare_one(item, seg_dir: str, cfg: PipelineConfig):
-    bin_path, frame_id = item
-    stem = bin_path.stem
-    label_path = bin_path.with_suffix(".label")
-    if not label_path.exists():
-        raise RingSegError(f"frame {stem}: missing label file {label_path}")
-    cluster_path = Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}"
-    manifest_path = Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}"
-    if not cluster_path.exists() or not manifest_path.exists():
-        raise RingSegError(f"frame {stem}: missing segment outputs in {seg_dir}")
-
+def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
+                 cfg: PipelineConfig) -> list:
+    bin_path = Path(in_dir) / f"{stem}.bin"
     cloud = load_point_cloud(bin_path)
-    cloud = cloud.with_labels(load_labels(label_path, len(cloud)))
-    cluster_ids = np.fromfile(cluster_path, dtype="<u4")
+    cloud = cloud.with_labels(load_labels(bin_path.with_suffix(".label"), len(cloud)))
+    cluster_ids = np.fromfile(Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}", dtype="<u4")
     if cluster_ids.size != len(cloud):
-        raise RingSegError(f"frame {stem}: cluster file length mismatch")
+        raise AlignmentError(f"cluster file has {cluster_ids.size} ids for "
+                             f"{len(cloud)} points")
+    manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
 
     prep = cfg.prep
     groups = group_members(cluster_ids)
     samples = []
-    for entry in sorted(_read_manifest(manifest_path), key=lambda e: int(e["cluster"])):
-        cid = int(entry["cluster"])
+    for cid, distance, bbox in sorted(manifest, key=lambda e: e[0]):
         members = groups.get(cid)
         if members is None:
             continue
-        bbox = OrientedBBox(
-            center=np.array([float(entry["cx"]), float(entry["cy"]), float(entry["cz"])]),
-            yaw=float(entry["yaw"]),
-            half_extents=np.array([float(entry["hx"]), float(entry["hy"]),
-                                   float(entry["hz"])]),
-            normal=np.array([float(entry["nx"]), float(entry["ny"]), float(entry["nz"])]),
-        )
         prop = Proposal(cluster_id=cid, member_indices=members, bbox=bbox,
-                        distance=float(entry["d"]))
+                        distance=distance)
         rng0 = sample_rng(prep.rng_seed, frame_id, cid, 0)
         sample = canonical_transform(prop, cloud, rng0, frame_id=frame_id)
         if sample.class_label == 0:
@@ -198,121 +209,87 @@ def _prepare_one(item, seg_dir: str, cfg: PipelineConfig):
 def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     if not cfg.input_path or not cfg.output_path:
         raise ConfigError("input/output", "prepare needs --input and --output")
-    seg_dir = seg_dir or cfg.input_path
-    frames = _list_frames(cfg.input_path)
-    items = [(p, _frame_id_of(p.stem, i)) for i, p in enumerate(frames)]
-    worker = functools.partial(_prepare_one, seg_dir=seg_dir, cfg=cfg)
-    try:
-        per_frame = _run_frames(worker, items, cfg.jobs)
-    except RingSegError as exc:
-        log.error("%s", exc)
-        return 1
+    frames = [(stem, int(stem) if stem.isdigit() else i)  # (stem, frame id)
+              for i, (stem, _) in enumerate(_list_frames(cfg.input_path))]
+    worker = functools.partial(_prepare_one, in_dir=cfg.input_path,
+                               seg_dir=seg_dir or cfg.input_path, cfg=cfg)
+    per_frame, failed = _run_frames(worker, frames, cfg.jobs)
     samples = [s for frame_samples in per_frame for s in frame_samples]
     export_samples(samples, cfg.output_path, n_points=cfg.prep.n_points)
-    log.info("wrote %d sample(s) from %d frame(s) to %s",
-             len(samples), len(frames), cfg.output_path)
-    return 0
+    log.info("wrote %d sample(s) from %d frame(s) to %s, %d failed",
+             len(samples), len(per_frame), cfg.output_path, failed)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
+def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str | None):
+    gt = load_labels(gt_path, os.path.getsize(gt_path))
+    fields: dict = {"frame": stem}
+    metrics = coverage = None
+    if pred_dir:
+        metrics = pointwise_metrics(load_labels(Path(pred_dir) / gt_path.name, len(gt)), gt)
+        fields.update(metrics.to_record())
+    if clusters_dir:
+        cids = np.fromfile(Path(clusters_dir) / f"{stem}{_CLUSTER_SUFFIX}", dtype="<u4")
+        if cids.size != gt.size:
+            raise AlignmentError(f"cluster file length {cids.size} != {gt.size}")
+        # group only the points proposals kept: a short sort, few large temporaries
+        kept = np.flatnonzero(cids)
+        coverage = proposal_recall([kept[m] for m in group_members(cids[kept]).values()], gt)
+        fields.update(coverage.to_record())
+    return format_record(fields), metrics, coverage
+
+
 def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
              output: str | None) -> int:
-    gt_files = sorted(Path(gt_dir).glob("*.label"))
-    if not gt_files:
+    if not pred_dir and not clusters_dir:
+        raise ConfigError("pred/clusters", "eval needs --pred and/or --clusters")
+    frames = _list_frames(gt_dir, ".label")
+    if not frames:
         log.warning("no .label files under %s", gt_dir)
         return 0
-    if not pred_dir and not clusters_dir:
-        log.error("eval needs --pred and/or --clusters")
-        return 2
-    records = []
-    failures = 0
-    agg_p = {c: 0 for c in range(4)}
-    agg_g = {c: 0 for c in range(4)}
-    agg_pg = {c: 0 for c in range(4)}
-    rec_frames = 0
-    rec_fg = rec_cov = rec_props = rec_passed = 0
-    for gt_path in gt_files:
-        stem = gt_path.stem
-        try:
-            gt = load_labels(gt_path, os.path.getsize(gt_path))
-            rec: dict = {"frame": stem}
-            if pred_dir:
-                pred = load_labels(Path(pred_dir) / gt_path.name, len(gt))
-                report = pointwise_metrics(pred, gt)
-                rec.update(report.to_record())
-                for c in range(4):
-                    agg_p[c] += report.pred_count[c]
-                    agg_g[c] += report.gt_count[c]
-                    agg_pg[c] += report.overlap_count[c]
-            if clusters_dir:
-                cids = np.fromfile(Path(clusters_dir) / f"{stem}{_CLUSTER_SUFFIX}",
-                                   dtype="<u4")
-                if cids.size != gt.size:
-                    raise RingSegError(f"cluster file length {cids.size} != {gt.size}")
-                groups = group_members(cids)
-                groups.pop(0, None)
-                cov = proposal_recall(list(groups.values()), gt)
-                rec.update(cov.to_record())
-                rec_frames += 1
-                rec_fg += cov.fg_points
-                rec_cov += cov.fg_covered
-                rec_props += cov.n_proposals
-                rec_passed += cov.points_passed
-            records.append(format_record(rec))
-        except (RingSegError, OSError) as exc:
-            failures += 1
-            log.error("frame %s: %s", stem, exc)
-    summary: dict = {"frame": "all", "frames": len(gt_files) - failures}
-    if pred_dir:
-        from .cloud import CLASS_NAMES, FOREGROUND_CLASSES
-
-        ious = {}
-        for c in range(4):
-            union = agg_p[c] + agg_g[c] - agg_pg[c]
-            ious[c] = agg_pg[c] / union if union else 1.0
-            summary[f"iou_{CLASS_NAMES[c]}"] = ious[c]
-        summary["avg_iou"] = float(np.mean([ious[int(c)] for c in FOREGROUND_CLASSES]))
-    if clusters_dir and rec_frames:
-        recall = rec_cov / rec_fg if rec_fg else 1.0
-        summary.update({
-            "recall": recall,
-            "recall_pct": round(100.0 * recall, 2),
-            "proposals_per_frame": round(rec_props / rec_frames, 2),
-            "points_passed_per_frame": round(rec_passed / rec_frames, 1),
-        })
-    records.append(format_record(summary))
-    _emit(records, output)
-    return 1 if failures else 0
+    worker = functools.partial(_eval_one, pred_dir=pred_dir, clusters_dir=clusters_dir)
+    results, failed = _run_frames(worker, frames)
+    summary = {"frame": "all", "frames": len(results),
+               **eval_summary([m for _, m, _ in results if m is not None],
+                              [c for _, _, c in results if c is not None])}
+    _emit([record for record, _, _ in results] + [format_record(summary)], output)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # bench / synth
 
 
-def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
-    if cfg.input_path:
-        frames = [(p.stem, None, p) for p in _list_frames(cfg.input_path)]
-        if not frames:
-            log.warning("no .bin frames under %s", cfg.input_path)
-            return 0
+def _bench_one(stem: str, path: Path | None, cfg: PipelineConfig, reps: int) -> str:
+    if path is None:
+        cloud = generate_synthetic_scene(sample_traffic_scene(cfg.rng_seed, n_objects=6)).cloud
     else:
-        scene = generate_synthetic_scene(sample_traffic_scene(cfg.rng_seed, n_objects=6))
-        frames = [("synthetic", scene.cloud, None)]
-    records = []
-    for stem, cloud, path in frames:
-        if cloud is None:
-            cloud = load_point_cloud(path)
-        report, _ = benchmark_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine,
-                                     cfg.num_rings, repetitions=reps)
-        records.append(format_record({"frame": stem, **report.to_record()}))
+        cloud = load_point_cloud(path)
+    report, _ = benchmark_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine,
+                                 cfg.num_rings, repetitions=reps)
+    return format_record({"frame": stem, **report.to_record()})
+
+
+def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
+    if reps < 1:
+        raise ConfigError("--reps", f"expected integer >= 1, got {reps}")
+    frames = _list_frames(cfg.input_path) if cfg.input_path else [("synthetic", None)]
+    if not frames:
+        log.warning("no .bin frames under %s", cfg.input_path)
+        return 0
+    # in this process, so timings do not compete for cores
+    records, failed = _run_frames(functools.partial(_bench_one, cfg=cfg, reps=reps), frames)
     _emit(records, output)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> int:
+    if frames < 1:
+        raise ConfigError("--frames", f"expected integer >= 1, got {frames}")
     spec = scene_from_file(scene_path)
     base_seed = spec.rng_seed if seed is None else seed
     out = Path(out_dir)
@@ -380,17 +357,12 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        overrides = {
-            "rng_seed": args.seed,
-            "jobs": args.jobs,
-            "input": args.input,
-            "output": args.output,
-        }
-        if getattr(args, "augment", False):
-            overrides["prep.augment"] = True
-        if getattr(args, "n_points", None) is not None:
-            overrides["prep.n_points"] = args.n_points
-        cfg = load_config(args.config, overrides)
+        # None is "not given", so an absent flag keeps the config file's value
+        cfg = load_config(args.config, {
+            "rng_seed": args.seed, "jobs": args.jobs, "input": args.input,
+            "output": args.output, "prep.augment": getattr(args, "augment", None) or None,
+            "prep.n_points": getattr(args, "n_points", None),
+        })
 
         if args.command == "segment":
             return cmd_segment(cfg)
@@ -408,7 +380,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 2
-    except RingSegError as exc:
+    except (RingSegError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cloud import ClassId
+from .cloud import CLASS_NAMES, FOREGROUND_CLASSES
 from .clustering import ClusterParams
 from .errors import ConfigError
 from .ground import GroundParams
 from .refine import DEFAULT_SIZE_PRIORS, RefineParams, SizePrior
 from .samples import SamplePrepParams
 
-_PRIOR_CLASSES = {"car": int(ClassId.CAR), "pedestrian": int(ClassId.PEDESTRIAN),
-                  "cyclist": int(ClassId.CYCLIST)}
+_PRIOR_CLASSES = {CLASS_NAMES[c]: int(c) for c in FOREGROUND_CLASSES}
 _PRIOR_AXES = ("x", "y", "z")
 
 
@@ -100,7 +99,7 @@ def _parse_prior_key(key: str) -> tuple[str, str, str]:
     # refine.size_priors.<class>.<min|max>.<axis>
     if (len(parts) != 5 or parts[3] not in ("min", "max") or parts[4] not in _PRIOR_AXES
             or parts[2] not in _PRIOR_CLASSES):
-        raise ConfigError(key, "expected refine.size_priors.<car|pedestrian|cyclist>"
+        raise ConfigError(key, f"expected refine.size_priors.<{'|'.join(_PRIOR_CLASSES)}>"
                                ".<min|max>.<x|y|z>")
     return parts[2], parts[3], parts[4]
 

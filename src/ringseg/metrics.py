@@ -47,6 +47,19 @@ def _ratio(num: int, den: int, other_empty: bool) -> float:
     return num / den
 
 
+def _report_from_counts(pred_count: dict[int, int], gt_count: dict[int, int],
+                        overlap_count: dict[int, int]) -> MetricsReport:
+    """The one place the ratios and their empty-set convention are taken."""
+    precision, recall, iou = {}, {}, {}
+    for cid in sorted(CLASS_NAMES):
+        np_, ng, npg = pred_count[cid], gt_count[cid], overlap_count[cid]
+        precision[cid] = _ratio(npg, np_, ng == 0)
+        recall[cid] = _ratio(npg, ng, np_ == 0)
+        iou[cid] = _ratio(npg, np_ + ng - npg, True)
+    avg = float(np.mean([iou[int(c)] for c in FOREGROUND_CLASSES]))
+    return MetricsReport(precision, recall, iou, pred_count, gt_count, overlap_count, avg)
+
+
 def pointwise_metrics(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
     """Exact set-cardinality precision, recall and IoU per class.
 
@@ -56,20 +69,11 @@ def pointwise_metrics(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise AlignmentError(f"pred length {pred.shape} != gt length {gt.shape}")
-    precision, recall, iou = {}, {}, {}
     p_cnt, g_cnt, pg_cnt = {}, {}, {}
     for cid in sorted(CLASS_NAMES):
-        p = pred == cid
-        g = gt == cid
-        np_, ng = int(p.sum()), int(g.sum())
-        npg = int((p & g).sum())
-        nun = np_ + ng - npg
-        precision[cid] = _ratio(npg, np_, ng == 0)
-        recall[cid] = _ratio(npg, ng, np_ == 0)
-        iou[cid] = _ratio(npg, nun, True)
-        p_cnt[cid], g_cnt[cid], pg_cnt[cid] = np_, ng, npg
-    avg = float(np.mean([iou[int(c)] for c in FOREGROUND_CLASSES]))
-    return MetricsReport(precision, recall, iou, p_cnt, g_cnt, pg_cnt, avg)
+        p, g = pred == cid, gt == cid
+        p_cnt[cid], g_cnt[cid], pg_cnt[cid] = int(p.sum()), int(g.sum()), int((p & g).sum())
+    return _report_from_counts(p_cnt, g_cnt, pg_cnt)
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,35 @@ def proposal_recall(proposals, gt_labels: np.ndarray) -> RecallReport:
     fg_total = int(fg.sum())
     fg_cov = int((fg & covered).sum())
     return RecallReport(
-        recall=fg_cov / fg_total if fg_total else 1.0,
+        recall=_ratio(fg_cov, fg_total, True),
         n_proposals=n_props,
         fg_points=fg_total,
         fg_covered=fg_cov,
         points_passed=int(covered.sum()),
     )
+
+
+def eval_summary(reports: list[MetricsReport], coverages: list[RecallReport]) -> dict:
+    """Pooled fields of the `frame=all` eval record.
+
+    Counts are summed over frames before any ratio is taken, so the pooled
+    IoU follows the per-frame rule; an empty list adds no fields.
+    """
+    fields: dict[str, float | int] = {}
+    if reports:
+        pooled = _report_from_counts(*(
+            {cid: sum(getattr(r, counts)[cid] for r in reports) for cid in sorted(CLASS_NAMES)}
+            for counts in ("pred_count", "gt_count", "overlap_count")))
+        fields.update({f"iou_{CLASS_NAMES[cid]}": pooled.iou[cid] for cid in sorted(CLASS_NAMES)},
+                      avg_iou=pooled.avg_iou)
+    if coverages:
+        n = len(coverages)
+        recall = _ratio(sum(c.fg_covered for c in coverages),
+                        sum(c.fg_points for c in coverages), True)
+        fields.update({
+            "recall": recall,
+            "recall_pct": round(100.0 * recall, 2),
+            "proposals_per_frame": round(sum(c.n_proposals for c in coverages) / n, 2),
+            "points_passed_per_frame": round(sum(c.points_passed for c in coverages) / n, 1),
+        })
+    return fields

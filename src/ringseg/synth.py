@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import ClassId, PointCloud
+from .cloud import CLASS_NAMES, FOREGROUND_CLASSES, ClassId, PointCloud
 from .errors import SceneValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -55,14 +55,6 @@ class ObjectSpec:
         if self.shape == "cylinder":
             return self.radius
         return max(box_r, self.radius)
-
-    def top_height(self) -> float:
-        """Highest occupied point above the object's base."""
-        if self.shape == "box":
-            return self.height
-        if self.shape == "cylinder":
-            return self.height
-        return max(self.height, _RIDER_BASE_FRACTION * self.height + self.rider_height)
 
     def validate(self) -> None:
         if self.class_id not in tuple(int(c) for c in ClassId):
@@ -296,8 +288,17 @@ _SCENE_FIELDS = {
     "ground_tilt_deg": ("ground_tilt_deg", float),
     "noise_sigma": ("noise_sigma", float),
 }
+_CLASS_BY_NAME = {name: int(cid) for cid, name in CLASS_NAMES.items()}
+
+
+def _class_id(value: str) -> int:
+    """A class name (any case) or its integer id."""
+    name = value.lower()
+    return _CLASS_BY_NAME[name] if name in _CLASS_BY_NAME else int(value)
+
+
 _OBJECT_FIELDS = {
-    "class": ("class_id", None),  # name or integer
+    "class": ("class_id", _class_id),
     "shape": ("shape", str),
     "x": ("x", float),
     "y": ("y", float),
@@ -310,7 +311,6 @@ _OBJECT_FIELDS = {
     "clearance": ("clearance", float),
     "z_base": ("z_base", float),
 }
-_CLASS_BY_NAME = {"background": 0, "car": 1, "pedestrian": 2, "cyclist": 3}
 
 
 def scene_from_file(path) -> SceneSpec:
@@ -331,14 +331,10 @@ def scene_from_file(path) -> SceneSpec:
             if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _OBJECT_FIELDS:
                 raise ConfigError(key, "expected objects.<index>.<field>")
             field_name, caster = _OBJECT_FIELDS[parts[2]]
-            if field_name == "class_id":
-                parsed = (_CLASS_BY_NAME[value.lower()]
-                          if value.lower() in _CLASS_BY_NAME else int(value))
-            else:
-                try:
-                    parsed = caster(value)
-                except ValueError:
-                    raise ConfigError(key, f"invalid value {value!r}")
+            try:
+                parsed = caster(value)
+            except ValueError:
+                raise ConfigError(key, f"invalid value {value!r}")
             object_kwargs.setdefault(int(parts[1]), {})[field_name] = parsed
         elif key in _SCENE_FIELDS:
             field_name, caster = _SCENE_FIELDS[key]
@@ -378,8 +374,7 @@ def sample_traffic_scene(
     attempts = 0
     while len(placed) < n_objects and attempts < 200 * n_objects:
         attempts += 1
-        cls = int(rng.choice([int(ClassId.CAR), int(ClassId.PEDESTRIAN),
-                              int(ClassId.CYCLIST)]))
+        cls = int(rng.choice([int(c) for c in FOREGROUND_CLASSES]))
         # pedestrians stay nearer: a thin cylinder's visible depth shrinks
         # below the size priors once azimuth sampling gets too coarse
         dist = rng.uniform(8.0, 20.0 if cls == int(ClassId.PEDESTRIAN) else 35.0)

@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,77 @@ def test_prepare_missing_labels_names_frame(synth_dir, tmp_path, caplog):
     assert "000000" in caplog.text
 
 
+def _records(path: Path) -> list[dict[str, str]]:
+    return [dict(tok.split("=", 1) for tok in line.split())
+            for line in path.read_text().strip().splitlines()]
+
+
+@pytest.mark.parametrize("command", ["segment", "prepare", "eval", "bench"])
+def test_one_bad_frame_costs_only_that_frame(command, synth_dir, tmp_path, caplog):
+    frames = tmp_path / "frames"
+    shutil.copytree(synth_dir, frames)
+    seg = tmp_path / "seg"
+    if command == "prepare":
+        assert main(["segment", "--input", str(frames), "--output", str(seg)]) == 0
+        (frames / "000001.label").unlink()
+    else:
+        (frames / "000001.bin").write_bytes(b"\x01" * 19)
+        if command == "eval":  # leaves the bad frame without a .cluster file
+            assert main(["segment", "--input", str(frames), "--output", str(seg)]) == 1
+    out = tmp_path / "out"
+    argv = {
+        "segment": ["segment", "--input", str(frames), "--output", str(seg),
+                    "--jobs", "2"],
+        "prepare": ["prepare", "--input", str(frames), "--segments", str(seg),
+                    "--output", str(out), "--n-points", "64", "--jobs", "2"],
+        "eval": ["eval", "--gt", str(frames), "--clusters", str(seg),
+                 "--output", str(out)],
+        "bench": ["bench", "--input", str(frames), "--reps", "1", "--output", str(out)],
+    }[command]
+    caplog.clear()
+    assert main(argv) == 1
+    assert "frame 000001 skipped" in caplog.text
+    assert "Traceback" not in caplog.text
+    if command == "segment":
+        assert sorted(p.name for p in seg.glob("*.cluster")) == [
+            "000000.cluster", "000002.cluster"]
+    elif command == "prepare":
+        _, samples = load_samples(out)
+        assert {r.frame_id for r in samples} == {0, 2}
+    else:
+        stems = [r["frame"] for r in _records(out)]
+        assert stems == (["000000", "000002", "all"] if command == "eval"
+                         else ["000000", "000002"])
+    if command == "eval":
+        assert _records(out)[-1]["frames"] == "2"
+
+
+def test_eval_summary_without_good_frames_has_no_pooled_fields(synth_dir, tmp_path):
+    report = tmp_path / "eval.txt"
+    assert main(["eval", "--gt", str(synth_dir), "--pred", str(tmp_path / "none"),
+                 "--clusters", str(tmp_path / "none"), "--output", str(report)]) == 1
+    assert report.read_text() == "frame=all frames=0\n"
+
+
+@pytest.mark.parametrize("bad_line, reason", [
+    ("garbage here", "expected key=value tokens"),
+    ("cluster=1", "no d, cx, cy, cz, yaw, hx, hy, hz, nx, ny, nz field"),
+])
+def test_prepare_bad_manifest_line_names_file_and_line(synth_dir, tmp_path, caplog,
+                                                       bad_line, reason):
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+    manifest = seg / "000000.proposals.txt"
+    n_lines = len(manifest.read_text().splitlines())
+    manifest.write_text(manifest.read_text() + bad_line + "\n")
+    caplog.clear()
+    assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
+                 "--output", str(tmp_path / "s.ps3d")]) == 1
+    assert f"FileFormatError: {manifest}:{n_lines + 1}: {reason}" in caplog.text
+    _, samples = load_samples(tmp_path / "s.ps3d")
+    assert {r.frame_id for r in samples} == {1, 2}
+
+
 def test_segment_prepare_deterministic_across_runs_and_jobs(synth_dir, tmp_path):
     digests = []
     for run, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
@@ -176,11 +248,15 @@ def test_empty_input_dir_ok(tmp_path, caplog):
 def test_invalid_config_names_key(tmp_path, caplog):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("ground.n_seg = -2\n")
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(SCENE_TEXT)
     io = ["--input", str(tmp_path), "--output", str(tmp_path / "o")]
     cases = [(["segment", "--config", str(cfg)], "ground.n_seg"),
              (["bench", "--reps", "1", "--seed", "-1"], "rng_seed"),
              (["segment", "--jobs", "0"], "jobs"),
-             (["prepare", "--n-points", "0"], "prep.n_points")]
+             (["prepare", "--n-points", "0"], "prep.n_points"),
+             (["bench", "--reps", "0"], "--reps"),
+             (["synth", "--scene", str(scene), "--frames", "-1"], "--frames")]
     for argv, key in cases:
         caplog.clear()
         assert main(argv + io) == 2, argv

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringseg import AlignmentError, pointwise_metrics, proposal_recall
+from ringseg.cloud import CLASS_NAMES
+from ringseg.metrics import eval_summary
 
 from oracles import counting_metrics
 
@@ -115,3 +117,21 @@ def test_recall_partial(rng):
     assert rep.recall == pytest.approx(0.5)
     assert rep.n_proposals == 2
     assert rep.points_passed == 30
+
+
+def test_eval_summary_pools_like_one_concatenated_frame(rng):
+    # no cyclist anywhere, so its pooled IoU takes the empty-set convention
+    preds = [rng.integers(0, 3, n).astype(np.uint8) for n in (50, 0, 300)]
+    gts = [rng.integers(0, 3, n).astype(np.uint8) for n in (50, 0, 300)]
+    whole = pointwise_metrics(np.concatenate(preds), np.concatenate(gts))
+    covers = [proposal_recall([np.arange(0, g.size, 2)], g) for g in gts]
+    summary = eval_summary([pointwise_metrics(p, g) for p, g in zip(preds, gts)], covers)
+    for cid, name in CLASS_NAMES.items():
+        assert summary[f"iou_{name}"] == whole.iou[cid]
+    assert summary["iou_cyclist"] == 1.0
+    assert summary["avg_iou"] == whole.avg_iou
+    fg = np.concatenate(gts) > 0
+    covered = np.concatenate([np.arange(g.size) % 2 == 0 for g in gts])
+    assert summary["recall"] == (fg & covered).sum() / fg.sum()
+    assert summary["proposals_per_frame"] == 1.0
+    assert eval_summary([], []) == {}
