@@ -44,6 +44,7 @@ from .metrics import MetricsReport, RecallReport, pointwise_metrics, proposal_re
 from .pipeline import Stage1Result, run_stage1
 from .refine import (
     DEFAULT_SIZE_PRIORS,
+    BoxTable,
     OrientedBBox,
     Proposal,
     RefineParams,
@@ -52,6 +53,7 @@ from .refine import (
     enlarge_and_merge,
     enlarge_bbox,
     filter_proposals,
+    fit_boxes,
     min_oriented_bbox,
 )
 from .samples import (

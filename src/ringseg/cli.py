@@ -3,8 +3,9 @@
 Outputs are file-per-frame (cluster labels, proposal manifests, synthetic
 ground truth) or a single sample archive; metric and timing reports are
 line-delimited `key=value` records on stdout (or --output). Frames are
-processed in lexicographic filename order and, with --jobs > 1, by a
-process pool whose output is byte-identical to a sequential run.
+processed in lexicographic filename order and, for `segment` and `prepare`
+with --jobs > 1, by a process pool whose output is byte-identical to a
+sequential run.
 
 Every per-frame command has one failure policy: a frame that cannot be
 read or processed is skipped with one logged line, the outputs of the
@@ -211,6 +212,9 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
         raise ConfigError("input/output", "prepare needs --input and --output")
     frames = [(stem, int(stem) if stem.isdigit() else i)  # (stem, frame id)
               for i, (stem, _) in enumerate(_list_frames(cfg.input_path))]
+    if not frames:
+        log.warning("no .bin frames under %s; nothing to do", cfg.input_path)
+        return 0
     worker = functools.partial(_prepare_one, in_dir=cfg.input_path,
                                seg_dir=seg_dir or cfg.input_path, cfg=cfg)
     per_frame, failed = _run_frames(worker, frames, cfg.jobs)
@@ -314,6 +318,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="input directory")
     p.add_argument("--output", help="output directory or file")
     p.add_argument("--seed", type=int, help="rng seed override")
+
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
 
@@ -326,9 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="run the proposal pipeline over frames")
     _add_common(p)
+    _add_jobs(p)
 
     p = sub.add_parser("prepare", help="build a training-sample archive")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--segments", help="directory with segment outputs "
                                       "(default: the input directory)")
     p.add_argument("--augment", action="store_true",
@@ -359,7 +368,7 @@ def main(argv=None) -> int:
     try:
         # None is "not given", so an absent flag keeps the config file's value
         cfg = load_config(args.config, {
-            "rng_seed": args.seed, "jobs": args.jobs, "input": args.input,
+            "rng_seed": args.seed, "jobs": getattr(args, "jobs", None), "input": args.input,
             "output": args.output, "prep.augment": getattr(args, "augment", None) or None,
             "prep.n_points": getattr(args, "n_points", None),
         })

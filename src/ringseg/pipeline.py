@@ -25,12 +25,11 @@ from .ground import (
     split_segments,
 )
 from .refine import (
-    OrientedBBox,
     Proposal,
     RefineParams,
     enlarge_and_merge,
     filter_proposals,
-    min_oriented_bbox,
+    fit_boxes,
 )
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -90,14 +89,19 @@ def run_stage1(
     t_cluster = time.perf_counter()
 
     lo, width = segment_bounds(cloud.xyz[:, 0], n_seg)
-    bboxes: dict[int, OrientedBBox] = {}
-    distances: dict[int, float] = {}
-    for cid, members in labeling.clusters.items():
-        pts = sub.xyz[members]
-        distances[cid] = float(np.linalg.norm(pts.mean(axis=0)))
+    # rows in ascending cluster id, the order filter_proposals reads
+    ids = sorted(labeling.clusters)
+    row = {cid: i for i, cid in enumerate(ids)}
+    points, normals = [], []
+    distances = np.empty(len(ids))
+    for i, cid in enumerate(ids):
+        pts = sub.xyz[labeling.clusters[cid]]
+        distances[i] = np.linalg.norm(pts.mean(axis=0))
         seg = int(segment_of(pts[:, 0].mean(), lo, width, n_seg))
-        bboxes[cid] = min_oriented_bbox(pts, _normal_for_segment(planes, seg))
-    kept, labeling = filter_proposals(labeling, distances, bboxes, refine_params)
+        points.append(pts)
+        normals.append(_normal_for_segment(planes, seg))
+    table = fit_boxes(points, normals)
+    kept, labeling = filter_proposals(labeling, distances, table, refine_params)
 
     cluster_labels = np.zeros(n, dtype=np.uint32)
     proposals: list[Proposal] = []
@@ -107,7 +111,8 @@ def run_stage1(
     for cid in kept:
         members = labeling.clusters[cid]
         prop = enlarge_and_merge(
-            Proposal(cid, nonground[members], bboxes[cid], distances[cid]),
+            Proposal(cid, nonground[members], table.box(row[cid]),
+                     float(distances[row[cid]])),
             cloud, ground_free, refine_params)
         ground_free[prop.member_indices[members.size:]] = False
         cluster_labels[prop.member_indices] = cid

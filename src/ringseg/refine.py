@@ -4,9 +4,12 @@ Boxes are ground-aligned: the box z-axis is the fitted ground normal of
 the cluster's segment, and yaw rotates about it. Filtering combines a
 distance-adaptive point-count threshold with per-class size priors;
 surviving proposals are enlarged downward to re-absorb near-ground points
-(wheels, feet) that the ground fit swallowed. The box fit needs only numpy:
-the hull is Andrew's monotone chain and the rotating calipers run over its
-edges.
+(wheels, feet) that the ground fit swallowed.
+
+`fit_boxes` fits a frame's clusters in one pass into a `BoxTable` of
+arrays, which the filter reads, so `OrientedBBox` objects are built only
+for the clusters it keeps. The box fit needs only numpy: the hull is
+Andrew's monotone chain and the rotating calipers run over its edges.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -131,12 +135,17 @@ class SizePrior:
             raise ValueError("size prior mins must be < maxes")
 
     def admits(self, extents: np.ndarray) -> bool:
-        long_e, short_e = sorted(extents[:2], reverse=True)
-        return (
-            self.mins[0] <= long_e <= self.maxes[0]
-            and self.mins[1] <= short_e <= self.maxes[1]
-            and self.mins[2] <= extents[2] <= self.maxes[2]
-        )
+        return bool(_admitted(extents, [self])[0])
+
+
+def _admitted(extents: np.ndarray, priors) -> np.ndarray:
+    """Per box of full extents (k, 3), whether at least one of `priors`
+    admits it (see `SizePrior`)."""
+    e = np.asarray(extents, dtype=np.float64).reshape(-1, 3)
+    e = np.column_stack([e[:, :2].max(axis=1), e[:, :2].min(axis=1), e[:, 2]])
+    lo = np.array([p.mins for p in priors]).reshape(-1, 1, 3)
+    hi = np.array([p.maxes for p in priors]).reshape(-1, 1, 3)
+    return ((lo <= e) & (e <= hi)).all(axis=2).any(axis=0)
 
 
 DEFAULT_SIZE_PRIORS: dict[int, SizePrior] = {
@@ -188,13 +197,6 @@ def _pca_direction(uv: np.ndarray) -> float:
     eigvals, eigvecs = np.linalg.eigh(cov)
     d = eigvecs[:, -1]
     return math.atan2(d[1], d[0])
-
-
-def _rect_at_angle(u: np.ndarray, v: np.ndarray, theta: float):
-    c, s = math.cos(theta), math.sin(theta)
-    xs = u * c + v * s
-    ys = -u * s + v * c
-    return xs.min(), xs.max(), ys.min(), ys.max()
 
 
 def _hull_candidates(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -252,99 +254,185 @@ def _hull_vertices(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return order[halves[0] + halves[1]]
 
 
-def _best_edge_angle(hv: np.ndarray) -> float:
-    """Hull-edge angle whose aligned rectangle has minimal area."""
-    edges = np.diff(np.vstack([hv, hv[:1]]), axis=0)
-    angles = np.arctan2(edges[:, 1], edges[:, 0])
-    c, s = np.cos(angles), np.sin(angles)
-    xs = np.outer(c, hv[:, 0]) + np.outer(s, hv[:, 1])
-    ys = np.outer(c, hv[:, 1]) - np.outer(s, hv[:, 0])
-    areas = (xs.max(axis=1) - xs.min(axis=1)) * (ys.max(axis=1) - ys.min(axis=1))
-    return float(angles[np.argmin(areas)])
+def _min_area_edge_angles(hu: np.ndarray, hv: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per hull, the angle of its first edge whose aligned rectangle has
+    minimal area (rotating calipers: the optimum has a side on a hull edge).
 
-
-def min_oriented_bbox(points: np.ndarray, normal: np.ndarray) -> OrientedBBox:
-    """Minimal-area ground-aligned box around a cluster.
-
-    Points are projected along the ground normal; the minimal rectangle of
-    the projection is found by rotating calipers (the optimum is attained
-    with one side collinear to a hull edge). Half extents are floored at
-    EPS_HALF_EXTENT so degenerate clusters still yield a valid box.
+    hu, hv hold the vertices of all hulls back to back, each hull
+    counter-clockwise; sizes[j] is the vertex count of hull j. Every edge of
+    a hull is paired with every vertex of the same hull, and the extents of
+    each edge's pairs come from one reduceat per bound.
     """
-    points = np.atleast_2d(points)
-    if points.shape[0] < 1:
-        raise ValueError("min_oriented_bbox needs at least one point")
-    n = np.asarray(normal, dtype=np.float64)
-    n = n / np.linalg.norm(n)
-    e1, e2 = plane_basis(n)
-    u, v = points @ e1, points @ e2
-    w = points @ n
+    starts = np.cumsum(sizes) - sizes
+    nxt = np.arange(1, hu.size + 1)
+    nxt[starts + sizes - 1] = starts  # each hull's wrap-around edge
+    angles = np.arctan2(hv[nxt] - hv, hu[nxt] - hu)
+    c, s = np.cos(angles), np.sin(angles)
+    per_edge = np.repeat(sizes, sizes)  # each edge meets its hull's vertices
+    rows = np.cumsum(per_edge) - per_edge
+    edge = np.repeat(np.arange(hu.size), per_edge)
+    vertex = np.arange(edge.size) - np.repeat(rows - np.repeat(starts, sizes), per_edge)
+    xs = c[edge] * hu[vertex] + s[edge] * hv[vertex]
+    ys = c[edge] * hv[vertex] - s[edge] * hu[vertex]
+    areas = ((np.maximum.reduceat(xs, rows) - np.minimum.reduceat(xs, rows))
+             * (np.maximum.reduceat(ys, rows) - np.minimum.reduceat(ys, rows)))
+    hits = np.flatnonzero(areas == np.repeat(np.minimum.reduceat(areas, starts), sizes))
+    hull = np.repeat(np.arange(sizes.size), sizes)[hits]
+    return angles[hits[np.r_[True, hull[1:] != hull[:-1]]]]
 
-    theta = 0.0
-    if points.shape[0] >= 3:
-        keep = _hull_candidates(u, v) if points.shape[0] >= _HULL_FILTER_MIN else slice(None)
-        uk, vk = u[keep], v[keep]
-        hull = _hull_vertices(uk, vk)
-        if hull.size >= 3:
-            theta = _best_edge_angle(np.column_stack([uk[hull], vk[hull]]))
-        else:
-            theta = _pca_direction(np.column_stack([u, v]))
-    elif points.shape[0] == 2:
-        theta = _pca_direction(np.column_stack([u, v]))
 
-    x0, x1, y0, y1 = _rect_at_angle(u, v, theta)
-    w0, w1 = w.min(), w.max()
+@dataclass(frozen=True)
+class BoxTable:
+    """The boxes of k clusters as read-only arrays, row i for cluster i.
+
+    yaw (k,) is the fitted angle about the normal, before `OrientedBBox`
+    folds it into [0, pi); center, half_extents and normal are (k, 3).
+    `box(i)` is the box of row i.
+    """
+
+    yaw: np.ndarray
+    center: np.ndarray
+    half_extents: np.ndarray
+    normal: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.yaw, self.center, self.half_extents, self.normal):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.yaw.size
+
+    def box(self, i: int) -> OrientedBBox:
+        return OrientedBBox(center=self.center[i], yaw=self.yaw[i],
+                            half_extents=self.half_extents[i], normal=self.normal[i])
+
+
+def fit_boxes(clusters: Sequence[np.ndarray], normals: Sequence[np.ndarray]) -> BoxTable:
+    """Minimal-area ground-aligned box around each cluster, in one pass.
+
+    clusters[i] is an (m, 3) point array and normals[i] its ground normal.
+    Points are projected along the normal; the minimal rectangle of the
+    projection is found by rotating calipers over the hull edges, or along
+    the principal direction when the hull is degenerate (two points,
+    collinear). Half extents are floored at EPS_HALF_EXTENT so degenerate
+    clusters still yield a valid box. Projections and hulls are computed
+    per cluster; the calipers, rectangles and centers run once over all
+    clusters, with the same arithmetic per box as a fit of that box alone,
+    so the boxes are bit-identical to fitting each cluster on its own.
+    """
+    if len(clusters) != len(normals):
+        raise ValueError("fit_boxes needs one normal per cluster")
+    k = len(clusters)
+    if not k:
+        return BoxTable(np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
+    bases: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    basis_rows, us, vs, ws = [], [], [], []
+    theta = np.zeros(k)
+    hull_ids, hull_u, hull_v = [], [], []
+    for i, (points, normal) in enumerate(zip(clusters, normals)):
+        points = np.atleast_2d(points)
+        m = points.shape[0]
+        if m < 1:
+            raise ValueError("fit_boxes needs at least one point per cluster")
+        normal = np.asarray(normal, dtype=np.float64)
+        key = normal.tobytes()
+        if key not in bases:
+            n = normal / np.linalg.norm(normal)
+            bases[key] = (n, *plane_basis(n))
+        basis = bases[key]
+        n, e1, e2 = basis
+        basis_rows.append(basis)
+        u, v = points @ e1, points @ e2
+        us.append(u)
+        vs.append(v)
+        ws.append(points @ n)
+        if m >= 3:
+            keep = _hull_candidates(u, v) if m >= _HULL_FILTER_MIN else slice(None)
+            uk, vk = u[keep], v[keep]
+            hull = _hull_vertices(uk, vk)
+            if hull.size >= 3:
+                hull_ids.append(i)
+                hull_u.append(uk[hull])
+                hull_v.append(vk[hull])
+                continue
+        if m >= 2:
+            theta[i] = _pca_direction(np.column_stack([u, v]))
+    if hull_ids:
+        theta[hull_ids] = _min_area_edge_angles(
+            np.concatenate(hull_u), np.concatenate(hull_v),
+            np.array([h.size for h in hull_u]))
+
+    # the rectangle at each box's angle, over all clusters' points at once
+    sizes = np.array([u.size for u in us])
+    starts = np.cumsum(sizes) - sizes
+    c = np.array([math.cos(t) for t in theta.tolist()])
+    s = np.array([math.sin(t) for t in theta.tolist()])
+    u, v, w = np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+    cp, sp = np.repeat(c, sizes), np.repeat(s, sizes)
+    xs = u * cp + v * sp
+    ys = -u * sp + v * cp
+    x0, x1 = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
+    y0, y1 = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
+    w0, w1 = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
     half = np.maximum(
-        [(x1 - x0) / 2.0, (y1 - y0) / 2.0, (w1 - w0) / 2.0], EPS_HALF_EXTENT
-    )
-    # rectangle center back to world coordinates
-    c, s = math.cos(theta), math.sin(theta)
+        np.column_stack([(x1 - x0) / 2.0, (y1 - y0) / 2.0, (w1 - w0) / 2.0]),
+        EPS_HALF_EXTENT)
+    # rectangle centers back to world coordinates
+    n, e1, e2 = (np.array(rows) for rows in zip(*basis_rows))
     cx, cy, cw = (x0 + x1) / 2.0, (y0 + y1) / 2.0, (w0 + w1) / 2.0
     u_c = cx * c - cy * s
     v_c = cx * s + cy * c
-    center = u_c * e1 + v_c * e2 + cw * n
-    return OrientedBBox(center=center, yaw=theta, half_extents=half, normal=n)
+    center = u_c[:, None] * e1 + v_c[:, None] * e2 + cw[:, None] * n
+    return BoxTable(yaw=theta, center=center, half_extents=half, normal=n)
 
 
-def adaptive_threshold(d: float, params: RefineParams) -> int:
+def min_oriented_bbox(points: np.ndarray, normal: np.ndarray) -> OrientedBBox:
+    """Minimal-area ground-aligned box around one cluster (see `fit_boxes`)."""
+    return fit_boxes([points], [normal]).box(0)
+
+
+def adaptive_threshold(d: float | np.ndarray, params: RefineParams) -> int | np.ndarray:
     """Minimum member count for a cluster at centroid distance d.
 
     Inversely proportional to distance (sparser returns farther out),
     anchored at th_num_base for d_ref and clamped below by th_num_floor.
-    Rounding is half-up for platform determinism.
+    Rounding is half-up for platform determinism. A scalar d gives an int;
+    an array gives whole-valued floats, which no distance overflows.
     """
-    if d <= 0:
+    d = np.asarray(d, dtype=np.float64)
+    if (d <= 0).any():
         raise ValueError("distance must be > 0")
-    return max(int(math.floor(params.th_num_base * params.d_ref / d + 0.5)),
-               params.th_num_floor)
+    th = np.maximum(np.floor(params.th_num_base * params.d_ref / d + 0.5),
+                    params.th_num_floor)
+    return int(th) if th.ndim == 0 else th
 
 
 def filter_proposals(
     labeling: ClusterLabeling,
-    distances: dict[int, float],
-    bboxes: dict[int, OrientedBBox],
+    distances: np.ndarray,
+    table: BoxTable,
     params: RefineParams,
 ) -> tuple[list[int], ClusterLabeling]:
     """Keep clusters that pass both the count and the size-prior test.
 
-    A cluster survives iff its member count reaches the adaptive threshold
-    at its centroid distance (`distances`, by cluster id) and its box
-    extents fit inside at least one class prior. Rejected clusters are
-    relabeled 0 (background). The kept set is a pure function of
-    per-cluster statistics.
+    Row i of `distances` and `table` belongs to the i-th smallest cluster
+    id. A cluster survives iff its member count reaches the adaptive
+    threshold at its centroid distance and its box extents fit inside at
+    least one class prior. Kept ids are returned ascending; rejected
+    clusters are relabeled 0 (background). The kept set is a pure function
+    of per-cluster statistics.
     """
-    kept: list[int] = []
+    ids = np.array(sorted(labeling.clusters), dtype=np.int64)
+    if len(table) != ids.size or np.shape(distances) != ids.shape:
+        raise ValueError("filter_proposals needs one distance and one box per cluster")
+    counts = np.array([labeling.clusters[cid].size for cid in ids.tolist()])
+    ok = counts >= adaptive_threshold(distances, params)
+    ok &= _admitted(2.0 * table.half_extents, params.size_priors.values())
+    keep = np.zeros(int(ids.max()) + 1 if ids.size else 1, dtype=bool)
+    keep[ids[ok]] = True
     labels = labeling.labels.copy()
-    for cid in sorted(labeling.clusters):
-        members = labeling.clusters[cid]
-        extents = 2.0 * bboxes[cid].half_extents
-        ok = members.size >= adaptive_threshold(distances[cid], params) and any(
-            prior.admits(extents) for prior in params.size_priors.values()
-        )
-        if ok:
-            kept.append(cid)
-        else:
-            labels[members] = 0
+    labels[~keep[labels]] = 0
+    kept = ids[ok].tolist()
     clusters = {cid: labeling.clusters[cid] for cid in kept}
     return kept, ClusterLabeling(labels=labels, clusters=clusters)
 

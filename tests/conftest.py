@@ -1,7 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ringseg import PointCloud
+from ringseg.cloud import ClassId
+from ringseg.synth import ObjectSpec, SceneSpec, sample_traffic_scene
 
 
 @pytest.fixture
@@ -46,3 +51,36 @@ def random_cloud(rng, n: int) -> PointCloud:
     xyz = rng.uniform(-80, 80, (n, 3)).astype(np.float32).astype(np.float64)
     intensity = rng.random(n, dtype=np.float32).astype(np.float64)
     return PointCloud(xyz=xyz, intensity=intensity)
+
+
+def clutter_scene(seed: int = 0, n_poles: int = 30) -> SceneSpec:
+    """`sample_traffic_scene(seed)` plus `n_poles` thin background poles.
+
+    Poles stand at 5-30 m, more than 1.2 m clear of every other footprint
+    and outside the azimuth span of every traffic object, so the traffic
+    stays fully visible. Most pole clusters fail the size prior, which makes
+    this the frame where the filter rejects more clusters than it keeps.
+    """
+    base = sample_traffic_scene(seed)
+    rng = np.random.default_rng([seed, 0xC1])
+    placed = list(base.objects)
+
+    def span(o):
+        d = math.hypot(o.x, o.y)
+        return math.atan2(o.y, o.x), math.asin(min(1.0, (o.footprint_radius() + 0.3) / d))
+
+    while len(placed) < len(base.objects) + n_poles:
+        d, a = rng.uniform(5.0, 30.0), rng.uniform(0.0, 2 * math.pi)
+        pole = ObjectSpec(class_id=int(ClassId.BACKGROUND), shape="cylinder",
+                          x=d * math.cos(a), y=d * math.sin(a),
+                          radius=float(rng.uniform(0.08, 0.2)),
+                          height=float(rng.uniform(1.0, 3.5)))
+        az, half = span(pole)
+        clear = all(math.hypot(o.x - pole.x, o.y - pole.y)
+                    > o.footprint_radius() + pole.radius + 1.2 for o in placed)
+        for o in base.objects:
+            gap = abs(az - span(o)[0]) % (2 * math.pi)
+            clear &= min(gap, 2 * math.pi - gap) > half + span(o)[1]
+        if clear:
+            placed.append(pole)
+    return replace(base, objects=tuple(placed))

@@ -2,12 +2,19 @@
 
 Deliberately naive: explicit graph construction, exhaustive sweeps and
 per-point counting, sharing no code path with the library internals they
-check.
+check. The one exception is `per_cluster_box`, the one-cluster-at-a-time
+box fit: it shares the per-cluster hull with `refine.fit_boxes` and
+replaces only the batched calipers and rectangle, which it must match bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from ringseg import refine
 
 
 def canonical_partition(labels) -> np.ndarray:
@@ -112,6 +119,54 @@ def sweep_min_rect_area(uv: np.ndarray, step_deg: float = 0.05) -> float:
         areas = (xs.max(axis=1) - xs.min(axis=1)) * (ys.max(axis=1) - ys.min(axis=1))
         best = min(best, float(areas.min()))
     return best
+
+
+def per_cluster_box(points: np.ndarray, normal: np.ndarray) -> refine.OrientedBBox:
+    """The minimal-area ground-aligned box of one cluster, fitted alone.
+
+    The per-cluster path `refine.fit_boxes` batches: the calipers evaluate
+    every hull-edge angle with (h x h) outer products and take the first
+    minimal area; the rectangle at that angle comes from the cluster's own
+    projections.
+    """
+    points = np.atleast_2d(points)
+    n = np.asarray(normal, dtype=np.float64)
+    n = n / np.linalg.norm(n)
+    e1, e2 = refine.plane_basis(n)
+    u, v = points @ e1, points @ e2
+    w = points @ n
+
+    theta = 0.0
+    if points.shape[0] >= 3:
+        keep = (refine._hull_candidates(u, v)
+                if points.shape[0] >= refine._HULL_FILTER_MIN else slice(None))
+        uk, vk = u[keep], v[keep]
+        hull = refine._hull_vertices(uk, vk)
+        if hull.size >= 3:
+            hv = np.column_stack([uk[hull], vk[hull]])
+            edges = np.diff(np.vstack([hv, hv[:1]]), axis=0)
+            angles = np.arctan2(edges[:, 1], edges[:, 0])
+            c, s = np.cos(angles), np.sin(angles)
+            xs = np.outer(c, hv[:, 0]) + np.outer(s, hv[:, 1])
+            ys = np.outer(c, hv[:, 1]) - np.outer(s, hv[:, 0])
+            areas = (xs.max(axis=1) - xs.min(axis=1)) * (ys.max(axis=1) - ys.min(axis=1))
+            theta = float(angles[np.argmin(areas)])
+        else:
+            theta = refine._pca_direction(np.column_stack([u, v]))
+    elif points.shape[0] == 2:
+        theta = refine._pca_direction(np.column_stack([u, v]))
+
+    c, s = math.cos(theta), math.sin(theta)
+    xs = u * c + v * s
+    ys = -u * s + v * c
+    x0, x1, y0, y1 = xs.min(), xs.max(), ys.min(), ys.max()
+    w0, w1 = w.min(), w.max()
+    half = np.maximum(
+        [(x1 - x0) / 2.0, (y1 - y0) / 2.0, (w1 - w0) / 2.0], refine.EPS_HALF_EXTENT
+    )
+    cx, cy, cw = (x0 + x1) / 2.0, (y0 + y1) / 2.0, (w0 + w1) / 2.0
+    center = (cx * c - cy * s) * e1 + (cx * s + cy * c) * e2 + cw * n
+    return refine.OrientedBBox(center=center, yaw=theta, half_extents=half, normal=n)
 
 
 def brute_force_hull(uv: np.ndarray) -> list[tuple[float, float]]:

@@ -245,6 +245,25 @@ def test_empty_input_dir_ok(tmp_path, caplog):
     assert not (tmp_path / "out").exists()  # nothing touched
 
 
+def test_prepare_empty_input_dir_writes_nothing(tmp_path, caplog):
+    empty = tmp_path / "none"
+    empty.mkdir()
+    archive = tmp_path / "x.ps3d"
+    assert main(["prepare", "--input", str(empty), "--output", str(archive)]) == 0
+    assert not archive.exists()
+    assert "no .bin frames under" in caplog.text and "nothing to do" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [["eval", "--gt", "g", "--clusters", "c"],
+                                  ["bench", "--reps", "1"],
+                                  ["synth", "--scene", "s.cfg", "--output", "o"]])
+def test_jobs_flag_only_on_pooled_commands(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_invalid_config_names_key(tmp_path, caplog):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("ground.n_seg = -2\n")

@@ -7,6 +7,8 @@ import pytest
 from ringseg import PointCloud, load_config, run_stage1
 from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 
+from conftest import clutter_scene
+
 
 @pytest.fixture(scope="module")
 def frame_and_result():
@@ -104,8 +106,9 @@ def test_timings_dict_populated(frame_and_result):
 
 # sha256 of (cluster_labels as <u4, ground_mask as uint8, and per proposal
 # its id and member count as <i8 followed by its members as <i8) for
-# sample_traffic_scene seeds 0-2 at the default config. Refactors of stage 1
-# must keep these integer outputs; floats are deliberately not pinned.
+# sample_traffic_scene seeds 0-2 and the clutter frame at the default config.
+# On the clutter frame the size prior rejects 26 of 33 clusters. Refactors of
+# stage 1 must keep these integer outputs; floats are deliberately not pinned.
 _STAGE1_DIGESTS = {
     0: ("2df4853a115458c9848a587d94d3ca982b34f6dd623199314c572928c7e1ba97",
         "34b23cfbf916e6325301f156a245a25a49b7ed49ffda8425e63889f0b03e9c13",
@@ -116,13 +119,17 @@ _STAGE1_DIGESTS = {
     2: ("f1edfe37dd84ae80da0f00eaf0395d6106cd7c9e87ada38be24cfb3d346637b6",
         "f60b5738fd19a8f677c4f00e8a0230db3821d3185c287aefa05cb069af2d0dd0",
         "0959389fac45baa9940ce8206d8a65bb30037ddcd70a9c1f925fa6fc745309cf"),
+    "clutter": ("926f51c9b13af87ef22ad8b35c18b7c83930caabe65a53ffc4d397c5cc0d8ca1",
+                "a693d3949a84aac6b7bc367e9816452960b096ee9afb363ab961983650012d1a",
+                "fce278b8f4fe69992f86ca4b8025c3858266bb7ac38dee1e26816a01f1d3edc0"),
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_STAGE1_DIGESTS))
+@pytest.mark.parametrize("seed", list(_STAGE1_DIGESTS))
 def test_stage1_integer_outputs_pinned(seed):
     cfg = load_config()
-    scene = generate_synthetic_scene(sample_traffic_scene(seed))
+    spec = clutter_scene() if seed == "clutter" else sample_traffic_scene(seed)
+    scene = generate_synthetic_scene(spec)
     result = run_stage1(scene.cloud, cfg.ground, cfg.cluster, cfg.refine,
                         cfg.num_rings)
     members = hashlib.sha256()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringseg import (
+    BoxTable,
     ClusterLabeling,
     PointCloud,
     Proposal,
@@ -13,12 +14,21 @@ from ringseg import (
     enlarge_and_merge,
     enlarge_bbox,
     filter_proposals,
+    fit_boxes,
+    load_config,
     min_oriented_bbox,
+    run_stage1,
 )
-from ringseg import refine
+from ringseg import pipeline, refine
 from ringseg.refine import plane_basis
+from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 
-from oracles import brute_force_hull, points_in_oriented_box, sweep_min_rect_area
+from oracles import (
+    brute_force_hull,
+    per_cluster_box,
+    points_in_oriented_box,
+    sweep_min_rect_area,
+)
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -148,6 +158,74 @@ def test_hull_vertices_match_brute_force_oracle(rng):
             assert min_oriented_bbox(pts, UP).yaw == refine._pca_direction(uv) % np.pi
 
 
+def _assert_boxes_match_oracle(clusters, normals):
+    table = fit_boxes(clusters, normals)
+    assert len(table) == len(clusters)
+    for i, (pts, normal) in enumerate(zip(clusters, normals)):
+        want, got = per_cluster_box(pts, normal), table.box(i)
+        assert got.yaw == want.yaw and table.yaw[i] % np.pi == want.yaw, i
+        for field in ("center", "half_extents", "normal"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (i, field)
+            assert np.array_equal(getattr(table, field)[i], getattr(want, field)), (i, field)
+
+
+def _box_fit_cases(rng):
+    """Degenerate and generic clusters, below and at or above the hull
+    prefilter size."""
+    sizes = (1, 2, 3, 5, 17, refine._HULL_FILTER_MIN - 1, refine._HULL_FILTER_MIN, 300)
+    for m in sizes:
+        yield rng.normal(0, rng.uniform(0.2, 4), (m, 3))
+        # integer grid: collinear and duplicate points, tied rectangle areas
+        yield rng.integers(0, int(rng.integers(2, 6)), (m, 3)).astype(float)
+        # collinear in the ground plane, with repeats
+        t = rng.integers(-20, 20, m).astype(float)
+        yield np.column_stack([t, 0.5 * t, rng.uniform(0, 2, m)]) * 0.25
+        # one point repeated
+        yield np.tile(rng.normal(0, 3, 3), (m, 1))
+        # L-shaped outline, like a car seen from a corner
+        side = rng.random(m) < 0.5
+        t = rng.uniform(0, 1, m)
+        yield np.column_stack([np.where(side, 4 * t, 0), np.where(side, 0, 2 * t),
+                               rng.uniform(0, 1.5, m)]) + rng.normal(0, 0.02, (m, 3))
+    yield np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])  # a square
+
+
+def test_fit_boxes_matches_per_cluster_oracle(rng):
+    clusters = list(_box_fit_cases(rng))
+    normals = [UP if k % 3 == 0 else np.array([rng.normal(0, 0.05), rng.normal(0, 0.05), 1.0])
+               for k in range(len(clusters))]
+    _assert_boxes_match_oracle(clusters, normals)  # one batch across all hulls
+    for pts, normal in zip(clusters, normals):
+        _assert_boxes_match_oracle([pts], [normal])
+
+
+def test_fit_boxes_matches_oracle_on_stage1_clusters(monkeypatch):
+    calls = []
+
+    def recording(clusters, normals):
+        calls.append((clusters, normals))
+        return fit_boxes(clusters, normals)
+
+    monkeypatch.setattr(pipeline, "fit_boxes", recording)
+    cfg = load_config()
+    for seed in range(3):
+        scene = generate_synthetic_scene(sample_traffic_scene(seed))
+        run_stage1(scene.cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
+    assert len(calls) == 3 and all(clusters for clusters, _ in calls)
+    for clusters, normals in calls:
+        _assert_boxes_match_oracle(clusters, normals)
+
+
+def test_fit_boxes_empty_and_invalid():
+    table = fit_boxes([], [])
+    assert isinstance(table, BoxTable) and len(table) == 0
+    assert table.center.shape == (0, 3)
+    with pytest.raises(ValueError):
+        fit_boxes([np.empty((0, 3))], [UP])
+    with pytest.raises(ValueError):
+        fit_boxes([np.zeros((3, 3))], [])
+
+
 def test_bbox_tilted_normal_alignment(rng):
     n = np.array([0.1, -0.05, 1.0])
     n /= np.linalg.norm(n)
@@ -181,16 +259,18 @@ def _labeling_with_clusters(clusters: dict[int, np.ndarray], n: int) -> ClusterL
     return ClusterLabeling(labels=labels, clusters=clusters)
 
 
-def _centroid_distances(xyz: np.ndarray, clusters: dict[int, np.ndarray]) -> dict[int, float]:
-    return {cid: float(np.linalg.norm(xyz[m].mean(axis=0))) for cid, m in clusters.items()}
+def _distances_and_boxes(xyz: np.ndarray, clusters: dict[int, np.ndarray]):
+    """Centroid distances and boxes, one row per cluster in ascending id."""
+    ids = sorted(clusters)
+    distances = np.array([np.linalg.norm(xyz[clusters[cid]].mean(axis=0)) for cid in ids])
+    return distances, fit_boxes([xyz[clusters[cid]] for cid in ids], [UP] * len(ids))
 
 
 def test_filter_rejects_small_cluster():
     xyz = np.tile([[10.0, 0.0, 0.0]], (5, 1)) + np.random.default_rng(0).normal(0, 0.2, (5, 3))
     labeling = _labeling_with_clusters({1: np.arange(5)}, 5)
-    bboxes = {1: min_oriented_bbox(xyz, UP)}
-    kept, out = filter_proposals(labeling, _centroid_distances(xyz, labeling.clusters),
-                                 bboxes, RefineParams())
+    kept, out = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
+                                 RefineParams())
     assert kept == []
     assert (out.labels == 0).all()
 
@@ -200,9 +280,8 @@ def test_filter_rejects_oversized_box():
     xyz = np.column_stack([rng.uniform(0, 10, 200), rng.uniform(0, 4, 200),
                            rng.uniform(0, 3, 200)]) + [5, 0, 0]
     labeling = _labeling_with_clusters({1: np.arange(200)}, 200)
-    bboxes = {1: min_oriented_bbox(xyz, UP)}
-    kept, _ = filter_proposals(labeling, _centroid_distances(xyz, labeling.clusters),
-                               bboxes, RefineParams())
+    kept, _ = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
+                               RefineParams())
     assert kept == []
 
 
@@ -210,9 +289,8 @@ def test_filter_accepts_car_sized_cluster(rng):
     xyz = np.column_stack([rng.uniform(0, 4.2, 300), rng.uniform(0, 1.8, 300),
                            rng.uniform(0, 1.5, 300)]) + [8, 0, -1]
     labeling = _labeling_with_clusters({1: np.arange(300)}, 300)
-    bboxes = {1: min_oriented_bbox(xyz, UP)}
-    kept, out = filter_proposals(labeling, _centroid_distances(xyz, labeling.clusters),
-                                 bboxes, RefineParams())
+    kept, out = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
+                                 RefineParams())
     assert kept == [1]
     assert (out.labels == labeling.labels).all()
 
@@ -234,31 +312,32 @@ def test_filter_matches_predicate_oracle(rng):
             start += count
         xyz = np.vstack(xyz_parts)
         labeling = _labeling_with_clusters(clusters, start)
-        bboxes = {cid: min_oriented_bbox(xyz[m], UP) for cid, m in clusters.items()}
-        kept, _ = filter_proposals(labeling, _centroid_distances(xyz, clusters),
-                                   bboxes, params)
+        kept, out = filter_proposals(labeling, *_distances_and_boxes(xyz, clusters),
+                                     params)
         expect = []
         for cid, m in clusters.items():
             d = float(np.linalg.norm(xyz[m].mean(axis=0)))
-            ext = 2 * bboxes[cid].half_extents
+            ext = 2 * per_cluster_box(xyz[m], UP).half_extents
             count_ok = m.size >= adaptive_threshold(d, params)
             size_ok = any(p.admits(ext) for p in params.size_priors.values())
             if count_ok and size_ok:
                 expect.append(cid)
         assert kept == expect
+        assert sorted(out.clusters) == expect
+        for cid, m in clusters.items():
+            assert (out.labels[m] == (cid if cid in expect else 0)).all()
 
 
 def test_filter_order_independent(rng):
     xyz = rng.normal(0, 5, (120, 3)) + [15, 0, 0]
     clusters = {3: np.arange(0, 40), 1: np.arange(40, 80), 2: np.arange(80, 120)}
     labeling = _labeling_with_clusters(clusters, 120)
-    bboxes = {cid: min_oriented_bbox(xyz[m], UP) for cid, m in clusters.items()}
-    distances = _centroid_distances(xyz, clusters)
-    kept1, _ = filter_proposals(labeling, distances, bboxes, RefineParams())
+    distances, table = _distances_and_boxes(xyz, clusters)
+    kept1, _ = filter_proposals(labeling, distances, table, RefineParams())
     relabeled = {cid: clusters[cid] for cid in (2, 3, 1)}
     kept2, _ = filter_proposals(
         ClusterLabeling(labels=labeling.labels, clusters=relabeled),
-        distances, bboxes, RefineParams())
+        distances, table, RefineParams())
     assert kept1 == kept2
 
 
