@@ -27,7 +27,7 @@ import numpy as np
 
 from .bench import benchmark_stage1
 from .cloud import load_labels, load_point_cloud, save_labels, save_point_cloud
-from .clustering import group_members
+from .clustering import ClusterLabeling
 from .config import PipelineConfig, load_config
 from .errors import AlignmentError, ConfigError, FileFormatError, RingSegError
 from .metrics import eval_summary, pointwise_metrics, proposal_recall
@@ -181,7 +181,7 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
     manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
 
     prep = cfg.prep
-    groups = group_members(cluster_ids)
+    groups = ClusterLabeling.from_labels(cluster_ids).clusters
     samples = []
     for cid, distance, bbox in sorted(manifest, key=lambda e: e[0]):
         members = groups.get(cid)
@@ -242,7 +242,8 @@ def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str 
             raise AlignmentError(f"cluster file length {cids.size} != {gt.size}")
         # group only the points proposals kept: a short sort, few large temporaries
         kept = np.flatnonzero(cids)
-        coverage = proposal_recall([kept[m] for m in group_members(cids[kept]).values()], gt)
+        groups = ClusterLabeling.from_labels(cids[kept]).clusters
+        coverage = proposal_recall([kept[m] for m in groups.values()], gt)
         fields.update(coverage.to_record())
     return format_record(fields), metrics, coverage
 
@@ -313,15 +314,19 @@ def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> i
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_SHARED_FLAGS = {
+    "--input": {"help": "input directory"},
+    "--seed": {"type": int, "help": "rng seed override"},
+    "--jobs": {"type": int, "help": "worker processes (default 1)"},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--config and --output, plus the shared flags the command reads."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--input", help="input directory")
     p.add_argument("--output", help="output directory or file")
-    p.add_argument("--seed", type=int, help="rng seed override")
-
-
-def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,12 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segment", help="run the proposal pipeline over frames")
-    _add_common(p)
-    _add_jobs(p)
+    _add_common(p, "--input", "--jobs")
 
     p = sub.add_parser("prepare", help="build a training-sample archive")
-    _add_common(p)
-    _add_jobs(p)
+    _add_common(p, "--input", "--seed", "--jobs")
     p.add_argument("--segments", help="directory with segment outputs "
                                       "(default: the input directory)")
     p.add_argument("--augment", action="store_true",
@@ -351,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", help="directory with .cluster files")
 
     p = sub.add_parser("bench", help="time the pipeline per frame")
-    _add_common(p)
+    _add_common(p, "--input", "--seed")
     p.add_argument("--reps", type=int, default=10, help="timed repetitions")
 
     p = sub.add_parser("synth", help="generate synthetic frames from a scene file")
-    _add_common(p)
+    _add_common(p, "--seed")
     p.add_argument("--scene", required=True, help="scene description file")
     p.add_argument("--frames", type=int, default=1, help="number of frames")
     return parser
@@ -368,8 +371,9 @@ def main(argv=None) -> int:
     try:
         # None is "not given", so an absent flag keeps the config file's value
         cfg = load_config(args.config, {
-            "rng_seed": args.seed, "jobs": getattr(args, "jobs", None), "input": args.input,
-            "output": args.output, "prep.augment": getattr(args, "augment", None) or None,
+            "rng_seed": getattr(args, "seed", None), "jobs": getattr(args, "jobs", None),
+            "input": getattr(args, "input", None), "output": args.output,
+            "prep.augment": getattr(args, "augment", None) or None,
             "prep.n_points": getattr(args, "n_points", None),
         })
 

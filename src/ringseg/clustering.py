@@ -10,6 +10,7 @@ merge to the smallest id; `kernels.cluster_scan` computes them in bulk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -32,14 +33,35 @@ class ClusterParams:
 
 @dataclass(frozen=True)
 class ClusterLabeling:
-    """Canonical per-point cluster ids (>= 1) plus membership lists.
+    """Canonical per-point cluster ids (>= 1) and their members, in CSR form.
 
-    labels[i] is the minimal id of point i's merge class; clusters maps
-    each id to the indices of its members (a partition of the input).
+    labels[i] is the minimal id of point i's merge class. ids holds the
+    cluster ids ascending, and the members of ids[j] are
+    order[offsets[j]:offsets[j + 1]], ascending; together they partition
+    the input.
     """
 
     labels: np.ndarray
-    clusters: dict[int, np.ndarray]
+    ids: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray) -> ClusterLabeling:
+        """Group the points by label value."""
+        # a stable sort keeps each group's members ascending
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        first = np.ones(labels.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(first)
+        return cls(labels=labels, ids=ordered[starts], order=order,
+                   offsets=np.append(starts, labels.size))
+
+    @cached_property
+    def clusters(self) -> dict[int, np.ndarray]:
+        """Each id's members, keyed in ascending id order."""
+        return dict(zip(self.ids.tolist(), np.split(self.order, self.offsets[1:-1])))
 
 
 def resolve_labels(raw_labels: np.ndarray, merges: Iterable[tuple[int, int]]) -> ClusterLabeling:
@@ -54,18 +76,7 @@ def resolve_labels(raw_labels: np.ndarray, merges: Iterable[tuple[int, int]]) ->
     max_label = int(raw.max()) if raw.size else 0
     edges = np.asarray(list(merges), dtype=np.int64).reshape(-1, 2)
     root = kernels.min_label_components(max_label + 1, edges[:, 0], edges[:, 1])
-    labels = root[raw]
-    return ClusterLabeling(labels=labels, clusters=group_members(labels))
-
-
-def group_members(labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Indices of each label value, ascending, keyed in ascending label order."""
-    if not labels.size:
-        return {}
-    # a stable sort keeps each group's members ascending
-    order = np.argsort(labels, kind="stable")
-    cut = np.flatnonzero(np.diff(labels[order])) + 1
-    return {int(labels[chunk[0]]): chunk for chunk in np.split(order, cut)}
+    return ClusterLabeling.from_labels(root[raw])
 
 
 def _ring_offsets(ring_ids: np.ndarray) -> np.ndarray:
@@ -100,7 +111,7 @@ def cluster_ring_based(cloud: PointCloud, params: ClusterParams) -> ClusterLabel
     if cloud.ring_ids is None:
         raise ValueError("cluster_ring_based requires assigned ring_ids")
     if len(cloud) == 0:
-        return ClusterLabeling(labels=np.empty(0, dtype=np.int64), clusters={})
+        return ClusterLabeling.from_labels(np.empty(0, dtype=np.int64))
     xyz = cloud.xyz
     az, halfwin = _azimuth_windows(xyz, params.th_prop)
     labels = kernels.cluster_scan(

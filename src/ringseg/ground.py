@@ -80,9 +80,7 @@ def segment_of(x, lo: float, width: float, n_seg: int):
     """
     if width == 0.0:
         return np.zeros(np.shape(x), dtype=np.int64)
-    idx = np.ceil((x - lo) / width).astype(np.int64) - 1
-    # np.clip costs ~10 us on a scalar; the box fit bins one per cluster
-    return np.minimum(np.maximum(idx, 0), n_seg - 1)
+    return np.clip(np.ceil((x - lo) / width).astype(np.int64) - 1, 0, n_seg - 1)
 
 
 def split_segments(cloud: PointCloud, n_seg: int) -> np.ndarray:

@@ -45,19 +45,14 @@ class Stage1Result:
     points_passed: int
 
 
-def _normal_for_segment(planes: list[PlaneModel | None], seg: int) -> np.ndarray:
-    """Ground normal of the segment, nearest fitted neighbour as fallback."""
-    if planes[seg] is not None:
-        return planes[seg].normal
-    best = None
-    for offset in range(1, len(planes)):
-        for cand in (seg - offset, seg + offset):
-            if 0 <= cand < len(planes) and planes[cand] is not None:
-                best = planes[cand].normal
-                break
-        if best is not None:
-            break
-    return best if best is not None else UP
+def _segment_normals(planes: list[PlaneModel | None]) -> np.ndarray:
+    """Each segment's ground normal, from the nearest fitted segment (the
+    lower one on a tie), or UP when no segment is fitted."""
+    fitted = [i for i, plane in enumerate(planes) if plane is not None]
+    if not fitted:
+        return np.tile(UP, (len(planes), 1))
+    return np.array([planes[min(fitted, key=lambda i: (abs(i - seg), i))].normal
+                     for seg in range(len(planes))])
 
 
 def run_stage1(
@@ -90,29 +85,27 @@ def run_stage1(
 
     lo, width = segment_bounds(cloud.xyz[:, 0], n_seg)
     # rows in ascending cluster id, the order filter_proposals reads
-    ids = sorted(labeling.clusters)
-    row = {cid: i for i, cid in enumerate(ids)}
-    points, normals = [], []
-    distances = np.empty(len(ids))
-    for i, cid in enumerate(ids):
-        pts = sub.xyz[labeling.clusters[cid]]
-        distances[i] = np.linalg.norm(pts.mean(axis=0))
-        seg = int(segment_of(pts[:, 0].mean(), lo, width, n_seg))
-        points.append(pts)
-        normals.append(_normal_for_segment(planes, seg))
-    table = fit_boxes(points, normals)
-    kept, labeling = filter_proposals(labeling, distances, table, refine_params)
+    offsets = labeling.offsets
+    points = sub.xyz[labeling.order]
+    # each cluster's mean over a view of its rows, as if it were averaged alone
+    centroids = np.array([points[a:b].mean(axis=0)
+                          for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())])
+    centroids = centroids.reshape(-1, 3)
+    # one dot product per centroid, as np.linalg.norm takes it for one vector
+    distances = np.sqrt((centroids[:, None, :] @ centroids[:, :, None]).reshape(-1))
+    normals = _segment_normals(planes)[segment_of(centroids[:, 0], lo, width, n_seg)]
+    table = fit_boxes(points, offsets, normals)
+    kept, passed = filter_proposals(labeling, distances, table, refine_params)
 
     cluster_labels = np.zeros(n, dtype=np.uint32)
     proposals: list[Proposal] = []
     # ground points no proposal has claimed yet
     ground_free = ground_mask.copy()
     points_passed = 0
-    for cid in kept:
-        members = labeling.clusters[cid]
+    for cid, row in zip(kept, np.searchsorted(labeling.ids, kept).tolist()):
+        members = passed.clusters[cid]
         prop = enlarge_and_merge(
-            Proposal(cid, nonground[members], table.box(row[cid]),
-                     float(distances[row[cid]])),
+            Proposal(cid, nonground[members], table.box(row), float(distances[row])),
             cloud, ground_free, refine_params)
         ground_free[prop.member_indices[members.size:]] = False
         cluster_labels[prop.member_indices] = cid

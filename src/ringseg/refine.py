@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -26,11 +25,12 @@ from .clustering import ClusterLabeling
 
 # degenerate clusters (single point, collinear, flat) get this half extent
 EPS_HALF_EXTENT = 0.01
-# clusters from this size on drop interior points before the hull. Timed
-# per box fit on traffic frames (2-vCPU Xeon VM), the filter adds about
-# 40 us below 64 points, breaks even at 64-127, saves 70-90 us at 128-255
-# and 0.2-0.3 ms at 256-511, growing to 3.6-5 ms from 2048 points on
+# clusters from this size on drop interior points before the hull; on
+# traffic frames, filtering every cluster from 3 points on is no faster
 _HULL_FILTER_MIN = 64
+# a float turn smaller than this times its two products' magnitudes may
+# have the wrong sign (Shewchuk 1997, orient2d error bound A)
+_TURN_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,7 +78,10 @@ class OrientedBBox:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "half_extents", h)
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "yaw", float(self.yaw) % math.pi)
+        # a yaw just below 0 folds to exactly pi, which folding again would
+        # turn into 0.0, a half turn of the box axes
+        yaw = float(self.yaw) % math.pi
+        object.__setattr__(self, "yaw", 0.0 if yaw == math.pi else yaw)
 
     @cached_property
     def _axes(self) -> np.ndarray:
@@ -199,59 +202,111 @@ def _pca_direction(uv: np.ndarray) -> float:
     return math.atan2(d[1], d[0])
 
 
-def _hull_candidates(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Indices of the 2D points (u, v) that can be convex-hull vertices.
+def _hull_candidates(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Whether each 2D point (u, v) can be a convex-hull vertex of its cluster.
 
-    The extreme points in eight directions span a convex polygon; a point
+    The clusters lie back to back, starting at `starts`. Per cluster, the
+    extreme points in eight directions span a convex polygon; a point
     strictly inside it cannot be a hull vertex (Akl & Toussaint 1978).
     "Strictly" carries a margin far above rounding, so points near the
     polygon's edges stay and the hull sees every point that could matter.
+    A cluster with fewer than three distinct extremes keeps every point.
     """
-    s, d = u + v, u - v
-    extremes = [u.argmax(), s.argmax(), v.argmax(), d.argmin(),
-                u.argmin(), s.argmin(), v.argmin(), d.argmax()]  # counter-clockwise
-    extremes = [e for i, e in enumerate(extremes) if e != extremes[i - 1]]
-    if len(extremes) < 3:
-        return np.arange(u.size)
-    cu, cv = u[extremes], v[extremes]
-    nxt = [*range(1, len(extremes)), 0]
-    eu, ev = cu[nxt] - cu, cv[nxt] - cv
-    lu, lv = cu.tolist(), cv.tolist()  # the extremes hold both coordinate ranges
-    span = (max(lu) - min(lu)) + (max(lv) - min(lv))
+    sizes = np.diff(np.append(starts, u.size))
+    ext = np.empty((8, starts.size), dtype=np.int64)
+    # per cluster, the first point to reach each extreme, counter-clockwise
+    for j, score in enumerate((u, u + v, v, v - u, -u, -(u + v), -v, u - v)):
+        at_best = np.flatnonzero(score == np.repeat(np.maximum.reduceat(score, starts), sizes))
+        ext[j] = at_best[np.searchsorted(at_best, starts)]
+    kept = ext != np.roll(ext, 1, axis=0)  # a repeat of the previous extreme is no corner
+    # each corner's edge runs to the next kept extreme, cyclically
+    ahead = (np.arange(8)[:, None] + np.arange(1, 9)) % 8
+    nxt = (np.arange(1, 9)[:, None] + kept[ahead].argmax(axis=1)) % 8
+    cu, cv = u[ext], v[ext]
+    eu = np.take_along_axis(cu, nxt, axis=0) - cu
+    ev = np.take_along_axis(cv, nxt, axis=0) - cv
+    # the extremes hold both coordinate ranges
+    span = (cu.max(axis=0) - cu.min(axis=0)) + (cv.max(axis=0) - cv.min(axis=0))
     margin = 1e-9 * span * (np.abs(eu) + np.abs(ev))
-    cross = eu[:, None] * (v - cv[:, None])
-    cross -= ev[:, None] * (u - cu[:, None])
-    return np.flatnonzero((cross <= margin[:, None]).any(axis=0))
+    margin[~kept] = -np.inf
+    candidate = np.repeat(kept.sum(axis=0) < 3, sizes)
+    for j in range(8):
+        cross = np.repeat(eu[j], sizes) * (v - np.repeat(cv[j], sizes))
+        cross -= np.repeat(ev[j], sizes) * (u - np.repeat(cu[j], sizes))
+        candidate |= cross <= np.repeat(margin[j], sizes)
+    return candidate
 
 
-def _hull_vertices(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Indices of the convex-hull vertices of the 2D points (u, v), counter-clockwise.
+def _exact_left(*coords: np.ndarray) -> np.ndarray:
+    """Whether each turn a -> b -> x, given as the arrays au, av, bu, bv, xu,
+    xv, is a strict left turn, in exact integer arithmetic on the binary
+    fractions that the floats are."""
+    left = []
+    for row in zip(*(c.tolist() for c in coords)):
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = max(d for _, d in ratios)  # powers of two: each divides the largest
+        au, av, bu, bv, xu, xv = (n * (scale // d) for n, d in ratios)
+        left.append((bu - au) * (xv - av) - (bv - av) * (xu - au) > 0)
+    return np.array(left, dtype=bool)
 
-    Andrew's monotone chain (1979): the points sorted by (u, v) are split
-    by the line from the first to the last one; the lower chain scans those
-    on or below it left to right, the upper chain those on or above it
-    right to left. Both keep only strict left turns, so duplicates and
-    points on a hull edge are dropped, and a collinear set gives fewer
-    than 3 vertices.
+
+def _hull_vertices(u: np.ndarray, v: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+    """Indices of the convex-hull vertices of the 2D points (u, v) of each cluster.
+
+    cluster[j] is the cluster number of point j. The vertices are listed
+    cluster by cluster in ascending number, each hull counter-clockwise from
+    its least (u, v). This is Andrew's monotone chain (1979) on all clusters
+    at once: each cluster's points, sorted by (u, v) with exact duplicates
+    collapsed, are split by the line from the first to the last one into a
+    lower chain, the points on or below it left to right, and an upper
+    chain, those on or above it right to left. Every point that is not a
+    strict left turn with its current neighbours on its chain is then
+    dropped, round after round, until none is, which keeps the chain ends
+    and drops points on a hull edge. A turn whose float value lies within
+    rounding of 0 is decided exactly, so each chain keeps the vertices of
+    its points' exact convex hull, in whatever order the points drop.
+    Without the collapse, two copies of a vertex would drop each other. A
+    collinear cluster gives fewer than 3 vertices.
     """
-    order = np.lexsort((v, u))
-    us, vs = u[order], v[order]
-    side = (us[-1] - us[0]) * (vs - vs[0]) - (vs[-1] - vs[0]) * (us - us[0])
-    pts = list(zip(us.tolist(), vs.tolist()))
-    halves = []
-    for seq in (np.flatnonzero(side <= 0), np.flatnonzero(side >= 0)[::-1]):
-        chain: list[int] = []
-        for k in seq.tolist():
-            x, y = pts[k]
-            while len(chain) >= 2:
-                ax, ay = pts[chain[-2]]
-                bx, by = pts[chain[-1]]
-                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
-                    break
-                chain.pop()
-            chain.append(k)
-        halves.append(chain[:-1])
-    return order[halves[0] + halves[1]]
+    order = np.lexsort((v, u, cluster))
+    c, us, vs = cluster[order], u[order], v[order]
+    new = np.ones(c.size, dtype=bool)
+    new[1:] = (c[1:] != c[:-1]) | (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+    order, c, us, vs = order[new], c[new], us[new], vs[new]
+    f, l = np.searchsorted(c, c), np.searchsorted(c, c, side="right") - 1  # cluster ends
+    side = (us[l] - us[f]) * (vs - vs[f]) - (vs[l] - vs[f]) * (us - us[f])
+    lower, upper = np.flatnonzero(side <= 0), np.flatnonzero(side >= 0)[::-1]
+    # chain 2i is cluster i's lower chain, 2i + 1 its upper one
+    chain = np.concatenate([2 * c[lower], 2 * c[upper] + 1])
+    by_chain = np.argsort(chain, kind="stable")
+    chain, point = chain[by_chain], np.concatenate([lower, upper])[by_chain]
+    last = np.ones(chain.size, dtype=bool)
+    last[:-1] = chain[1:] != chain[:-1]
+    start = np.ones(chain.size, dtype=bool)
+    start[1:] = last[:-1]
+    end = start | last
+    # each chain's last point starts the next chain of its cluster; a
+    # cluster of one point keeps it once, as its lower chain
+    drop = last & ~(start & (chain % 2 == 0))
+    hu, hv = us[point], vs[point]
+    while True:
+        # turn of each point with its neighbours on the chain
+        t1 = (hu[1:-1] - hu[:-2]) * (hv[2:] - hv[:-2])
+        t2 = (hv[1:-1] - hv[:-2]) * (hu[2:] - hu[:-2])
+        turn = t1 - t2
+        left = turn > 0
+        unsure = np.flatnonzero((np.abs(turn) < _TURN_ERRBOUND * (np.abs(t1) + np.abs(t2)))
+                                & ~end[1:-1])
+        if unsure.size:
+            at = unsure + 1
+            left[unsure] = _exact_left(hu[at - 1], hv[at - 1], hu[at], hv[at],
+                                       hu[at + 1], hv[at + 1])
+        stay = end.copy()
+        stay[1:-1] |= left
+        if stay.all():
+            break
+        point, hu, hv, end, drop = point[stay], hu[stay], hv[stay], end[stay], drop[stay]
+    return order[point[~drop]]
 
 
 def _min_area_edge_angles(hu: np.ndarray, hv: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -307,67 +362,75 @@ class BoxTable:
                             half_extents=self.half_extents[i], normal=self.normal[i])
 
 
-def fit_boxes(clusters: Sequence[np.ndarray], normals: Sequence[np.ndarray]) -> BoxTable:
-    """Minimal-area ground-aligned box around each cluster, in one pass.
+def fit_boxes(points: np.ndarray, offsets: np.ndarray, normals: np.ndarray) -> BoxTable:
+    """Minimal-area ground-aligned box around each of k clusters, in one pass.
 
-    clusters[i] is an (m, 3) point array and normals[i] its ground normal.
+    The clusters lie back to back: cluster i is the (m, 3) block
+    points[offsets[i]:offsets[i + 1]], and normals[i] is its ground normal.
     Points are projected along the normal; the minimal rectangle of the
     projection is found by rotating calipers over the hull edges, or along
     the principal direction when the hull is degenerate (two points,
     collinear). Half extents are floored at EPS_HALF_EXTENT so degenerate
-    clusters still yield a valid box. Projections and hulls are computed
-    per cluster; the calipers, rectangles and centers run once over all
-    clusters, with the same arithmetic per box as a fit of that box alone,
-    so the boxes are bit-identical to fitting each cluster on its own.
+    clusters still yield a valid box. The plane basis and the projections
+    are computed once per distinct normal, the hulls, calipers, rectangles
+    and centers once over all clusters, with the same arithmetic per box as
+    a fit of that box alone, so the boxes are bit-identical to fitting each
+    cluster on its own.
     """
-    if len(clusters) != len(normals):
-        raise ValueError("fit_boxes needs one normal per cluster")
-    k = len(clusters)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+    k = offsets.size - 1
+    if normals.shape[0] != k or offsets[0] != 0 or offsets[-1] != points.shape[0]:
+        raise ValueError("fit_boxes needs offsets over all points and one normal per cluster")
     if not k:
         return BoxTable(np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
-    bases: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    basis_rows, us, vs, ws = [], [], [], []
+    sizes = np.diff(offsets)
+    if sizes.min() < 1:
+        raise ValueError("fit_boxes needs at least one point per cluster")
+    cluster = np.repeat(np.arange(k), sizes)
+    # one plane basis and one projection per distinct normal; numpy takes
+    # the product of a lone row through its dot path, which rounds apart
+    # from the matrix-vector one, so one-point clusters take that path here
+    group = np.full(k, -1)
+    bases = []  # (n, e1, e2) of each distinct normal
+    u, v, w = (np.empty(points.shape[0]) for _ in range(3))
+    alone = np.repeat(sizes == 1, sizes)
+    while (todo := np.flatnonzero(group < 0)).size:
+        normal = normals[todo[0]]
+        group[todo[(normals[todo] == normal).all(axis=1)]] = len(bases)
+        n = normal / np.linalg.norm(normal)
+        e1, e2 = plane_basis(n)
+        rows = np.repeat(group == len(bases), sizes)
+        lone = np.flatnonzero(rows & alone)
+        for out, axis in ((u, e1), (v, e2), (w, n)):
+            np.copyto(out, points @ axis, where=rows)
+            if lone.size:
+                out[lone] = (points[lone, None, :] @ axis).reshape(-1)
+        bases.append((n, e1, e2))
+
+    # hull vertices from clusters of three or more points, large ones
+    # dropping their interior points first
+    seen = sizes[cluster] >= 3
+    filtered = sizes >= _HULL_FILTER_MIN
+    if filtered.any():
+        at = filtered[cluster]
+        seen[at] = _hull_candidates(u[at], v[at], np.cumsum(sizes[filtered]) - sizes[filtered])
+    seen = np.flatnonzero(seen)
+    vertices = seen[_hull_vertices(u[seen], v[seen], cluster[seen])]
+    counts = np.bincount(cluster[vertices], minlength=k)
+    hulled = counts >= 3
     theta = np.zeros(k)
-    hull_ids, hull_u, hull_v = [], [], []
-    for i, (points, normal) in enumerate(zip(clusters, normals)):
-        points = np.atleast_2d(points)
-        m = points.shape[0]
-        if m < 1:
-            raise ValueError("fit_boxes needs at least one point per cluster")
-        normal = np.asarray(normal, dtype=np.float64)
-        key = normal.tobytes()
-        if key not in bases:
-            n = normal / np.linalg.norm(normal)
-            bases[key] = (n, *plane_basis(n))
-        basis = bases[key]
-        n, e1, e2 = basis
-        basis_rows.append(basis)
-        u, v = points @ e1, points @ e2
-        us.append(u)
-        vs.append(v)
-        ws.append(points @ n)
-        if m >= 3:
-            keep = _hull_candidates(u, v) if m >= _HULL_FILTER_MIN else slice(None)
-            uk, vk = u[keep], v[keep]
-            hull = _hull_vertices(uk, vk)
-            if hull.size >= 3:
-                hull_ids.append(i)
-                hull_u.append(uk[hull])
-                hull_v.append(vk[hull])
-                continue
-        if m >= 2:
-            theta[i] = _pca_direction(np.column_stack([u, v]))
-    if hull_ids:
-        theta[hull_ids] = _min_area_edge_angles(
-            np.concatenate(hull_u), np.concatenate(hull_v),
-            np.array([h.size for h in hull_u]))
+    if hulled.any():
+        vertices = vertices[hulled[cluster[vertices]]]
+        theta[hulled] = _min_area_edge_angles(u[vertices], v[vertices], counts[hulled])
+    for i in np.flatnonzero(~hulled & (sizes >= 2)).tolist():  # degenerate hulls
+        rows = slice(offsets[i], offsets[i + 1])
+        theta[i] = _pca_direction(np.column_stack([u[rows], v[rows]]))
 
     # the rectangle at each box's angle, over all clusters' points at once
-    sizes = np.array([u.size for u in us])
-    starts = np.cumsum(sizes) - sizes
-    c = np.array([math.cos(t) for t in theta.tolist()])
-    s = np.array([math.sin(t) for t in theta.tolist()])
-    u, v, w = np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+    starts = offsets[:-1]
+    c, s = np.cos(theta), np.sin(theta)
     cp, sp = np.repeat(c, sizes), np.repeat(s, sizes)
     xs = u * cp + v * sp
     ys = -u * sp + v * cp
@@ -378,7 +441,7 @@ def fit_boxes(clusters: Sequence[np.ndarray], normals: Sequence[np.ndarray]) -> 
         np.column_stack([(x1 - x0) / 2.0, (y1 - y0) / 2.0, (w1 - w0) / 2.0]),
         EPS_HALF_EXTENT)
     # rectangle centers back to world coordinates
-    n, e1, e2 = (np.array(rows) for rows in zip(*basis_rows))
+    n, e1, e2 = np.array(bases)[group].transpose(1, 0, 2)
     cx, cy, cw = (x0 + x1) / 2.0, (y0 + y1) / 2.0, (w0 + w1) / 2.0
     u_c = cx * c - cy * s
     v_c = cx * s + cy * c
@@ -388,7 +451,8 @@ def fit_boxes(clusters: Sequence[np.ndarray], normals: Sequence[np.ndarray]) -> 
 
 def min_oriented_bbox(points: np.ndarray, normal: np.ndarray) -> OrientedBBox:
     """Minimal-area ground-aligned box around one cluster (see `fit_boxes`)."""
-    return fit_boxes([points], [normal]).box(0)
+    points = np.atleast_2d(points)
+    return fit_boxes(points, [0, points.shape[0]], normal).box(0)
 
 
 def adaptive_threshold(d: float | np.ndarray, params: RefineParams) -> int | np.ndarray:
@@ -422,19 +486,20 @@ def filter_proposals(
     clusters are relabeled 0 (background). The kept set is a pure function
     of per-cluster statistics.
     """
-    ids = np.array(sorted(labeling.clusters), dtype=np.int64)
+    ids = labeling.ids
     if len(table) != ids.size or np.shape(distances) != ids.shape:
         raise ValueError("filter_proposals needs one distance and one box per cluster")
-    counts = np.array([labeling.clusters[cid].size for cid in ids.tolist()])
+    counts = np.diff(labeling.offsets)
     ok = counts >= adaptive_threshold(distances, params)
     ok &= _admitted(2.0 * table.half_extents, params.size_priors.values())
     keep = np.zeros(int(ids.max()) + 1 if ids.size else 1, dtype=bool)
     keep[ids[ok]] = True
     labels = labeling.labels.copy()
     labels[~keep[labels]] = 0
-    kept = ids[ok].tolist()
-    clusters = {cid: labeling.clusters[cid] for cid in kept}
-    return kept, ClusterLabeling(labels=labels, clusters=clusters)
+    kept = ClusterLabeling(labels=labels, ids=ids[ok],
+                           order=labeling.order[np.repeat(ok, counts)],
+                           offsets=np.append(0, np.cumsum(counts[ok])))
+    return kept.ids.tolist(), kept
 
 
 def enlarge_bbox(bbox: OrientedBBox, params: RefineParams) -> OrientedBBox:

@@ -3,14 +3,16 @@
 Deliberately naive: explicit graph construction, exhaustive sweeps and
 per-point counting, sharing no code path with the library internals they
 check. The one exception is `per_cluster_box`, the one-cluster-at-a-time
-box fit: it shares the per-cluster hull with `refine.fit_boxes` and
-replaces only the batched calipers and rectangle, which it must match bit
-for bit.
+box fit, which `refine.fit_boxes` must match bit for bit: it shares the
+plane basis, the PCA fallback and the prefilter size with the library,
+and fits each cluster alone with the scalar hull prefilter and monotone
+chain below.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,13 +123,69 @@ def sweep_min_rect_area(uv: np.ndarray, step_deg: float = 0.05) -> float:
     return best
 
 
+def scalar_hull_candidates(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the 2D points (u, v) that can be convex-hull vertices.
+
+    The extreme points in eight directions span a convex polygon; a point
+    strictly inside it cannot be a hull vertex (Akl & Toussaint 1978).
+    "Strictly" carries a margin far above rounding, so points near the
+    polygon's edges stay and the hull sees every point that could matter.
+    """
+    s, d = u + v, u - v
+    extremes = [u.argmax(), s.argmax(), v.argmax(), d.argmin(),
+                u.argmin(), s.argmin(), v.argmin(), d.argmax()]  # counter-clockwise
+    extremes = [e for i, e in enumerate(extremes) if e != extremes[i - 1]]
+    if len(extremes) < 3:
+        return np.arange(u.size)
+    cu, cv = u[extremes], v[extremes]
+    nxt = [*range(1, len(extremes)), 0]
+    eu, ev = cu[nxt] - cu, cv[nxt] - cv
+    lu, lv = cu.tolist(), cv.tolist()  # the extremes hold both coordinate ranges
+    span = (max(lu) - min(lu)) + (max(lv) - min(lv))
+    margin = 1e-9 * span * (np.abs(eu) + np.abs(ev))
+    cross = eu[:, None] * (v - cv[:, None])
+    cross -= ev[:, None] * (u - cu[:, None])
+    return np.flatnonzero((cross <= margin[:, None]).any(axis=0))
+
+
+def scalar_hull_vertices(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the convex-hull vertices of the 2D points (u, v), counter-clockwise.
+
+    Andrew's monotone chain (1979), one stack scan per chain: the points
+    sorted by (u, v) are split by the line from the first to the last one;
+    the lower chain scans those on or below it left to right, the upper
+    chain those on or above it right to left. Both keep only strict left
+    turns, tested in exact rational arithmetic, so duplicates and points on
+    a hull edge are dropped, and a collinear set gives fewer than 3
+    vertices.
+    """
+    order = np.lexsort((v, u))
+    us, vs = u[order], v[order]
+    side = (us[-1] - us[0]) * (vs - vs[0]) - (vs[-1] - vs[0]) * (us - us[0])
+    pts = [(Fraction(x), Fraction(y)) for x, y in zip(us.tolist(), vs.tolist())]
+    halves = []
+    for seq in (np.flatnonzero(side <= 0), np.flatnonzero(side >= 0)[::-1]):
+        chain: list[int] = []
+        for k in seq.tolist():
+            x, y = pts[k]
+            while len(chain) >= 2:
+                ax, ay = pts[chain[-2]]
+                bx, by = pts[chain[-1]]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                chain.pop()
+            chain.append(k)
+        halves.append(chain[:-1])
+    return order[halves[0] + halves[1]]
+
+
 def per_cluster_box(points: np.ndarray, normal: np.ndarray) -> refine.OrientedBBox:
     """The minimal-area ground-aligned box of one cluster, fitted alone.
 
-    The per-cluster path `refine.fit_boxes` batches: the calipers evaluate
-    every hull-edge angle with (h x h) outer products and take the first
-    minimal area; the rectangle at that angle comes from the cluster's own
-    projections.
+    The per-cluster path `refine.fit_boxes` batches: the scalar hull
+    prefilter and chain, then calipers that evaluate every hull-edge angle
+    with (h x h) outer products and take the first minimal area; the
+    rectangle at that angle comes from the cluster's own projections.
     """
     points = np.atleast_2d(points)
     n = np.asarray(normal, dtype=np.float64)
@@ -138,10 +196,10 @@ def per_cluster_box(points: np.ndarray, normal: np.ndarray) -> refine.OrientedBB
 
     theta = 0.0
     if points.shape[0] >= 3:
-        keep = (refine._hull_candidates(u, v)
+        keep = (scalar_hull_candidates(u, v)
                 if points.shape[0] >= refine._HULL_FILTER_MIN else slice(None))
         uk, vk = u[keep], v[keep]
-        hull = refine._hull_vertices(uk, vk)
+        hull = scalar_hull_vertices(uk, vk)
         if hull.size >= 3:
             hv = np.column_stack([uk[hull], vk[hull]])
             edges = np.diff(np.vstack([hv, hv[:1]]), axis=0)

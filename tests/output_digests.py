@@ -3,7 +3,9 @@
     PYTHONPATH=src python tests/output_digests.py
 
 The frames are `sample_traffic_scene` seeds 0-11, the acceptance-test
-timing frame (seed 0, 8 objects) and the clutter frame from `conftest`.
+timing frame (seed 0, 8 objects), the clutter frame from `conftest`, and
+the benchmark's `open_road` and `dense_urban` frame sets at seed 3 (from
+`perfbench/workloads.py`, which this script only imports).
 The artefacts are the in-process stage-1 integer outputs (labels, ground
 mask, proposal members) and float outputs (boxes, distances, ground
 planes), the `.cluster` files and proposal manifests `segment` writes, the
@@ -27,11 +29,17 @@ from ringseg import load_config, run_stage1, save_labels, save_point_cloud
 from ringseg.cli import main as cli_main
 from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
 
 def frame_specs():
     specs = [(f"{seed:06d}", sample_traffic_scene(seed)) for seed in range(12)]
     specs.append(("acceptance", sample_traffic_scene(seed=0, n_objects=8)))
     specs.append(("clutter", clutter_scene()))
+    for name in ("open_road", "dense_urban"):
+        specs += [(f"{name}_{k:02d}", spec)
+                  for k, spec in enumerate(workloads.frame_specs(name, seed=3))]
     return specs
 
 

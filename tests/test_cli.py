@@ -264,17 +264,29 @@ def test_jobs_flag_only_on_pooled_commands(argv, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["segment", "--input", "i", "--output", "o", "--seed", "1"],
+                                  ["eval", "--gt", "g", "--clusters", "c", "--input", "i"],
+                                  ["eval", "--gt", "g", "--clusters", "c", "--seed", "1"],
+                                  ["synth", "--scene", "s.cfg", "--output", "o", "--input", "i"]])
+def test_commands_reject_flags_they_ignore(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 def test_invalid_config_names_key(tmp_path, caplog):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("ground.n_seg = -2\n")
     scene = tmp_path / "scene.cfg"
     scene.write_text(SCENE_TEXT)
-    io = ["--input", str(tmp_path), "--output", str(tmp_path / "o")]
-    cases = [(["segment", "--config", str(cfg)], "ground.n_seg"),
-             (["bench", "--reps", "1", "--seed", "-1"], "rng_seed"),
-             (["segment", "--jobs", "0"], "jobs"),
-             (["prepare", "--n-points", "0"], "prep.n_points"),
-             (["bench", "--reps", "0"], "--reps"),
+    io = ["--output", str(tmp_path / "o")]
+    src = ["--input", str(tmp_path)]
+    cases = [(["segment", "--config", str(cfg), *src], "ground.n_seg"),
+             (["bench", "--reps", "1", "--seed", "-1", *src], "rng_seed"),
+             (["segment", "--jobs", "0", *src], "jobs"),
+             (["prepare", "--n-points", "0", *src], "prep.n_points"),
+             (["bench", "--reps", "0", *src], "--reps"),
              (["synth", "--scene", str(scene), "--frames", "-1"], "--frames")]
     for argv, key in cases:
         caplog.clear()

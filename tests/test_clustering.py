@@ -162,6 +162,11 @@ def test_labels_partition_and_min_ids(rng):
     assert np.sort(seen).tolist() == list(range(len(cloud)))
     for cid, members in lab.clusters.items():
         assert (lab.labels[members] == cid).all()
+    # the CSR rows: ids ascending, each id's members ascending
+    assert lab.ids.tolist() == sorted(lab.clusters) and lab.offsets[-1] == len(cloud)
+    for j, cid in enumerate(lab.ids.tolist()):
+        members = lab.order[lab.offsets[j]:lab.offsets[j + 1]]
+        assert (np.diff(members) > 0).all() and np.array_equal(members, lab.clusters[cid])
 
 
 def test_cluster_count_monotone_in_thresholds(rng):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ringseg import (
     BoxTable,
     ClusterLabeling,
+    OrientedBBox,
     PointCloud,
     Proposal,
     RefineParams,
@@ -27,6 +28,8 @@ from oracles import (
     brute_force_hull,
     per_cluster_box,
     points_in_oriented_box,
+    scalar_hull_candidates,
+    scalar_hull_vertices,
     sweep_min_rect_area,
 )
 
@@ -145,7 +148,7 @@ def _hull_cases(rng):
 
 def test_hull_vertices_match_brute_force_oracle(rng):
     for uv in _hull_cases(rng):
-        hull = refine._hull_vertices(uv[:, 0], uv[:, 1])
+        hull = refine._hull_vertices(uv[:, 0], uv[:, 1], np.zeros(len(uv), dtype=np.int64))
         got = [tuple(p) for p in uv[hull].tolist()]
         want = brute_force_hull(uv)
         if len(want) >= 3:
@@ -158,15 +161,45 @@ def test_hull_vertices_match_brute_force_oracle(rng):
             assert min_oriented_bbox(pts, UP).yaw == refine._pca_direction(uv) % np.pi
 
 
+def _fit(clusters, normals) -> BoxTable:
+    """fit_boxes over clusters given as a list of point arrays."""
+    offsets = np.cumsum([0] + [len(pts) for pts in clusters])
+    return fit_boxes(np.concatenate(clusters), offsets, np.reshape(normals, (-1, 3)))
+
+
 def _assert_boxes_match_oracle(clusters, normals):
-    table = fit_boxes(clusters, normals)
+    table = _fit(clusters, normals)
     assert len(table) == len(clusters)
     for i, (pts, normal) in enumerate(zip(clusters, normals)):
         want, got = per_cluster_box(pts, normal), table.box(i)
-        assert got.yaw == want.yaw and table.yaw[i] % np.pi == want.yaw, i
+        # folded twice, a yaw just below 0 goes to pi and on to 0.0, as in the box
+        assert got.yaw == want.yaw and table.yaw[i] % np.pi % np.pi == want.yaw, i
         for field in ("center", "half_extents", "normal"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (i, field)
             assert np.array_equal(getattr(table, field)[i], getattr(want, field)), (i, field)
+
+
+_SHAPES = ("gaussian", "grid", "collinear", "repeated", "l_shape")
+
+
+def _cluster(rng, shape: str, m: int) -> np.ndarray:
+    """m points of one cluster shape."""
+    if shape == "gaussian":
+        return rng.normal(0, rng.uniform(0.2, 4), (m, 3))
+    if shape == "grid":  # integer grid: collinear and duplicate points, tied rectangle areas
+        return rng.integers(0, int(rng.integers(2, 6)), (m, 3)).astype(float)
+    if shape == "collinear":  # in the ground plane, with repeats
+        t = rng.integers(-20, 20, m).astype(float)
+        return np.column_stack([t, 0.5 * t, rng.uniform(0, 2, m)]) * 0.25
+    if shape == "repeated":  # one point
+        return np.tile(rng.normal(0, 3, 3), (m, 1))
+    if shape == "pole":  # one vertical line: nearly collinear under a tilted normal
+        return np.column_stack([np.full((m, 2), rng.normal(0, 5, 2)), rng.uniform(0, 3, m)])
+    # L-shaped outline, like a car seen from a corner
+    side = rng.random(m) < 0.5
+    t = rng.uniform(0, 1, m)
+    return np.column_stack([np.where(side, 4 * t, 0), np.where(side, 0, 2 * t),
+                           rng.uniform(0, 1.5, m)]) + rng.normal(0, 0.02, (m, 3))
 
 
 def _box_fit_cases(rng):
@@ -174,19 +207,8 @@ def _box_fit_cases(rng):
     prefilter size."""
     sizes = (1, 2, 3, 5, 17, refine._HULL_FILTER_MIN - 1, refine._HULL_FILTER_MIN, 300)
     for m in sizes:
-        yield rng.normal(0, rng.uniform(0.2, 4), (m, 3))
-        # integer grid: collinear and duplicate points, tied rectangle areas
-        yield rng.integers(0, int(rng.integers(2, 6)), (m, 3)).astype(float)
-        # collinear in the ground plane, with repeats
-        t = rng.integers(-20, 20, m).astype(float)
-        yield np.column_stack([t, 0.5 * t, rng.uniform(0, 2, m)]) * 0.25
-        # one point repeated
-        yield np.tile(rng.normal(0, 3, 3), (m, 1))
-        # L-shaped outline, like a car seen from a corner
-        side = rng.random(m) < 0.5
-        t = rng.uniform(0, 1, m)
-        yield np.column_stack([np.where(side, 4 * t, 0), np.where(side, 0, 2 * t),
-                               rng.uniform(0, 1.5, m)]) + rng.normal(0, 0.02, (m, 3))
+        for shape in _SHAPES:
+            yield _cluster(rng, shape, m)
     yield np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])  # a square
 
 
@@ -202,9 +224,9 @@ def test_fit_boxes_matches_per_cluster_oracle(rng):
 def test_fit_boxes_matches_oracle_on_stage1_clusters(monkeypatch):
     calls = []
 
-    def recording(clusters, normals):
-        calls.append((clusters, normals))
-        return fit_boxes(clusters, normals)
+    def recording(points, offsets, normals):
+        calls.append((np.split(points, offsets[1:-1]), normals))
+        return fit_boxes(points, offsets, normals)
 
     monkeypatch.setattr(pipeline, "fit_boxes", recording)
     cfg = load_config()
@@ -217,13 +239,66 @@ def test_fit_boxes_matches_oracle_on_stage1_clusters(monkeypatch):
 
 
 def test_fit_boxes_empty_and_invalid():
-    table = fit_boxes([], [])
+    table = fit_boxes(np.empty((0, 3)), [0], np.empty((0, 3)))
     assert isinstance(table, BoxTable) and len(table) == 0
     assert table.center.shape == (0, 3)
     with pytest.raises(ValueError):
-        fit_boxes([np.empty((0, 3))], [UP])
+        fit_boxes(np.empty((0, 3)), [0, 0], [UP])
     with pytest.raises(ValueError):
-        fit_boxes([np.zeros((3, 3))], [])
+        fit_boxes(np.zeros((3, 3)), [0, 3], np.empty((0, 3)))
+
+
+@st.composite
+def _projected_batches(draw):
+    """Clusters of every shape and of sizes around the hull prefilter size,
+    each projected onto the plane of its own, possibly tilted, normal."""
+    sizes = (1, 2, 3, 5, refine._HULL_FILTER_MIN - 1, refine._HULL_FILTER_MIN, 150)
+    us, vs = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.sampled_from(sizes))
+        shape = draw(st.sampled_from(_SHAPES + ("pole",)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        normal = UP
+        if draw(st.booleans()):
+            normal = np.array([rng.normal(0, 0.05), rng.normal(0, 0.05), 1.0])
+            normal /= np.linalg.norm(normal)
+        e1, e2 = plane_basis(normal)
+        pts = _cluster(rng, shape, m)
+        us.append(pts @ e1)
+        vs.append(pts @ e2)
+    return us, vs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_projected_batches())
+def test_batched_hull_matches_scalar_oracles(batch):
+    us, vs = batch
+    sizes = np.array([u.size for u in us])
+    starts = np.cumsum(sizes) - sizes
+    u, v = np.concatenate(us), np.concatenate(vs)
+    candidate = refine._hull_candidates(u, v, starts)
+    vertices = refine._hull_vertices(u, v, np.repeat(np.arange(sizes.size), sizes))
+    owner = np.repeat(np.arange(sizes.size), sizes)[vertices]
+    for i, (ui, vi) in enumerate(zip(us, vs)):
+        mine = candidate[starts[i]:starts[i] + sizes[i]]
+        assert np.array_equal(np.flatnonzero(mine), scalar_hull_candidates(ui, vi)), i
+        got = list(zip(u[vertices[owner == i]].tolist(), v[vertices[owner == i]].tolist()))
+        hull = scalar_hull_vertices(ui, vi)
+        want = list(zip(ui[hull].tolist(), vi[hull].tolist()))
+        if len(set(want)) >= 3:
+            assert got == want, i  # same vertices, counter-clockwise, same start
+        else:  # degenerate either way: the box fit takes the PCA direction
+            assert len(set(got)) == len(got) < 3, i
+
+
+def test_rebox_keeps_folded_yaw():
+    for yaw in (-1e-17, -1e-300, 0.0, 1e-17, np.pi - 1e-16, np.pi, 3.0, -3.0):
+        box = OrientedBBox(center=np.zeros(3), yaw=yaw, half_extents=np.ones(3), normal=UP)
+        assert 0.0 <= box.yaw < np.pi, yaw
+        again = OrientedBBox(center=box.center, yaw=box.yaw,
+                             half_extents=box.half_extents, normal=box.normal)
+        assert again.yaw == box.yaw, yaw
+        assert np.array_equal(again.axes(), box.axes()), yaw
 
 
 def test_bbox_tilted_normal_alignment(rng):
@@ -256,14 +331,14 @@ def _labeling_with_clusters(clusters: dict[int, np.ndarray], n: int) -> ClusterL
     labels = np.zeros(n, dtype=np.int64)
     for cid, members in clusters.items():
         labels[members] = cid
-    return ClusterLabeling(labels=labels, clusters=clusters)
+    return ClusterLabeling.from_labels(labels)
 
 
 def _distances_and_boxes(xyz: np.ndarray, clusters: dict[int, np.ndarray]):
     """Centroid distances and boxes, one row per cluster in ascending id."""
     ids = sorted(clusters)
     distances = np.array([np.linalg.norm(xyz[clusters[cid]].mean(axis=0)) for cid in ids])
-    return distances, fit_boxes([xyz[clusters[cid]] for cid in ids], [UP] * len(ids))
+    return distances, _fit([xyz[clusters[cid]] for cid in ids], [UP] * len(ids))
 
 
 def test_filter_rejects_small_cluster():
@@ -324,6 +399,7 @@ def test_filter_matches_predicate_oracle(rng):
                 expect.append(cid)
         assert kept == expect
         assert sorted(out.clusters) == expect
+        assert all(np.array_equal(out.clusters[cid], clusters[cid]) for cid in expect)
         for cid, m in clusters.items():
             assert (out.labels[m] == (cid if cid in expect else 0)).all()
 
@@ -332,12 +408,13 @@ def test_filter_order_independent(rng):
     xyz = rng.normal(0, 5, (120, 3)) + [15, 0, 0]
     clusters = {3: np.arange(0, 40), 1: np.arange(40, 80), 2: np.arange(80, 120)}
     labeling = _labeling_with_clusters(clusters, 120)
-    distances, table = _distances_and_boxes(xyz, clusters)
-    kept1, _ = filter_proposals(labeling, distances, table, RefineParams())
-    relabeled = {cid: clusters[cid] for cid in (2, 3, 1)}
-    kept2, _ = filter_proposals(
-        ClusterLabeling(labels=labeling.labels, clusters=relabeled),
-        distances, table, RefineParams())
+    kept1, _ = filter_proposals(labeling, *_distances_and_boxes(xyz, clusters),
+                                RefineParams())
+    # the same clusters, their points listed in another order
+    perm = rng.permutation(120)
+    shuffled = ClusterLabeling.from_labels(labeling.labels[perm])
+    kept2, _ = filter_proposals(shuffled, *_distances_and_boxes(xyz[perm], shuffled.clusters),
+                                RefineParams())
     assert kept1 == kept2
 
 
