@@ -6,76 +6,63 @@ remainder ring by ring, then filter and enlarge oriented boxes into
 proposals. A separate preparation stage turns proposals into fixed-size,
 augmented training samples. `ringseg.kernels` holds the vectorized
 numpy kernels for the ring trace and the cluster scan.
+
+The package imports lazily (PEP 562): `import ringseg` loads no
+submodule, and each exported name or submodule is imported on first use,
+so a process loads only the code it runs.
 """
 
-from .bench import TimingReport, benchmark_stage1
-from .cloud import (
-    CLASS_NAMES,
-    FOREGROUND_CLASSES,
-    ClassId,
-    PointCloud,
-    assign_rings,
-    load_labels,
-    load_point_cloud,
-    save_labels,
-    save_point_cloud,
-)
-from .clustering import ClusterLabeling, ClusterParams, cluster_ring_based, resolve_labels
-from .config import PipelineConfig, build_config, load_config, read_kv_file
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DegenerateGeometryError,
-    FileFormatError,
-    InvalidClassError,
-    RingSegError,
-    ScanFormatError,
-    SceneValidationError,
-)
-from .ground import (
-    GroundParams,
-    PlaneModel,
-    extract_initial_seeds,
-    fit_plane,
-    ground_plane_fit,
-    split_segments,
-)
-from .metrics import MetricsReport, RecallReport, pointwise_metrics, proposal_recall
-from .pipeline import Stage1Result, run_stage1
-from .refine import (
-    DEFAULT_SIZE_PRIORS,
-    BoxTable,
-    OrientedBBox,
-    Proposal,
-    RefineParams,
-    SizePrior,
-    adaptive_threshold,
-    enlarge_and_merge,
-    enlarge_bbox,
-    filter_proposals,
-    fit_boxes,
-    min_oriented_bbox,
-)
-from .samples import (
-    ArchiveRecord,
-    FeatureMatrix,
-    Sample,
-    SamplePrepParams,
-    augment_eightfold,
-    build_feature_matrix,
-    canonical_transform,
-    export_samples,
-    load_samples,
-    resample_points,
-    sample_rng,
-)
-from .synth import (
-    ObjectSpec,
-    SceneSpec,
-    SyntheticScene,
-    generate_synthetic_scene,
-    sample_traffic_scene,
-    scene_from_file,
-)
+import sys
 
 __version__ = "0.1.0"
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("TimingReport", "benchmark_stage1"), "bench"),
+    **dict.fromkeys(("CLASS_NAMES", "FOREGROUND_CLASSES", "ClassId", "PointCloud",
+                     "assign_rings", "load_labels", "load_point_cloud", "save_labels",
+                     "save_point_cloud"), "cloud"),
+    **dict.fromkeys(("ClusterLabeling", "ClusterParams", "cluster_ring_based",
+                     "resolve_labels"), "clustering"),
+    **dict.fromkeys(("PipelineConfig", "build_config", "load_config", "read_kv_file"),
+                    "config"),
+    **dict.fromkeys(("AlignmentError", "ConfigError", "DegenerateGeometryError",
+                     "FileFormatError", "InvalidClassError", "RingSegError",
+                     "ScanFormatError", "SceneValidationError"), "errors"),
+    **dict.fromkeys(("GroundParams", "PlaneModel", "extract_initial_seeds", "fit_plane",
+                     "ground_plane_fit", "split_segments"), "ground"),
+    **dict.fromkeys(("MetricsReport", "RecallReport", "pointwise_metrics",
+                     "proposal_recall"), "metrics"),
+    **dict.fromkeys(("Stage1Result", "run_stage1"), "pipeline"),
+    **dict.fromkeys(("DEFAULT_SIZE_PRIORS", "BoxTable", "OrientedBBox", "Proposal",
+                     "RefineParams", "SizePrior", "adaptive_threshold", "enlarge_and_merge",
+                     "enlarge_bbox", "filter_proposals", "fit_boxes", "min_oriented_bbox"),
+                    "refine"),
+    **dict.fromkeys(("ArchiveRecord", "FeatureMatrix", "Sample", "SamplePrepParams",
+                     "augment_eightfold", "build_feature_matrix", "canonical_transform",
+                     "export_samples", "load_samples", "resample_points", "sample_rng"),
+                    "samples"),
+    **dict.fromkeys(("ObjectSpec", "SceneSpec", "SyntheticScene",
+                     "generate_synthetic_scene", "sample_traffic_scene", "scene_from_file"),
+                    "synth"),
+}
+# the modules that export nothing here still resolve as attributes
+_SUBMODULES = {*_EXPORTS.values(), "cli", "kernels"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name, name)
+    if submodule not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in `python -X importtime`
+    __import__(f"{__name__}.{submodule}")
+    module = sys.modules[f"{__name__}.{submodule}"]
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -19,29 +19,17 @@ import functools
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bench import benchmark_stage1
-from .cloud import load_labels, load_point_cloud, save_labels, save_point_cloud
-from .clustering import ClusterLabeling
-from .config import PipelineConfig, load_config
 from .errors import AlignmentError, ConfigError, FileFormatError, RingSegError
-from .metrics import eval_summary, pointwise_metrics, proposal_recall
-from .pipeline import run_stage1
-from .refine import OrientedBBox, Proposal
-from .samples import (
-    BG_KEEP_STREAM,
-    augment_eightfold,
-    canonical_transform,
-    export_samples,
-    resample_points,
-    sample_rng,
-)
-from .synth import generate_synthetic_scene, sample_traffic_scene, scene_from_file
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+    from .refine import OrientedBBox, Proposal
 
 log = logging.getLogger("ringseg")
 
@@ -85,11 +73,17 @@ def _run_frames(worker, frames: list[tuple[str, object]], jobs: int = 1):
 
     A frame that raises one of _FRAME_ERRORS is logged and skipped. Returns
     the good frames' results in frame order and how many frames failed.
+
+    Commands import the modules that they and their workers run before they
+    call this: the pool's workers are forked, so they inherit those modules
+    and their own imports are `sys.modules` lookups.
     """
     attempt = functools.partial(_attempt, worker)
     if jobs <= 1 or len(frames) <= 1:
         outcomes = map(attempt, frames)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(attempt, frames))
     results, failed = [], 0
@@ -124,6 +118,8 @@ def _write_manifest(path: Path, proposals: list[Proposal]) -> None:
 
 def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
     """(cluster id, distance, box) per manifest line, in file order."""
+    from .refine import OrientedBBox
+
     entries = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -144,6 +140,9 @@ def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
 
 
 def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -> None:
+    from .cloud import load_point_cloud
+    from .pipeline import run_stage1
+
     cloud = load_point_cloud(bin_path)
     result = run_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
     out = Path(out_dir)
@@ -152,6 +151,8 @@ def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -
 
 
 def cmd_segment(cfg: PipelineConfig) -> int:
+    from . import cloud, pipeline  # noqa: F401  the workers' modules
+
     if not cfg.input_path or not cfg.output_path:
         raise ConfigError("input/output", "segment needs --input and --output")
     frames = _list_frames(cfg.input_path)
@@ -171,6 +172,17 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 
 def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
                  cfg: PipelineConfig) -> list:
+    from .cloud import load_labels, load_point_cloud
+    from .clustering import ClusterLabeling
+    from .refine import Proposal
+    from .samples import (
+        BG_KEEP_STREAM,
+        augment_eightfold,
+        canonical_transform,
+        resample_points,
+        sample_rng,
+    )
+
     bin_path = Path(in_dir) / f"{stem}.bin"
     cloud = load_point_cloud(bin_path)
     cloud = cloud.with_labels(load_labels(bin_path.with_suffix(".label"), len(cloud)))
@@ -208,6 +220,9 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
 
 
 def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
+    from . import cloud, clustering, refine  # noqa: F401  the workers' modules
+    from .samples import export_samples
+
     if not cfg.input_path or not cfg.output_path:
         raise ConfigError("input/output", "prepare needs --input and --output")
     frames = [(stem, int(stem) if stem.isdigit() else i)  # (stem, frame id)
@@ -230,6 +245,10 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
 
 
 def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str | None):
+    from .cloud import load_labels
+    from .clustering import ClusterLabeling
+    from .metrics import pointwise_metrics, proposal_recall
+
     gt = load_labels(gt_path, os.path.getsize(gt_path))
     fields: dict = {"frame": stem}
     metrics = coverage = None
@@ -250,6 +269,8 @@ def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str 
 
 def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
              output: str | None) -> int:
+    from .metrics import eval_summary
+
     if not pred_dir and not clusters_dir:
         raise ConfigError("pred/clusters", "eval needs --pred and/or --clusters")
     frames = _list_frames(gt_dir, ".label")
@@ -270,7 +291,12 @@ def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
 
 
 def _bench_one(stem: str, path: Path | None, cfg: PipelineConfig, reps: int) -> str:
+    from .bench import benchmark_stage1
+    from .cloud import load_point_cloud
+
     if path is None:
+        from .synth import generate_synthetic_scene, sample_traffic_scene
+
         cloud = generate_synthetic_scene(sample_traffic_scene(cfg.rng_seed, n_objects=6)).cloud
     else:
         cloud = load_point_cloud(path)
@@ -293,6 +319,9 @@ def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
 
 
 def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> int:
+    from .cloud import save_labels, save_point_cloud
+    from .synth import generate_synthetic_scene, scene_from_file
+
     if frames < 1:
         raise ConfigError("--frames", f"expected integer >= 1, got {frames}")
     spec = scene_from_file(scene_path)
@@ -315,6 +344,7 @@ def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> i
 
 
 _SHARED_FLAGS = {
+    "--config": {"help": "key=value config file"},
     "--input": {"help": "input directory"},
     "--seed": {"type": int, "help": "rng seed override"},
     "--jobs": {"type": int, "help": "worker processes (default 1)"},
@@ -322,8 +352,7 @@ _SHARED_FLAGS = {
 
 
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """--config and --output, plus the shared flags the command reads."""
-    p.add_argument("--config", help="key=value config file")
+    """--output, plus the shared flags the command reads."""
     p.add_argument("--output", help="output directory or file")
     for flag in flags:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
@@ -337,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segment", help="run the proposal pipeline over frames")
-    _add_common(p, "--input", "--jobs")
+    _add_common(p, "--config", "--input", "--jobs")
 
     p = sub.add_parser("prepare", help="build a training-sample archive")
-    _add_common(p, "--input", "--seed", "--jobs")
+    _add_common(p, "--config", "--input", "--seed", "--jobs")
     p.add_argument("--segments", help="directory with segment outputs "
                                       "(default: the input directory)")
     p.add_argument("--augment", action="store_true",
@@ -354,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", help="directory with .cluster files")
 
     p = sub.add_parser("bench", help="time the pipeline per frame")
-    _add_common(p, "--input", "--seed")
+    _add_common(p, "--config", "--input", "--seed")
     p.add_argument("--reps", type=int, default=10, help="timed repetitions")
 
     p = sub.add_parser("synth", help="generate synthetic frames from a scene file")
@@ -369,8 +398,12 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "eval":  # the one command that reads no config
+            return cmd_eval(args.gt, args.pred, args.clusters, args.output)
+        from .config import load_config
+
         # None is "not given", so an absent flag keeps the config file's value
-        cfg = load_config(args.config, {
+        cfg = load_config(getattr(args, "config", None), {
             "rng_seed": getattr(args, "seed", None), "jobs": getattr(args, "jobs", None),
             "input": getattr(args, "input", None), "output": args.output,
             "prep.augment": getattr(args, "augment", None) or None,
@@ -381,8 +414,6 @@ def main(argv=None) -> int:
             return cmd_segment(cfg)
         if args.command == "prepare":
             return cmd_prepare(cfg, args.segments)
-        if args.command == "eval":
-            return cmd_eval(args.gt, args.pred, args.clusters, args.output)
         if args.command == "bench":
             return cmd_bench(cfg, args.reps, args.output)
         if args.command == "synth":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -64,19 +63,13 @@ class ClusterLabeling:
         return dict(zip(self.ids.tolist(), np.split(self.order, self.offsets[1:-1])))
 
 
-def resolve_labels(raw_labels: np.ndarray, merges: Iterable[tuple[int, int]]) -> ClusterLabeling:
-    """Collapse merge records so every point carries its class's minimum id.
-
-    The merge pairs are edges over label ids, and each label maps to the
-    smallest id of its connected component. Idempotent by construction.
-    """
+def resolve_labels(raw_labels: np.ndarray) -> ClusterLabeling:
+    """Group per-point cluster ids, which must be >= 1 and already the
+    minimal ids of their classes, as `kernels.cluster_scan` emits them."""
     raw = np.asarray(raw_labels, dtype=np.int64)
     if raw.size and raw.min() < 1:
         raise ValueError("raw labels must be >= 1")
-    max_label = int(raw.max()) if raw.size else 0
-    edges = np.asarray(list(merges), dtype=np.int64).reshape(-1, 2)
-    root = kernels.min_label_components(max_label + 1, edges[:, 0], edges[:, 1])
-    return ClusterLabeling.from_labels(root[raw])
+    return ClusterLabeling.from_labels(raw)
 
 
 def _ring_offsets(ring_ids: np.ndarray) -> np.ndarray:
@@ -124,5 +117,4 @@ def cluster_ring_based(cloud: PointCloud, params: ClusterParams) -> ClusterLabel
         params.th_ring,
         params.th_prop,
     )
-    # the kernel's ids are already the minimal ids of their classes
-    return resolve_labels(labels, ())
+    return resolve_labels(labels)

@@ -2,11 +2,12 @@
 
 Deliberately naive: explicit graph construction, exhaustive sweeps and
 per-point counting, sharing no code path with the library internals they
-check. The one exception is `per_cluster_box`, the one-cluster-at-a-time
+check. Two exceptions: `per_cluster_box`, the one-cluster-at-a-time
 box fit, which `refine.fit_boxes` must match bit for bit: it shares the
 plane basis, the PCA fallback and the prefilter size with the library,
 and fits each cluster alone with the scalar hull prefilter and monotone
-chain below.
+chain below; and `min_merge_labels`, which runs the library's union-find
+over label ids so the tests can check it against `naive_min_merge`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ringseg import refine
+from ringseg import kernels, refine
 
 
 def canonical_partition(labels) -> np.ndarray:
@@ -106,6 +107,15 @@ def naive_min_merge(labels, merges) -> np.ndarray:
         for lab in g:
             rep[lab] = m
     return np.array([rep[int(l)] for l in labels], dtype=np.int64)
+
+
+def min_merge_labels(labels, merges) -> np.ndarray:
+    """Each label mapped to the smallest id it is merged with, through
+    `kernels.min_label_components` over the merge pairs as edges."""
+    labels = np.asarray(labels, dtype=np.int64)
+    edges = np.asarray(list(merges), dtype=np.int64).reshape(-1, 2)
+    num_nodes = int(labels.max(initial=0)) + 1
+    return kernels.min_label_components(num_nodes, edges[:, 0], edges[:, 1])[labels]
 
 
 def sweep_min_rect_area(uv: np.ndarray, step_deg: float = 0.05) -> float:

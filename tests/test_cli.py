@@ -267,7 +267,10 @@ def test_jobs_flag_only_on_pooled_commands(argv, capsys):
 @pytest.mark.parametrize("argv", [["segment", "--input", "i", "--output", "o", "--seed", "1"],
                                   ["eval", "--gt", "g", "--clusters", "c", "--input", "i"],
                                   ["eval", "--gt", "g", "--clusters", "c", "--seed", "1"],
-                                  ["synth", "--scene", "s.cfg", "--output", "o", "--input", "i"]])
+                                  ["synth", "--scene", "s.cfg", "--output", "o", "--input", "i"],
+                                  ["eval", "--gt", "g", "--clusters", "c", "--config", "c.cfg"],
+                                  ["synth", "--scene", "s.cfg", "--output", "o",
+                                   "--config", "c.cfg"]])
 def test_commands_reject_flags_they_ignore(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

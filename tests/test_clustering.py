@@ -12,8 +12,8 @@ from ringseg.clustering import _azimuth_windows, _ring_offsets
 from ringseg.ground import GroundParams, ground_plane_fit, split_segments
 
 from conftest import random_ring_scene
-from oracles import brute_force_clusters, canonical_partition, naive_min_merge, \
-    scalar_cluster_ids
+from oracles import brute_force_clusters, canonical_partition, min_merge_labels, \
+    naive_min_merge, scalar_cluster_ids
 
 
 def _cloud(xyz, ring_ids):
@@ -221,13 +221,15 @@ def test_scene_rotation_by_one_azimuth_step_preserves_partition():
 
 
 def test_resolve_labels_chain():
-    lab = resolve_labels(np.array([1, 2, 3]), [(2, 1), (3, 2)])
+    lab = resolve_labels(min_merge_labels(np.array([1, 2, 3]), [(2, 1), (3, 2)]))
     np.testing.assert_array_equal(lab.labels, [1, 1, 1])
 
 
 def test_resolve_labels_identity():
-    lab = resolve_labels(np.array([1, 2, 3]), [])
+    lab = resolve_labels(np.array([1, 2, 3]))
     np.testing.assert_array_equal(lab.labels, [1, 2, 3])
+    with pytest.raises(ValueError):
+        resolve_labels(np.array([0, 1]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,7 +243,7 @@ def test_resolve_labels_matches_naive_oracle(data):
         st.tuples(st.integers(1, max_label), st.integers(1, max_label)),
         max_size=25))
     merges = [(a, b) for a, b in merges if a in labels and b in labels]
-    resolved = resolve_labels(labels, merges)
+    resolved = resolve_labels(min_merge_labels(labels, merges))
     np.testing.assert_array_equal(resolved.labels, naive_min_merge(labels, merges))
-    again = resolve_labels(resolved.labels, [])
+    again = resolve_labels(resolved.labels)
     np.testing.assert_array_equal(again.labels, resolved.labels)

@@ -1,7 +1,11 @@
+import ast
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ringseg
 
@@ -16,3 +20,80 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+SUBMODULES = frozenset(m.name for m in pkgutil.iter_modules(ringseg.__path__))
+# what each command loads: itself and, forked from it, its pool workers
+COMMAND_MODULES = {
+    "eval": {"cli", "errors", "cloud", "kernels", "clustering", "metrics"},
+    "segment": SUBMODULES - {"bench", "metrics", "synth"},
+    "prepare": SUBMODULES - {"pipeline", "bench", "metrics", "synth"},
+}
+LOADED = "sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('ringseg.'))"
+
+
+def _fresh(code: str, *argv: str, cwd=None) -> list:
+    """Run `code` in a fresh interpreter and evaluate its last output line."""
+    src = str(Path(ringseg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    loaded = _fresh("import sys, ringseg; print(sorted(m for m in sys.modules "
+                    "if m.startswith('ringseg.') or m.split('.')[0] == 'numpy'))")
+    assert loaded == []
+
+
+def test_every_lazy_name_resolves():
+    code = f"""
+import importlib, sys, ringseg
+for name in ringseg.__all__:
+    module = ringseg._EXPORTS[name]
+    assert getattr(ringseg, name) is getattr(sys.modules['ringseg.' + module], name), name
+for module in {sorted(SUBMODULES)!r}:
+    assert getattr(ringseg, module) is importlib.import_module('ringseg.' + module), module
+try:
+    ringseg.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError('unknown name resolved')
+print(dir(ringseg))
+"""
+    listed = set(_fresh(code))
+    assert set(ringseg.__all__) <= listed
+    assert SUBMODULES <= listed
+    assert "__version__" in listed
+
+
+@pytest.fixture(scope="module")
+def two_frames(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    (root / "in").mkdir()
+    for k in range(2):
+        car = ringseg.ObjectSpec(class_id=1, shape="box", x=8.0 + k, y=2.0, yaw_deg=30.0,
+                                 length=4.2, width=1.8, height=1.5)
+        scene = ringseg.generate_synthetic_scene(ringseg.SceneSpec(
+            num_rings=16, points_per_ring=400, elevation_min_deg=-14, elevation_max_deg=-1.2,
+            rng_seed=k, objects=(car,)))
+        ringseg.save_point_cloud(scene.cloud, root / "in" / f"{k:06d}.bin")
+        ringseg.save_labels(scene.cloud.labels, root / "in" / f"{k:06d}.label")
+    return root
+
+
+def test_each_command_loads_only_its_modules(two_frames):
+    code = ("import sys; from ringseg.cli import main; assert main(sys.argv[1:]) == 0; "
+            f"print({LOADED})")
+    runs = {
+        "segment": ["segment", "--input", "in", "--output", "seg", "--jobs", "2"],
+        "prepare": ["prepare", "--input", "in", "--segments", "seg", "--output",
+                    "s.ps3d", "--augment", "--jobs", "2"],
+        "eval": ["eval", "--gt", "in", "--clusters", "seg", "--output", "e.txt"],
+    }
+    for command, argv in runs.items():  # in order: each reads the one before
+        assert set(_fresh(code, *argv, cwd=two_frames)) == COMMAND_MODULES[command], command
