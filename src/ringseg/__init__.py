@@ -22,26 +22,25 @@ _EXPORTS = {
     **dict.fromkeys(("CLASS_NAMES", "FOREGROUND_CLASSES", "ClassId", "PointCloud",
                      "assign_rings", "load_labels", "load_point_cloud", "save_labels",
                      "save_point_cloud"), "cloud"),
-    **dict.fromkeys(("ClusterLabeling", "ClusterParams", "cluster_ring_based",
-                     "resolve_labels"), "clustering"),
-    **dict.fromkeys(("PipelineConfig", "build_config", "load_config", "read_kv_file"),
-                    "config"),
+    **dict.fromkeys(("ClusterLabeling", "cluster_ring_based", "resolve_labels"),
+                    "clustering"),
+    **dict.fromkeys(("ClusterParams", "DEFAULT_SIZE_PRIORS", "GroundParams", "PipelineConfig",
+                     "RefineParams", "SamplePrepParams", "SizePrior", "build_config",
+                     "load_config", "read_kv_file"), "config"),
     **dict.fromkeys(("AlignmentError", "ConfigError", "DegenerateGeometryError",
                      "FileFormatError", "InvalidClassError", "RingSegError",
                      "ScanFormatError", "SceneValidationError"), "errors"),
-    **dict.fromkeys(("GroundParams", "PlaneModel", "extract_initial_seeds", "fit_plane",
-                     "ground_plane_fit", "split_segments"), "ground"),
+    **dict.fromkeys(("PlaneModel", "extract_initial_seeds", "fit_plane", "ground_plane_fit",
+                     "split_segments"), "ground"),
     **dict.fromkeys(("MetricsReport", "RecallReport", "pointwise_metrics",
                      "proposal_recall"), "metrics"),
     **dict.fromkeys(("Stage1Result", "run_stage1"), "pipeline"),
-    **dict.fromkeys(("DEFAULT_SIZE_PRIORS", "BoxTable", "OrientedBBox", "Proposal",
-                     "RefineParams", "SizePrior", "adaptive_threshold", "enlarge_and_merge",
-                     "enlarge_bbox", "filter_proposals", "fit_boxes", "min_oriented_bbox"),
-                    "refine"),
-    **dict.fromkeys(("ArchiveRecord", "FeatureMatrix", "Sample", "SamplePrepParams",
-                     "augment_eightfold", "build_feature_matrix", "canonical_transform",
-                     "export_samples", "load_samples", "resample_points", "sample_rng"),
-                    "samples"),
+    **dict.fromkeys(("BoxTable", "OrientedBBox", "Proposal", "adaptive_threshold",
+                     "enlarge_and_merge", "enlarge_bbox", "filter_proposals", "fit_boxes",
+                     "min_oriented_bbox"), "refine"),
+    **dict.fromkeys(("ArchiveRecord", "FeatureMatrix", "Sample", "augment_eightfold",
+                     "build_feature_matrix", "canonical_transform", "export_samples",
+                     "load_samples", "resample_points", "sample_rng"), "samples"),
     **dict.fromkeys(("ObjectSpec", "SceneSpec", "SyntheticScene",
                      "generate_synthetic_scene", "sample_traffic_scene", "scene_from_file"),
                     "synth"),

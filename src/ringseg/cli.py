@@ -153,14 +153,14 @@ def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -
 def cmd_segment(cfg: PipelineConfig) -> int:
     from . import cloud, pipeline  # noqa: F401  the workers' modules
 
-    if not cfg.input_path or not cfg.output_path:
+    if not cfg.input or not cfg.output:
         raise ConfigError("input/output", "segment needs --input and --output")
-    frames = _list_frames(cfg.input_path)
+    frames = _list_frames(cfg.input)
     if not frames:
-        log.warning("no .bin frames under %s; nothing to do", cfg.input_path)
+        log.warning("no .bin frames under %s; nothing to do", cfg.input)
         return 0
-    Path(cfg.output_path).mkdir(parents=True, exist_ok=True)
-    worker = functools.partial(_segment_one, out_dir=cfg.output_path, cfg=cfg)
+    Path(cfg.output).mkdir(parents=True, exist_ok=True)
+    worker = functools.partial(_segment_one, out_dir=cfg.output, cfg=cfg)
     _, failed = _run_frames(worker, frames, cfg.jobs)
     log.info("segmented %d frame(s), %d failed", len(frames), failed)
     return 1 if failed else 0
@@ -201,10 +201,10 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
             continue
         prop = Proposal(cluster_id=cid, member_indices=members, bbox=bbox,
                         distance=distance)
-        rng0 = sample_rng(prep.rng_seed, frame_id, cid, 0)
+        rng0 = sample_rng(cfg.rng_seed, frame_id, cid, 0)
         sample = canonical_transform(prop, cloud, rng0, frame_id=frame_id)
         if sample.class_label == 0:
-            keep = sample_rng(prep.rng_seed, frame_id, cid, BG_KEEP_STREAM).random()
+            keep = sample_rng(cfg.rng_seed, frame_id, cid, BG_KEEP_STREAM).random()
             if keep >= prep.background_keep_prob:
                 continue
             variants = [sample]
@@ -214,7 +214,7 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
             variants = [sample]
         for variant in variants:
             rng = rng0 if variant.variant_id == 0 else sample_rng(
-                prep.rng_seed, frame_id, cid, variant.variant_id)
+                cfg.rng_seed, frame_id, cid, variant.variant_id)
             samples.append(resample_points(variant, prep.n_points, rng))
     return samples
 
@@ -223,20 +223,20 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     from . import cloud, clustering, refine  # noqa: F401  the workers' modules
     from .samples import export_samples
 
-    if not cfg.input_path or not cfg.output_path:
+    if not cfg.input or not cfg.output:
         raise ConfigError("input/output", "prepare needs --input and --output")
     frames = [(stem, int(stem) if stem.isdigit() else i)  # (stem, frame id)
-              for i, (stem, _) in enumerate(_list_frames(cfg.input_path))]
+              for i, (stem, _) in enumerate(_list_frames(cfg.input))]
     if not frames:
-        log.warning("no .bin frames under %s; nothing to do", cfg.input_path)
+        log.warning("no .bin frames under %s; nothing to do", cfg.input)
         return 0
-    worker = functools.partial(_prepare_one, in_dir=cfg.input_path,
-                               seg_dir=seg_dir or cfg.input_path, cfg=cfg)
+    worker = functools.partial(_prepare_one, in_dir=cfg.input,
+                               seg_dir=seg_dir or cfg.input, cfg=cfg)
     per_frame, failed = _run_frames(worker, frames, cfg.jobs)
     samples = [s for frame_samples in per_frame for s in frame_samples]
-    export_samples(samples, cfg.output_path, n_points=cfg.prep.n_points)
+    export_samples(samples, cfg.output, n_points=cfg.prep.n_points)
     log.info("wrote %d sample(s) from %d frame(s) to %s, %d failed",
-             len(samples), len(per_frame), cfg.output_path, failed)
+             len(samples), len(per_frame), cfg.output, failed)
     return 1 if failed else 0
 
 
@@ -308,9 +308,9 @@ def _bench_one(stem: str, path: Path | None, cfg: PipelineConfig, reps: int) -> 
 def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
     if reps < 1:
         raise ConfigError("--reps", f"expected integer >= 1, got {reps}")
-    frames = _list_frames(cfg.input_path) if cfg.input_path else [("synthetic", None)]
+    frames = _list_frames(cfg.input) if cfg.input else [("synthetic", None)]
     if not frames:
-        log.warning("no .bin frames under %s", cfg.input_path)
+        log.warning("no .bin frames under %s", cfg.input)
         return 0
     # in this process, so timings do not compete for cores
     records, failed = _run_frames(functools.partial(_bench_one, cfg=cfg, reps=reps), frames)

@@ -5,29 +5,32 @@ ring closed across the azimuth wraparound); each point also links to its
 nearest neighbour on the previous ring when closer than th_prop. Ids are
 the ones a single pass over the rings assigns, after conflicting labels
 merge to the smallest id; `kernels.cluster_scan` computes them in bulk.
+
+`ClusterParams` is declared in `config`, loaded here only when that name
+is read: `eval` uses `ClusterLabeling` and reads no config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
 from .cloud import PointCloud
 
+if TYPE_CHECKING:
+    from .config import ClusterParams
 
-@dataclass(frozen=True)
-class ClusterParams:
-    th_ring: float = 0.5
-    th_prop: float = 1.0
 
-    def __post_init__(self):
-        if self.th_ring <= 0:
-            raise ValueError("th_ring must be > 0")
-        if self.th_prop <= 0:
-            raise ValueError("th_prop must be > 0")
+def __getattr__(name: str):
+    if name == "ClusterParams":
+        from .config import ClusterParams
+
+        return ClusterParams
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,23 @@
-"""Dotted-key configuration: file parsing and validation.
+"""Dotted-key configuration: the parameter classes, file parsing and validation.
 
-The zero-config path reproduces the published run: the defaults of the
-parameter dataclasses are the stock parameter set, and a key that is not
-given keeps its default. A config file is plain `key = value` lines with
-`#` comments; CLI flags override file values. Every key, from a file or a
-flag, is validated before any frame is touched, and a rejected config
-leaves the filesystem alone.
+Each field of the parameter classes is the one declaration of a key: its
+default, its check and the requirement a rejection quotes. The defaults
+are the stock parameter set, so the zero-config run is the published one.
+A key is its field's path, `<section>.<field>` or `<field>` at top level,
+and the size priors take `refine.size_priors.<class>.<min|max>.<axis>`.
+A config file is `key = value` lines with `#` comments; CLI flags
+override file values. Every key, from a file or a flag, is validated
+before any frame is touched, and a rejected config leaves the filesystem
+alone.
 """
 
-from __future__ import annotations
+# no `from __future__ import annotations`: `build_config` casts by field type
+from dataclasses import dataclass, field, fields, is_dataclass
 
-from dataclasses import dataclass, field
+import numpy as np
 
-from .cloud import CLASS_NAMES, FOREGROUND_CLASSES
-from .clustering import ClusterParams
+from .cloud import CLASS_NAMES, FOREGROUND_CLASSES, ClassId
 from .errors import ConfigError
-from .ground import GroundParams
-from .refine import DEFAULT_SIZE_PRIORS, RefineParams, SizePrior
-from .samples import SamplePrepParams
 
 _PRIOR_CLASSES = {CLASS_NAMES[c]: int(c) for c in FOREGROUND_CLASSES}
 _PRIOR_AXES = ("x", "y", "z")
@@ -47,49 +47,156 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _pos(v) -> bool:
-    return v > 0
+# a key's raw string is cast by its field's type; any other type is a path
+_CASTERS = {int: int, float: float, bool: _parse_bool}
 
 
-def _ge(minimum):
-    return lambda v: v >= minimum
+def _param(default, check, requirement: str):
+    """A field whose values must pass `check`; `requirement` says which do."""
+    return field(default=default, metadata={"check": check, "requirement": requirement})
 
 
-def _prob(v) -> bool:
-    return 0.0 <= v <= 1.0
+def _integer(default: int, minimum: int = 1):
+    return _param(default, lambda v: v >= minimum, f"integer >= {minimum}")
 
 
-# key -> (caster, predicate, requirement text)
-_SCHEMA: dict[str, tuple] = {
-    "ground.n_seg": (int, _ge(1), "integer >= 1"),
-    "ground.n_iter": (int, _ge(1), "integer >= 1"),
-    "ground.n_lpr": (int, _ge(3), "integer >= 3"),
-    "ground.th_seeds": (float, _pos, "positive meters"),
-    "ground.th_dist": (float, _pos, "positive meters"),
-    "cluster.th_ring": (float, _pos, "positive meters"),
-    "cluster.th_prop": (float, _pos, "positive meters"),
-    "refine.th_num_base": (int, _ge(1), "integer >= 1"),
-    "refine.d_ref": (float, _pos, "positive meters"),
-    "refine.th_num_floor": (int, _ge(1), "integer >= 1"),
-    "refine.enlarge_xy": (float, _ge(0.0), "meters >= 0"),
-    "refine.enlarge_z": (float, _ge(0.0), "meters >= 0"),
-    "prep.n_points": (int, _ge(1), "integer >= 1"),
-    "prep.background_keep_prob": (float, _prob, "probability in [0, 1]"),
-    "prep.augment": (_parse_bool, lambda v: True, "boolean"),
-    "num_rings": (int, _ge(1), "integer >= 1"),
-    "rng_seed": (int, _ge(0), "integer >= 0"),
-    "jobs": (int, _ge(1), "integer >= 1"),
-    "input": (str, lambda v: True, "path"),
-    "output": (str, lambda v: True, "path"),
+def _meters(default: float, zero_ok: bool = False):
+    if zero_ok:
+        return _param(default, lambda v: v >= 0.0, "meters >= 0")
+    return _param(default, lambda v: v > 0, "positive meters")
+
+
+def _expected(f, shown) -> str:
+    return f"expected {f.metadata['requirement']}, got {shown!r}"
+
+
+class _ParamError(ValueError):
+    """A parameter value fails a check; `name` is the field that carries it."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name}: {reason}")
+        self.name = name
+        self.reason = reason
+
+
+class _Checked:
+    """Runs each declared field check on construction."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "check" in f.metadata and not f.metadata["check"](value):
+                raise _ParamError(f.name, _expected(f, value))
+
+
+@dataclass(frozen=True)
+class SizePrior:
+    """Admissible box extents for one class, full lengths in meters.
+
+    The x range is the long horizontal axis; a candidate's sorted
+    (descending) horizontal extents are matched against (x, y) so box
+    orientation is irrelevant.
+    """
+
+    mins: tuple[float, float, float]
+    maxes: tuple[float, float, float]
+
+    def __post_init__(self):
+        if not all(lo < hi for lo, hi in zip(self.mins, self.maxes)):
+            raise ValueError("size prior mins must be < maxes")
+
+    def admits(self, extents: np.ndarray) -> bool:
+        return bool(_admitted(extents, [self])[0])
+
+
+def _admitted(extents: np.ndarray, priors) -> np.ndarray:
+    """Per box of full extents (k, 3), whether at least one of `priors`
+    admits it (see `SizePrior`)."""
+    e = np.asarray(extents, dtype=np.float64).reshape(-1, 3)
+    e = np.column_stack([e[:, :2].max(axis=1), e[:, :2].min(axis=1), e[:, 2]])
+    lo = np.array([p.mins for p in priors]).reshape(-1, 1, 3)
+    hi = np.array([p.maxes for p in priors]).reshape(-1, 1, 3)
+    return ((lo <= e) & (e <= hi)).all(axis=2).any(axis=0)
+
+
+DEFAULT_SIZE_PRIORS: dict[int, SizePrior] = {
+    int(ClassId.CAR): SizePrior((1.5, 1.2, 1.0), (6.0, 2.5, 2.5)),
+    int(ClassId.PEDESTRIAN): SizePrior((0.2, 0.2, 0.8), (1.2, 1.2, 2.2)),
+    int(ClassId.CYCLIST): SizePrior((0.8, 0.2, 0.8), (2.5, 1.2, 2.2)),
 }
-# top-level keys -> PipelineConfig fields; every other key is <section>.<field>
-_TOP_LEVEL = {"num_rings": "num_rings", "rng_seed": "rng_seed", "jobs": "jobs",
-              "input": "input_path", "output": "output_path"}
 
 
-def _schema_entry(key: str) -> tuple:
+@dataclass(frozen=True)
+class GroundParams(_Checked):
+    """Segmented ground fit (Zermas et al., ICRA 2017)."""
+
+    n_seg: int = _integer(3)
+    n_iter: int = _integer(3)
+    n_lpr: int = _integer(20, minimum=3)
+    th_seeds: float = _meters(0.4)
+    th_dist: float = _meters(0.3)
+
+
+@dataclass(frozen=True)
+class ClusterParams(_Checked):
+    """Ring clustering: intra-ring and previous-ring link distances."""
+
+    th_ring: float = _meters(0.5)
+    th_prop: float = _meters(1.0)
+
+
+@dataclass(frozen=True)
+class RefineParams(_Checked):
+    """Adaptive count threshold, size priors and box enlargement."""
+
+    th_num_base: int = _integer(30)
+    d_ref: float = _meters(10.0)
+    th_num_floor: int = _integer(5)
+    enlarge_xy: float = _meters(0.1, zero_ok=True)
+    enlarge_z: float = _meters(0.4, zero_ok=True)
+    size_priors: dict[int, SizePrior] = field(default_factory=lambda: dict(DEFAULT_SIZE_PRIORS))
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.th_num_base < self.th_num_floor:
+            raise _ParamError("th_num_base", "need th_num_base >= th_num_floor >= 1")
+
+
+@dataclass(frozen=True)
+class SamplePrepParams(_Checked):
+    """Training-sample preparation."""
+
+    n_points: int = _integer(512)
+    augment: bool = _param(False, lambda v: True, "boolean")
+    background_keep_prob: float = _param(0.25, lambda v: 0.0 <= v <= 1.0,
+                                         "probability in [0, 1]")
+
+
+@dataclass(frozen=True)
+class PipelineConfig(_Checked):
+    ground: GroundParams = field(default_factory=GroundParams)
+    cluster: ClusterParams = field(default_factory=ClusterParams)
+    refine: RefineParams = field(default_factory=RefineParams)
+    prep: SamplePrepParams = field(default_factory=SamplePrepParams)
+    num_rings: int = _integer(64)
+    rng_seed: int = _integer(0, minimum=0)
+    jobs: int = _integer(1)
+    input: str | None = _param(None, lambda v: True, "path")
+    output: str | None = _param(None, lambda v: True, "path")
+
+
+# every accepted key -> its field; fields without a check (the size priors)
+# have keys of their own
+_KEYS = {
+    **{f"{top.name}.{f.name}": f for top in fields(PipelineConfig) if is_dataclass(top.type)
+       for f in fields(top.type) if "check" in f.metadata},
+    **{top.name: top for top in fields(PipelineConfig) if "check" in top.metadata},
+}
+
+
+def _field(key: str):
     try:
-        return _SCHEMA[key]
+        return _KEYS[key]
     except KeyError:
         raise ConfigError(key, "unknown key") from None
 
@@ -104,19 +211,6 @@ def _parse_prior_key(key: str) -> tuple[str, str, str]:
     return parts[2], parts[3], parts[4]
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    ground: GroundParams = field(default_factory=GroundParams)
-    cluster: ClusterParams = field(default_factory=ClusterParams)
-    refine: RefineParams = field(default_factory=RefineParams)
-    prep: SamplePrepParams = field(default_factory=SamplePrepParams)
-    num_rings: int = 64
-    rng_seed: int = 0
-    jobs: int = 1
-    input_path: str | None = None
-    output_path: str | None = None
-
-
 def build_config(
     file_values: dict[str, str] | None = None,
     overrides: dict[str, object] | None = None,
@@ -125,18 +219,20 @@ def build_config(
 
     `file_values` are raw strings from read_kv_file; `overrides` are typed
     values (from CLI flags) keyed by the same dotted names and win over the
-    file; None means not given. Both pass the same schema check, and keys
-    given by neither keep the parameter dataclasses' defaults. Raises
-    ConfigError naming the offending key.
+    file; None means not given. Both pass their field's check, and keys
+    given by neither keep the fields' defaults. Raises ConfigError naming
+    the offending key.
     """
-    values: dict[str, object] = {}
+    # section ("" at top level) -> field name -> value
+    kwargs: dict[str, dict[str, object]] = {"": {}}
     prior_values: dict[tuple[str, str, str], float] = {}
 
     def check(key: str, value, shown) -> None:
-        _, pred, req = _schema_entry(key)
-        if not pred(value):
-            raise ConfigError(key, f"expected {req}, got {shown!r}")
-        values[key] = value
+        f = _field(key)
+        if not f.metadata["check"](value):
+            raise ConfigError(key, _expected(f, shown))
+        section, _, name = key.rpartition(".")
+        kwargs.setdefault(section, {})[name] = value
 
     for key, raw in (file_values or {}).items():
         if key.startswith("refine.size_priors."):
@@ -146,23 +242,17 @@ def build_config(
             except ValueError:
                 raise ConfigError(key, f"invalid float: {raw!r}")
             continue
-        caster, _, req = _schema_entry(key)
+        f = _field(key)
         try:
-            value = caster(raw)
+            value = _CASTERS.get(f.type, str)(raw)
         except ValueError:
-            raise ConfigError(key, f"expected {req}, got {raw!r}")
+            raise ConfigError(key, _expected(f, raw))
         check(key, value, raw)
 
     for key, value in (overrides or {}).items():
         if value is not None:
             check(key, value, value)
 
-    def given(section: str) -> dict[str, object]:
-        prefix = section + "."
-        return {key[len(prefix):]: value for key, value in values.items()
-                if key.startswith(prefix)}
-
-    refine_kw = given("refine")
     if prior_values:
         priors = dict(DEFAULT_SIZE_PRIORS)
         for cls_name, cid in _PRIOR_CLASSES.items():
@@ -178,27 +268,15 @@ def build_config(
                 priors[cid] = SizePrior(tuple(mins), tuple(maxes))
             except ValueError as exc:
                 raise ConfigError(f"refine.size_priors.{cls_name}", str(exc))
-        refine_kw["size_priors"] = priors
-    prep_kw = given("prep")
-    if "rng_seed" in values:
-        prep_kw["rng_seed"] = values["rng_seed"]
-
-    try:
-        ground = GroundParams(**given("ground"))
-        cluster = ClusterParams(**given("cluster"))
-        refine = RefineParams(**refine_kw)
-        prep = SamplePrepParams(**prep_kw)
-    except ValueError as exc:
-        raise ConfigError("<params>", str(exc))
-
-    return PipelineConfig(
-        ground=ground,
-        cluster=cluster,
-        refine=refine,
-        prep=prep,
-        **{field_name: values[key] for key, field_name in _TOP_LEVEL.items()
-           if key in values},
-    )
+        kwargs.setdefault("refine", {})["size_priors"] = priors
+    top = kwargs.pop("")
+    sections = {f.name: f.type for f in fields(PipelineConfig)}
+    for section, kw in kwargs.items():
+        try:
+            top[section] = sections[section](**kw)
+        except _ParamError as exc:  # a rule across fields; each field passed its own
+            raise ConfigError(f"{section}.{exc.name}", exc.reason)
+    return PipelineConfig(**top)
 
 
 def load_config(path=None, overrides: dict[str, object] | None = None) -> PipelineConfig:

@@ -3,7 +3,8 @@
 The scene is split into equal-width segments along the driving (x) axis;
 each segment seeds a plane from its lowest points and alternates total
 least-squares fitting with inlier re-selection. The final ground mask is
-the union of the per-segment inlier sets.
+the union of the per-segment inlier sets. `GroundParams`, the fit's
+parameters, is declared in `config`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
+from .config import GroundParams
 from .errors import DegenerateGeometryError
 
 log = logging.getLogger(__name__)
@@ -21,27 +23,6 @@ log = logging.getLogger(__name__)
 # two smallest covariance eigenvalues closer than this have no unique
 # smallest-variance direction
 _EIG_DEGENERACY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GroundParams:
-    n_seg: int = 3
-    n_iter: int = 3
-    n_lpr: int = 20
-    th_seeds: float = 0.4
-    th_dist: float = 0.3
-
-    def __post_init__(self):
-        if self.n_seg < 1:
-            raise ValueError("n_seg must be >= 1")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be >= 1")
-        if self.n_lpr < 3:
-            raise ValueError("n_lpr must be >= 3")
-        if self.th_seeds <= 0:
-            raise ValueError("th_seeds must be > 0")
-        if self.th_dist <= 0:
-            raise ValueError("th_dist must be > 0")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ surviving proposals are enlarged downward to re-absorb near-ground points
 arrays, which the filter reads, so `OrientedBBox` objects are built only
 for the clusters it keeps. The box fit needs only numpy: the hull is
 Andrew's monotone chain and the rotating calipers run over its edges.
+
+`RefineParams`, `SizePrior` and `DEFAULT_SIZE_PRIORS` are declared in
+`config`; this module imports them from there, and they resolve here too.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cloud import ClassId, PointCloud
+from .cloud import PointCloud
 from .clustering import ClusterLabeling
+from .config import DEFAULT_SIZE_PRIORS, RefineParams, SizePrior, _admitted  # noqa: F401
 
 # degenerate clusters (single point, collinear, flat) get this half extent
 EPS_HALF_EXTENT = 0.01
@@ -119,63 +123,6 @@ class OrientedBBox:
     @property
     def area(self) -> float:
         return 4.0 * self.half_extents[0] * self.half_extents[1]
-
-
-@dataclass(frozen=True)
-class SizePrior:
-    """Admissible box extents for one class, full lengths in meters.
-
-    The x range is the long horizontal axis; a candidate's sorted
-    (descending) horizontal extents are matched against (x, y) so box
-    orientation is irrelevant.
-    """
-
-    mins: tuple[float, float, float]
-    maxes: tuple[float, float, float]
-
-    def __post_init__(self):
-        if not all(lo < hi for lo, hi in zip(self.mins, self.maxes)):
-            raise ValueError("size prior mins must be < maxes")
-
-    def admits(self, extents: np.ndarray) -> bool:
-        return bool(_admitted(extents, [self])[0])
-
-
-def _admitted(extents: np.ndarray, priors) -> np.ndarray:
-    """Per box of full extents (k, 3), whether at least one of `priors`
-    admits it (see `SizePrior`)."""
-    e = np.asarray(extents, dtype=np.float64).reshape(-1, 3)
-    e = np.column_stack([e[:, :2].max(axis=1), e[:, :2].min(axis=1), e[:, 2]])
-    lo = np.array([p.mins for p in priors]).reshape(-1, 1, 3)
-    hi = np.array([p.maxes for p in priors]).reshape(-1, 1, 3)
-    return ((lo <= e) & (e <= hi)).all(axis=2).any(axis=0)
-
-
-DEFAULT_SIZE_PRIORS: dict[int, SizePrior] = {
-    int(ClassId.CAR): SizePrior((1.5, 1.2, 1.0), (6.0, 2.5, 2.5)),
-    int(ClassId.PEDESTRIAN): SizePrior((0.2, 0.2, 0.8), (1.2, 1.2, 2.2)),
-    int(ClassId.CYCLIST): SizePrior((0.8, 0.2, 0.8), (2.5, 1.2, 2.2)),
-}
-
-
-@dataclass(frozen=True)
-class RefineParams:
-    th_num_base: int = 30
-    d_ref: float = 10.0
-    th_num_floor: int = 5
-    enlarge_xy: float = 0.1
-    enlarge_z: float = 0.4
-    size_priors: dict[int, SizePrior] | None = None
-
-    def __post_init__(self):
-        if self.th_num_floor < 1 or self.th_num_base < self.th_num_floor:
-            raise ValueError("need th_num_base >= th_num_floor >= 1")
-        if self.d_ref <= 0:
-            raise ValueError("d_ref must be > 0")
-        if self.enlarge_xy < 0 or self.enlarge_z < 0:
-            raise ValueError("enlargements must be >= 0")
-        if self.size_priors is None:
-            object.__setattr__(self, "size_priors", dict(DEFAULT_SIZE_PRIORS))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ box sits in the first octant. Eight planar isometries (four rotations,
 four roto-reflections about the box center) generate the augmentation
 variants; every variant is a point set the sensor could genuinely have
 produced. Samples are resampled to a fixed row count and serialized to a
-flat binary archive that round-trips bit-exactly.
+flat binary archive that round-trips bit-exactly. `SamplePrepParams`, the
+preparation parameters, is declared in `config` and resolves here too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cloud import ClassId, PointCloud
+from .config import SamplePrepParams  # noqa: F401
 from .errors import FileFormatError
 from .refine import OrientedBBox, Proposal
 
@@ -40,20 +42,6 @@ _MIRROR = np.array([[1.0, 0.0], [0.0, -1.0]])
 DIHEDRAL_LINEAR = np.stack(_ROT + [_MIRROR @ r for r in _ROT])
 # odd quarter-turns swap the box extents
 _SWAPS = (False, True, False, True, False, True, False, True)
-
-
-@dataclass(frozen=True)
-class SamplePrepParams:
-    n_points: int = 512
-    rng_seed: int = 0
-    augment: bool = False
-    background_keep_prob: float = 0.25
-
-    def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if not 0.0 <= self.background_keep_prob <= 1.0:
-            raise ValueError("background_keep_prob must be in [0, 1]")
 
 
 @dataclass(frozen=True)

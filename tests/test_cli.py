@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringseg import PipelineConfig, build_config, load_samples
+from ringseg import ConfigError, PipelineConfig, build_config, load_samples
 from ringseg.cli import main
+from ringseg.config import _KEYS
 
 SCENE_TEXT = """
 seed = 20
@@ -281,11 +282,14 @@ def test_commands_reject_flags_they_ignore(argv, capsys):
 def test_invalid_config_names_key(tmp_path, caplog):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("ground.n_seg = -2\n")
+    below_floor = tmp_path / "floor.cfg"
+    below_floor.write_text("refine.th_num_base = 3\n")  # under the default floor, 5
     scene = tmp_path / "scene.cfg"
     scene.write_text(SCENE_TEXT)
     io = ["--output", str(tmp_path / "o")]
     src = ["--input", str(tmp_path)]
     cases = [(["segment", "--config", str(cfg), *src], "ground.n_seg"),
+             (["segment", "--config", str(below_floor), *src], "refine.th_num_base"),
              (["bench", "--reps", "1", "--seed", "-1", *src], "rng_seed"),
              (["segment", "--jobs", "0", *src], "jobs"),
              (["prepare", "--n-points", "0", *src], "prep.n_points"),
@@ -302,6 +306,48 @@ def test_default_config_is_dataclass_defaults():
     assert build_config() == PipelineConfig()
     assert build_config({"jobs": "2", "prep.n_points": "64"}) == build_config(
         None, {"jobs": 2, "prep.n_points": 64})
+
+
+# for every key: a value its check rejects and the requirement the error
+# quotes; a path accepts any value
+REJECTED = {
+    "ground.n_seg": ("0", "integer >= 1"),
+    "ground.n_iter": ("-2", "integer >= 1"),
+    "ground.n_lpr": ("2", "integer >= 3"),
+    "ground.th_seeds": ("0", "positive meters"),
+    "ground.th_dist": ("nan", "positive meters"),
+    "cluster.th_ring": ("-0.5", "positive meters"),
+    "cluster.th_prop": ("0.0", "positive meters"),
+    "refine.th_num_base": ("0", "integer >= 1"),
+    "refine.d_ref": ("0", "positive meters"),
+    "refine.th_num_floor": ("0", "integer >= 1"),
+    "refine.enlarge_xy": ("-0.1", "meters >= 0"),
+    "refine.enlarge_z": ("-1", "meters >= 0"),
+    "prep.n_points": ("0", "integer >= 1"),
+    "prep.background_keep_prob": ("1.5", "probability in [0, 1]"),
+    "prep.augment": ("maybe", "boolean"),
+    "num_rings": ("1.5", "integer >= 1"),
+    "rng_seed": ("-1", "integer >= 0"),
+    "jobs": ("0", "integer >= 1"),
+    "input": None,
+    "output": None,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_each_key_checked(key):
+    assert set(REJECTED) == set(_KEYS)
+    bogus = f"{key.rpartition('.')[0] or key}.bogus"
+    with pytest.raises(ConfigError) as exc:
+        build_config({bogus: "1"})
+    assert (exc.value.key, exc.value.reason) == (bogus, "unknown key")
+    if REJECTED[key] is None:
+        return
+    bad, requirement = REJECTED[key]
+    with pytest.raises(ConfigError) as exc:
+        build_config({key: bad})
+    assert (exc.value.key, exc.value.reason) == (key, f"expected {requirement}, got {bad!r}")
+    assert build_config({key: str(_KEYS[key].default)}) == PipelineConfig()
 
 
 def test_unknown_config_key(tmp_path, caplog):

@@ -26,8 +26,10 @@ SUBMODULES = frozenset(m.name for m in pkgutil.iter_modules(ringseg.__path__))
 # what each command loads: itself and, forked from it, its pool workers
 COMMAND_MODULES = {
     "eval": {"cli", "errors", "cloud", "kernels", "clustering", "metrics"},
-    "segment": SUBMODULES - {"bench", "metrics", "synth"},
-    "prepare": SUBMODULES - {"pipeline", "bench", "metrics", "synth"},
+    "segment": SUBMODULES - {"bench", "metrics", "samples", "synth"},
+    "prepare": SUBMODULES - {"pipeline", "bench", "ground", "metrics", "synth"},
+    "synth": {"cli", "cloud", "config", "errors", "kernels", "synth"},
+    "bench": SUBMODULES - {"samples", "metrics", "synth"},
 }
 LOADED = "sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('ringseg.'))"
 
@@ -83,6 +85,8 @@ def two_frames(tmp_path_factory):
             rng_seed=k, objects=(car,)))
         ringseg.save_point_cloud(scene.cloud, root / "in" / f"{k:06d}.bin")
         ringseg.save_labels(scene.cloud.labels, root / "in" / f"{k:06d}.label")
+    (root / "scene.cfg").write_text("num_rings = 16\npoints_per_ring = 400\n"
+                                    "elevation_min_deg = -14\nelevation_max_deg = -1.2\n")
     return root
 
 
@@ -94,6 +98,8 @@ def test_each_command_loads_only_its_modules(two_frames):
         "prepare": ["prepare", "--input", "in", "--segments", "seg", "--output",
                     "s.ps3d", "--augment", "--jobs", "2"],
         "eval": ["eval", "--gt", "in", "--clusters", "seg", "--output", "e.txt"],
+        "synth": ["synth", "--scene", "scene.cfg", "--output", "synth"],
+        "bench": ["bench", "--input", "in", "--reps", "1", "--output", "b.txt"],
     }
-    for command, argv in runs.items():  # in order: each reads the one before
+    for command, argv in runs.items():  # in order: prepare and eval read seg/
         assert set(_fresh(code, *argv, cwd=two_frames)) == COMMAND_MODULES[command], command
