@@ -30,8 +30,8 @@ _EXPORTS = {
     **dict.fromkeys(("AlignmentError", "ConfigError", "DegenerateGeometryError",
                      "FileFormatError", "InvalidClassError", "RingSegError",
                      "ScanFormatError", "SceneValidationError"), "errors"),
-    **dict.fromkeys(("PlaneModel", "extract_initial_seeds", "fit_plane", "ground_plane_fit",
-                     "split_segments"), "ground"),
+    **dict.fromkeys(("PlaneModel", "extract_initial_seeds", "fit_plane", "ground_plane_fit"),
+                    "ground"),
     **dict.fromkeys(("MetricsReport", "RecallReport", "pointwise_metrics",
                      "proposal_recall"), "metrics"),
     **dict.fromkeys(("Stage1Result", "run_stage1"), "pipeline"),

@@ -51,9 +51,11 @@ def _parse_bool(raw: str) -> bool:
 _CASTERS = {int: int, float: float, bool: _parse_bool}
 
 
-def _param(default, check, requirement: str):
-    """A field whose values must pass `check`; `requirement` says which do."""
-    return field(default=default, metadata={"check": check, "requirement": requirement})
+def _param(default, check, requirement: str, parse=None):
+    """A field whose values must pass `check`; `requirement` says which do.
+    `parse` casts a file's string, by the field's type when None (`_CASTERS`)."""
+    return field(default=default,
+                 metadata={"check": check, "requirement": requirement, "parse": parse})
 
 
 def _integer(default: int, minimum: int = 1):
@@ -79,14 +81,33 @@ class _ParamError(ValueError):
         self.reason = reason
 
 
+def check_fields(obj) -> None:
+    """Run each declared field check of dataclass `obj`; the first value
+    that fails raises a ValueError naming its field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "check" in f.metadata and not f.metadata["check"](value):
+            raise _ParamError(f.name, _expected(f, value))
+
+
+def field_value(key: str, f, raw):
+    """`raw` as a value of field `f`, cast when it is a file's string (a CLI
+    flag's is typed) and checked; ConfigError names `key` otherwise."""
+    value = raw
+    if isinstance(raw, str):
+        try:
+            value = (f.metadata["parse"] or _CASTERS.get(f.type, str))(raw)
+        except ValueError:
+            raise ConfigError(key, _expected(f, raw)) from None
+    if not f.metadata["check"](value):
+        raise ConfigError(key, _expected(f, raw))
+    return value
+
+
 class _Checked:
     """Runs each declared field check on construction."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if "check" in f.metadata and not f.metadata["check"](value):
-                raise _ParamError(f.name, _expected(f, value))
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -227,12 +248,9 @@ def build_config(
     kwargs: dict[str, dict[str, object]] = {"": {}}
     prior_values: dict[tuple[str, str, str], float] = {}
 
-    def check(key: str, value, shown) -> None:
-        f = _field(key)
-        if not f.metadata["check"](value):
-            raise ConfigError(key, _expected(f, shown))
+    def put(key: str, raw) -> None:
         section, _, name = key.rpartition(".")
-        kwargs.setdefault(section, {})[name] = value
+        kwargs.setdefault(section, {})[name] = field_value(key, _field(key), raw)
 
     for key, raw in (file_values or {}).items():
         if key.startswith("refine.size_priors."):
@@ -242,16 +260,11 @@ def build_config(
             except ValueError:
                 raise ConfigError(key, f"invalid float: {raw!r}")
             continue
-        f = _field(key)
-        try:
-            value = _CASTERS.get(f.type, str)(raw)
-        except ValueError:
-            raise ConfigError(key, _expected(f, raw))
-        check(key, value, raw)
+        put(key, raw)
 
     for key, value in (overrides or {}).items():
         if value is not None:
-            check(key, value, value)
+            put(key, value)
 
     if prior_values:
         priors = dict(DEFAULT_SIZE_PRIORS)

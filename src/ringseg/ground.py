@@ -64,12 +64,6 @@ def segment_of(x, lo: float, width: float, n_seg: int):
     return np.clip(np.ceil((x - lo) / width).astype(np.int64) - 1, 0, n_seg - 1)
 
 
-def split_segments(cloud: PointCloud, n_seg: int) -> np.ndarray:
-    """Segment index of every point of the cloud (see `segment_of`)."""
-    x = cloud.xyz[:, 0]
-    return segment_of(x, *segment_bounds(x, n_seg), n_seg)
-
-
 def _seed_mask(z: np.ndarray, n_lpr: int, th_seeds: float) -> np.ndarray:
     if z.size == 0:
         raise ValueError("segment must be non-empty")

@@ -22,7 +22,6 @@ from .ground import (
     ground_plane_fit,
     segment_bounds,
     segment_of,
-    split_segments,
 )
 from .refine import (
     Proposal,
@@ -74,7 +73,8 @@ def run_stage1(
     t_rings = time.perf_counter()
 
     n_seg = ground_params.n_seg
-    segment_idx = split_segments(cloud, n_seg)
+    lo, width = segment_bounds(cloud.xyz[:, 0], n_seg)
+    segment_idx = segment_of(cloud.xyz[:, 0], lo, width, n_seg)
     ground_mask, planes = ground_plane_fit(cloud, segment_idx, ground_params)
     t_ground = time.perf_counter()
 
@@ -83,7 +83,6 @@ def run_stage1(
     labeling = cluster_ring_based(sub, cluster_params)
     t_cluster = time.perf_counter()
 
-    lo, width = segment_bounds(cloud.xyz[:, 0], n_seg)
     # rows in ascending cluster id, the order filter_proposals reads
     offsets = labeling.offsets
     points = sub.xyz[labeling.order]

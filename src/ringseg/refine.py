@@ -109,17 +109,6 @@ class OrientedBBox:
         inside &= local[:, 2] <= self.half_extents[2]
         return inside
 
-    def corners(self) -> np.ndarray:
-        """(8, 3) corners; the first four are the bottom face, CCW."""
-        ax = self.axes()
-        hx, hy, hz = self.half_extents
-        signs = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-        out = []
-        for sz in (-1, 1):
-            for sx, sy in signs:
-                out.append(self.center + ax @ (np.array([sx * hx, sy * hy, sz * hz])))
-        return np.array(out)
-
     @property
     def area(self) -> float:
         return 4.0 * self.half_extents[0] * self.half_extents[1]
@@ -437,7 +426,10 @@ def filter_proposals(
     if len(table) != ids.size or np.shape(distances) != ids.shape:
         raise ValueError("filter_proposals needs one distance and one box per cluster")
     counts = np.diff(labeling.offsets)
-    ok = counts >= adaptive_threshold(distances, params)
+    # the count threshold grows without bound as d -> 0, so a cluster at the
+    # sensor origin (no-return records written as zeros) cannot reach it
+    ok = distances > 0
+    ok[ok] = counts[ok] >= adaptive_threshold(distances[ok], params)
     ok &= _admitted(2.0 * table.half_extents, params.size_priors.values())
     keep = np.zeros(int(ids.max()) + 1 if ids.size else 1, dtype=bool)
     keep[ids[ok]] = True

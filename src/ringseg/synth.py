@@ -6,25 +6,52 @@ primitives (boxes for cars, cylinders for pedestrians, box+cylinder for
 cyclists). Every emitted point carries its true ring index, class label
 and ground membership, which the pipeline tests use as oracles.
 
+Each `SceneSpec` / `ObjectSpec` field declares a scene parameter's
+default, check and requirement once, through `config._param`; the checks
+run when a scene file is read (ConfigError naming the key) and when a
+scene is generated (SceneValidationError), not when a spec is built.
+
 Specs are validated so that every ray returns: elevations must all strike
 the ground when no object is in the way, which keeps each ring a complete
 revolution and makes quadrant-traced ring ids exactly reproducible.
 """
 
-from __future__ import annotations
-
+# no `from __future__ import annotations`: `scene_from_file` casts by field type
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .cloud import CLASS_NAMES, FOREGROUND_CLASSES, ClassId, PointCloud
-from .errors import SceneValidationError
+from .config import _integer, _param, check_fields, field_value, read_kv_file
+from .errors import ConfigError, SceneValidationError
 
 TWO_PI = 2.0 * math.pi
 
 # fraction of a bike's height at which the rider cylinder starts
 _RIDER_BASE_FRACTION = 0.55
+
+# shape -> the sizes it must have positive
+_SHAPE_SIZES = {"box": ("length", "width", "height"), "cylinder": ("radius", "height"),
+                "composite": ("length", "width", "height", "radius", "rider_height")}
+_CLASS_BY_NAME = {name: int(cid) for cid, name in CLASS_NAMES.items()}
+
+
+def _class_id(value: str) -> int:
+    """A class name (any case) or its integer id."""
+    name = value.lower()
+    return _CLASS_BY_NAME[name] if name in _CLASS_BY_NAME else int(value)
+
+
+def _finite(default, unit: str = "meters"):
+    return _param(default, math.isfinite, f"finite {unit}")
+
+
+def _size(default: float = 0.0):
+    return _param(default, lambda v: 0.0 <= v < math.inf, "finite meters >= 0")
+
+
+_ELEVATION = (lambda v: -90.0 <= v <= 90.0, "degrees in [-90, 90]")
 
 
 @dataclass(frozen=True)
@@ -35,18 +62,22 @@ class ObjectSpec:
     an explicit z_base is validated against the ground instead.
     """
 
-    class_id: int
-    shape: str  # "box" | "cylinder" | "composite"
-    x: float
-    y: float
-    yaw_deg: float = 0.0
-    length: float = 0.0
-    width: float = 0.0
-    height: float = 0.0
-    radius: float = 0.0
-    rider_height: float = 0.0
-    clearance: float = 0.0
-    z_base: float | None = None
+    class_id: int = _param(
+        MISSING, lambda v: v in _CLASS_BY_NAME.values(),
+        f"class name or id ({', '.join(f'{n}={c}' for n, c in _CLASS_BY_NAME.items())})",
+        parse=_class_id)
+    shape: str = _param(MISSING, lambda v: v in _SHAPE_SIZES, f"one of {', '.join(_SHAPE_SIZES)}")
+    x: float = _finite(MISSING)
+    y: float = _finite(MISSING)
+    yaw_deg: float = _finite(0.0, "degrees")
+    length: float = _size()
+    width: float = _size()
+    height: float = _size()
+    radius: float = _size()
+    rider_height: float = _size()
+    clearance: float = _size()
+    z_base: float | None = _param(None, lambda v: v is None or math.isfinite(v),
+                                  "finite meters", parse=float)
 
     def footprint_radius(self) -> float:
         box_r = math.hypot(self.length, self.width) / 2.0
@@ -57,32 +88,22 @@ class ObjectSpec:
         return max(box_r, self.radius)
 
     def validate(self) -> None:
-        if self.class_id not in tuple(int(c) for c in ClassId):
-            raise SceneValidationError(f"unknown class id {self.class_id}")
-        if self.shape not in ("box", "cylinder", "composite"):
-            raise SceneValidationError(f"unknown shape {self.shape!r}")
-        if self.shape in ("box", "composite"):
-            if min(self.length, self.width, self.height) <= 0:
-                raise SceneValidationError("box dimensions must be positive")
-        if self.shape in ("cylinder", "composite"):
-            if self.radius <= 0:
-                raise SceneValidationError("cylinder radius must be positive")
-        if self.shape == "cylinder" and self.height <= 0:
-            raise SceneValidationError("cylinder height must be positive")
-        if self.shape == "composite" and self.rider_height <= 0:
-            raise SceneValidationError("composite rider_height must be positive")
+        """The shape's size rules; each field has passed its own check."""
+        zero = [name for name in _SHAPE_SIZES[self.shape] if getattr(self, name) <= 0]
+        if zero:
+            raise SceneValidationError(f"a {self.shape} needs positive {', '.join(zero)}")
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    num_rings: int = 64
-    points_per_ring: int = 1600
-    elevation_min_deg: float = -24.8
-    elevation_max_deg: float = -0.4
-    sensor_height: float = 1.73
-    ground_tilt_deg: float = 0.0
-    noise_sigma: float = 0.0
-    rng_seed: int = 0
+    num_rings: int = _integer(64)
+    points_per_ring: int = _integer(1600, minimum=8)
+    elevation_min_deg: float = _param(-24.8, *_ELEVATION)
+    elevation_max_deg: float = _param(-0.4, *_ELEVATION)
+    sensor_height: float = _param(1.73, lambda v: 0.0 < v < math.inf, "finite positive meters")
+    ground_tilt_deg: float = _param(0.0, lambda v: -90.0 < v < 90.0, "degrees in (-90, 90)")
+    noise_sigma: float = _size()
+    rng_seed: int = _integer(0, minimum=0)
     objects: tuple[ObjectSpec, ...] = field(default_factory=tuple)
 
     def ground_plane(self) -> tuple[np.ndarray, float]:
@@ -187,9 +208,18 @@ def _object_distances(obj: ObjectSpec, z_base: float, dirs: np.ndarray) -> np.nd
     return t
 
 
+def _check(spec, where: str = "") -> None:
+    """`check_fields`, raising SceneValidationError."""
+    try:
+        check_fields(spec)
+    except ValueError as exc:
+        raise SceneValidationError(where + str(exc)) from None
+
+
 def _validate_layout(spec: SceneSpec) -> None:
     objs = spec.objects
-    for obj in objs:
+    for i, obj in enumerate(objs):
+        _check(obj, f"objects.{i}.")
         obj.validate()
         if math.hypot(obj.x, obj.y) < obj.footprint_radius() + 0.5:
             raise SceneValidationError("object footprint overlaps the sensor origin")
@@ -207,8 +237,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     some ray would not return (incomplete rings would make ring ids
     untraceable from the data).
     """
-    if spec.num_rings < 1 or spec.points_per_ring < 8:
-        raise SceneValidationError("need num_rings >= 1 and points_per_ring >= 8")
+    _check(spec)
     if spec.elevation_min_deg > spec.elevation_max_deg:
         raise SceneValidationError("elevation_min_deg > elevation_max_deg")
     _validate_layout(spec)
@@ -216,12 +245,9 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     normal, offset = spec.ground_plane()
     z_bases = [_object_z_base(obj, normal, offset) for obj in spec.objects]
 
-    if spec.num_rings == 1:
-        elevations = np.array([math.radians(spec.elevation_min_deg)])
-    else:
-        elevations = np.radians(
-            np.linspace(spec.elevation_min_deg, spec.elevation_max_deg, spec.num_rings)
-        )
+    elevations = np.radians(
+        np.linspace(spec.elevation_min_deg, spec.elevation_max_deg, spec.num_rings)
+    )
     a = spec.points_per_ring
     step = TWO_PI / a
     azimuths = step / 2.0 + step * np.arange(a)  # stays off the axes
@@ -278,77 +304,48 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     )
 
 
-_SCENE_FIELDS = {
-    "seed": ("rng_seed", int),
-    "num_rings": ("num_rings", int),
-    "points_per_ring": ("points_per_ring", int),
-    "elevation_min_deg": ("elevation_min_deg", float),
-    "elevation_max_deg": ("elevation_max_deg", float),
-    "sensor_height": ("sensor_height", float),
-    "ground_tilt_deg": ("ground_tilt_deg", float),
-    "noise_sigma": ("noise_sigma", float),
-}
-_CLASS_BY_NAME = {name: int(cid) for cid, name in CLASS_NAMES.items()}
+# fields whose scene-file key is an alias
+_KEY_OF = {"rng_seed": "seed", "class_id": "class"}
 
 
-def _class_id(value: str) -> int:
-    """A class name (any case) or its integer id."""
-    name = value.lower()
-    return _CLASS_BY_NAME[name] if name in _CLASS_BY_NAME else int(value)
+def _keys(spec_type) -> dict:
+    """Scene-file key -> field, for every checked field of `spec_type`."""
+    return {_KEY_OF.get(f.name, f.name): f for f in fields(spec_type) if "check" in f.metadata}
 
 
-_OBJECT_FIELDS = {
-    "class": ("class_id", _class_id),
-    "shape": ("shape", str),
-    "x": ("x", float),
-    "y": ("y", float),
-    "yaw_deg": ("yaw_deg", float),
-    "length": ("length", float),
-    "width": ("width", float),
-    "height": ("height", float),
-    "radius": ("radius", float),
-    "rider_height": ("rider_height", float),
-    "clearance": ("clearance", float),
-    "z_base": ("z_base", float),
-}
+_SCENE_KEYS = _keys(SceneSpec)
+_OBJECT_KEYS = _keys(ObjectSpec)
 
 
 def scene_from_file(path) -> SceneSpec:
     """Build a SceneSpec from a `key = value` file.
 
-    Scalar keys mirror SceneSpec fields (`seed` maps to rng_seed); objects
-    use `objects.<index>.<field>`, e.g. `objects.0.class = car`.
+    Scalar keys are SceneSpec fields (`seed` for rng_seed); objects use
+    `objects.<index>.<field>` for ObjectSpec fields (`class`, a name or
+    id, for class_id), e.g. `objects.0.class = car`. A value its field
+    rejects, an unknown key or a missing required one raises ConfigError.
     """
-    from .config import read_kv_file
-    from .errors import ConfigError
-
-    raw = read_kv_file(path)
     scene_kwargs: dict = {}
     object_kwargs: dict[int, dict] = {}
-    for key, value in raw.items():
+    for key, raw in read_kv_file(path).items():
         if key.startswith("objects."):
             parts = key.split(".")
-            if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _OBJECT_FIELDS:
+            if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _OBJECT_KEYS:
                 raise ConfigError(key, "expected objects.<index>.<field>")
-            field_name, caster = _OBJECT_FIELDS[parts[2]]
-            try:
-                parsed = caster(value)
-            except ValueError:
-                raise ConfigError(key, f"invalid value {value!r}")
-            object_kwargs.setdefault(int(parts[1]), {})[field_name] = parsed
-        elif key in _SCENE_FIELDS:
-            field_name, caster = _SCENE_FIELDS[key]
-            try:
-                scene_kwargs[field_name] = caster(value)
-            except ValueError:
-                raise ConfigError(key, f"invalid value {value!r}")
+            f = _OBJECT_KEYS[parts[2]]
+            object_kwargs.setdefault(int(parts[1]), {})[f.name] = field_value(key, f, raw)
+        elif key in _SCENE_KEYS:
+            f = _SCENE_KEYS[key]
+            scene_kwargs[f.name] = field_value(key, f, raw)
         else:
             raise ConfigError(key, "unknown scene key")
+    required = [key for key, f in _OBJECT_KEYS.items() if f.default is MISSING]
     objects = []
     for idx in sorted(object_kwargs):
         kwargs = object_kwargs[idx]
-        if "class_id" not in kwargs or "shape" not in kwargs:
-            raise ConfigError(f"objects.{idx}", "class and shape are required")
+        missing = [key for key in required if _OBJECT_KEYS[key].name not in kwargs]
+        if missing:
+            raise ConfigError(f"objects.{idx}", f"missing {', '.join(missing)}")
         objects.append(ObjectSpec(**kwargs))
     return SceneSpec(objects=tuple(objects), **scene_kwargs)
 

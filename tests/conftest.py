@@ -6,12 +6,19 @@ import pytest
 
 from ringseg import PointCloud
 from ringseg.cloud import ClassId
+from ringseg.ground import segment_bounds, segment_of
 from ringseg.synth import ObjectSpec, SceneSpec, sample_traffic_scene
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def x_segments(cloud: PointCloud, n_seg: int) -> np.ndarray:
+    """Each point's ground segment, binned as `run_stage1` bins a frame."""
+    x = cloud.xyz[:, 0]
+    return segment_of(x, *segment_bounds(x, n_seg), n_seg)
 
 
 def random_ring_scene(rng, max_points: int = 300, min_rings: int = 4,

@@ -6,7 +6,9 @@ The frames are `sample_traffic_scene` seeds 0-11, the acceptance-test
 timing frame (seed 0, 8 objects), the clutter frame from `conftest`, and
 the benchmark's `open_road` and `dense_urban` frame sets at seed 3 (from
 `perfbench/workloads.py`, which this script only imports).
-The artefacts are the in-process stage-1 integer outputs (labels, ground
+The artefacts are the generated frames themselves (xyz, intensity,
+labels, ring ids and ground mask, plus the files `synth` writes for the
+README walkthrough scene), the in-process stage-1 integer outputs (labels, ground
 mask, proposal members) and float outputs (boxes, distances, ground
 planes), the `.cluster` files and proposal manifests `segment` writes, the
 `.ps3d` archive `prepare --augment` writes, and the `eval --clusters`
@@ -32,6 +34,28 @@ from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
+# the README's CLI walkthrough scene
+WALKTHROUGH_SCENE = """
+seed = 20
+num_rings = 64
+points_per_ring = 1600
+noise_sigma = 0.02
+objects.0.class = car
+objects.0.shape = box
+objects.0.x = 12.0
+objects.0.y = -3.0
+objects.0.yaw_deg = 40
+objects.0.length = 4.2
+objects.0.width = 1.8
+objects.0.height = 1.5
+objects.1.class = pedestrian
+objects.1.shape = cylinder
+objects.1.x = -8.0
+objects.1.y = 4.0
+objects.1.radius = 0.4
+objects.1.height = 1.7
+"""
+
 
 def frame_specs():
     specs = [(f"{seed:06d}", sample_traffic_scene(seed)) for seed in range(12)]
@@ -41,6 +65,14 @@ def frame_specs():
         specs += [(f"{name}_{k:02d}", spec)
                   for k, spec in enumerate(workloads.frame_specs(name, seed=3))]
     return specs
+
+
+def _frame(digest, scene) -> None:
+    cloud = scene.cloud
+    for array in (cloud.xyz.astype("<f8"), cloud.intensity.astype("<f8"),
+                  cloud.labels.astype(np.uint8), scene.ring_ids.astype("<i8"),
+                  scene.ground_mask.astype(np.uint8)):
+        digest.update(array.tobytes())
 
 
 def _stage1(digests: dict, cloud, cfg) -> None:
@@ -68,19 +100,25 @@ def _files(digests: dict, key: str, paths) -> None:
 def main() -> int:
     logging.disable(logging.INFO)
     cfg = load_config()
-    keys = ("stage1.ints", "stage1.floats", "segment.cluster", "segment.manifest",
-            "prepare.ps3d", "eval.report")
+    keys = ("synth.frames", "stage1.ints", "stage1.floats", "segment.cluster",
+            "segment.manifest", "prepare.ps3d", "eval.report")
     digests = {key: hashlib.sha256() for key in keys}
     with tempfile.TemporaryDirectory() as tmp:
         frames, seg = Path(tmp, "frames"), Path(tmp, "seg")
         frames.mkdir()
         for stem, spec in frame_specs():
-            cloud = generate_synthetic_scene(spec).cloud
+            scene = generate_synthetic_scene(spec)
+            _frame(digests["synth.frames"], scene)
+            cloud = scene.cloud
             _stage1(digests, cloud, cfg)
             save_point_cloud(cloud, frames / f"{stem}.bin")
             save_labels(cloud.labels, frames / f"{stem}.label")
         archive, report = Path(tmp, "samples.ps3d"), Path(tmp, "eval.txt")
-        for argv in (["segment", "--input", str(frames), "--output", str(seg)],
+        scene_file, synth = Path(tmp, "scene.cfg"), Path(tmp, "synth")
+        scene_file.write_text(WALKTHROUGH_SCENE)
+        for argv in (["synth", "--scene", str(scene_file), "--output", str(synth),
+                      "--frames", "3"],
+                     ["segment", "--input", str(frames), "--output", str(seg)],
                      ["prepare", "--input", str(frames), "--segments", str(seg),
                       "--output", str(archive), "--augment", "--seed", "7"],
                      ["eval", "--gt", str(frames), "--clusters", str(seg),
@@ -88,6 +126,7 @@ def main() -> int:
             if cli_main(argv) != 0:
                 print(f"ringseg {argv[0]} failed", file=sys.stderr)
                 return 1
+        _files(digests, "synth.frames", sorted(synth.iterdir()))
         _files(digests, "segment.cluster", sorted(seg.glob("*.cluster")))
         _files(digests, "segment.manifest", sorted(seg.glob("*.proposals.txt")))
         _files(digests, "prepare.ps3d", [archive])

@@ -33,7 +33,6 @@ from ringseg import (
     run_stage1,
     save_labels,
     save_point_cloud,
-    split_segments,
 )
 from ringseg.cli import main
 from ringseg.refine import plane_basis
@@ -41,7 +40,7 @@ from ringseg.samples import DIHEDRAL_LINEAR
 from ringseg.synth import ObjectSpec, SceneSpec, generate_synthetic_scene, \
     sample_traffic_scene
 
-from conftest import random_cloud, random_ring_scene
+from conftest import random_cloud, random_ring_scene, x_segments
 from oracles import (
     brute_force_clusters,
     canonical_partition,
@@ -97,7 +96,7 @@ def test_02_ground_fit_correctness():
         for seed in range(3):
             scene = generate_synthetic_scene(_clearance_scene(tilt, seed))
             cloud = scene.cloud
-            mask, _ = ground_plane_fit(cloud, split_segments(cloud, params.n_seg),
+            mask, _ = ground_plane_fit(cloud, x_segments(cloud, params.n_seg),
                                        params)
             dist = np.abs(cloud.xyz @ scene.ground_normal + scene.ground_offset)
             analytic = dist < params.th_dist

@@ -5,7 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringseg import ConfigError, PipelineConfig, build_config, load_samples
+from ringseg import (
+    ConfigError,
+    PipelineConfig,
+    PointCloud,
+    build_config,
+    generate_synthetic_scene,
+    load_samples,
+    sample_traffic_scene,
+    save_labels,
+    save_point_cloud,
+)
 from ringseg.cli import main
 from ringseg.config import _KEYS
 
@@ -348,6 +358,49 @@ def test_each_key_checked(key):
         build_config({key: bad})
     assert (exc.value.key, exc.value.reason) == (key, f"expected {requirement}, got {bad!r}")
     assert build_config({key: str(_KEYS[key].default)}) == PipelineConfig()
+
+
+# scene files that ended in a traceback, or were written unchecked with exit 0
+BAD_SCENES = {
+    "seed": "seed = -1\n",
+    "objects.0": "objects.0.class = car\nobjects.0.shape = box\nobjects.0.length = 4\n"
+                 "objects.0.width = 2\nobjects.0.height = 1.5\n",
+    "noise_sigma": "noise_sigma = -0.5\n",
+    "objects.0.height": "objects.0.class = car\nobjects.0.shape = box\nobjects.0.x = 12\n"
+                        "objects.0.y = 0\nobjects.0.length = 4\nobjects.0.width = 2\n"
+                        "objects.0.height = nan\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_SCENES))
+def test_synth_rejects_bad_scene_value(key, tmp_path, caplog):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(BAD_SCENES[key])
+    assert main(["synth", "--scene", str(scene), "--output", str(tmp_path / "o")]) == 2
+    assert f"config key '{key}'" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+def test_origin_records_keep_the_frame(tmp_path):
+    # no-return records written as (0, 0, 0) cluster at the sensor origin,
+    # where no count threshold can be met: the filter drops that cluster
+    cloud = generate_synthetic_scene(sample_traffic_scene(0)).cloud
+    zeroed = cloud.xyz.copy()
+    zeroed[600:605] = 0.0
+    reports = []
+    for name, xyz in (("clean", cloud.xyz), ("origin", zeroed)):
+        frames, seg, report = tmp_path / name, tmp_path / f"{name}.seg", tmp_path / f"{name}.txt"
+        frames.mkdir()
+        save_point_cloud(PointCloud(xyz=xyz, intensity=cloud.intensity), frames / "000000.bin")
+        save_labels(cloud.labels, frames / "000000.label")
+        assert main(["segment", "--input", str(frames), "--output", str(seg)]) == 0
+        assert main(["bench", "--input", str(frames), "--reps", "1",
+                     "--output", str(tmp_path / f"{name}.bench")]) == 0
+        assert main(["eval", "--gt", str(frames), "--clusters", str(seg),
+                     "--output", str(report)]) == 0
+        reports.append(report.read_text())
+    assert reports[0] == reports[1]
+    assert "recall=1.0 proposals=4 " in reports[1]
 
 
 def test_unknown_config_key(tmp_path, caplog):

@@ -9,9 +9,9 @@ from ringseg.synth import ObjectSpec, SceneSpec, generate_synthetic_scene, \
     sample_traffic_scene
 from ringseg.cloud import assign_rings
 from ringseg.clustering import _azimuth_windows, _ring_offsets
-from ringseg.ground import GroundParams, ground_plane_fit, split_segments
+from ringseg.ground import GroundParams, ground_plane_fit
 
-from conftest import random_ring_scene
+from conftest import random_ring_scene, x_segments
 from oracles import brute_force_clusters, canonical_partition, min_merge_labels, \
     naive_min_merge, scalar_cluster_ids
 
@@ -148,7 +148,7 @@ def test_kernel_edge_cases_match_scalar_scan():
 def test_kernel_ids_match_scalar_scan_on_traffic_frames(seed, n_objects):
     scene = generate_synthetic_scene(sample_traffic_scene(seed=seed, n_objects=n_objects))
     cloud = assign_rings(scene.cloud, 64)
-    mask, _ = ground_plane_fit(cloud, split_segments(cloud, 3), GroundParams())
+    mask, _ = ground_plane_fit(cloud, x_segments(cloud, 3), GroundParams())
     args = _scan_args(cloud.select(np.flatnonzero(~mask)), ClusterParams())
     np.testing.assert_array_equal(kernels.cluster_scan(*args),
                                   scalar_cluster_ids(*args))
@@ -201,7 +201,7 @@ def test_scene_rotation_by_one_azimuth_step_preserves_partition():
                          elevation_max_deg=-1.0)
         scene = generate_synthetic_scene(spec)
         cloud = assign_rings(scene.cloud, 24)
-        mask, _ = ground_plane_fit(cloud, split_segments(cloud, 3), GroundParams())
+        mask, _ = ground_plane_fit(cloud, x_segments(cloud, 3), GroundParams())
         keep = np.flatnonzero(~mask)
         sub = cloud.select(keep)
         lab = cluster_ring_based(sub, ClusterParams())

@@ -9,10 +9,11 @@ from ringseg import (
     fit_plane,
     generate_synthetic_scene,
     ground_plane_fit,
-    split_segments,
 )
 from ringseg.ground import segment_bounds, segment_of
 from ringseg.synth import ObjectSpec, SceneSpec
+
+from conftest import x_segments
 
 
 def _cloud(xyz):
@@ -22,16 +23,16 @@ def _cloud(xyz):
 
 def test_split_segments_equal_width():
     cloud = _cloud([[0, 0, 0], [5, 0, 0], [10, 0, 0]])
-    np.testing.assert_array_equal(split_segments(cloud, 2), [0, 0, 1])
+    np.testing.assert_array_equal(x_segments(cloud, 2), [0, 0, 1])
 
 
 def test_split_segments_single():
     cloud = _cloud(np.random.default_rng(0).normal(size=(40, 3)))
-    np.testing.assert_array_equal(split_segments(cloud, 1), np.zeros(40))
+    np.testing.assert_array_equal(x_segments(cloud, 1), np.zeros(40))
 
 
 def test_split_segments_empty():
-    assert split_segments(_cloud(np.empty((0, 3))), 3).size == 0
+    assert x_segments(_cloud(np.empty((0, 3))), 3).size == 0
 
 
 def test_split_segments_matches_recomputation(rng):
@@ -40,7 +41,7 @@ def test_split_segments_matches_recomputation(rng):
     assert (lo, width) == (x.min(), (x.max() - x.min()) / 3)
     x = np.concatenate([x, lo + width * np.arange(4)])  # every bin boundary
     cloud = _cloud(np.column_stack([x, np.zeros(x.size), np.zeros(x.size)]))
-    seg = split_segments(cloud, 3)
+    seg = x_segments(cloud, 3)
     for xi, si in zip(x, seg):
         expect = min(max(int(np.ceil((xi - lo) / width)) - 1, 0), 2)
         assert si == expect
@@ -133,7 +134,7 @@ def test_ground_fit_analytic_membership(tilt):
     scene = generate_synthetic_scene(_scene(tilt=tilt))
     cloud = scene.cloud
     params = GroundParams()
-    mask, planes = ground_plane_fit(cloud, split_segments(cloud, params.n_seg), params)
+    mask, planes = ground_plane_fit(cloud, x_segments(cloud, params.n_seg), params)
     dist = np.abs(cloud.xyz @ scene.ground_normal + scene.ground_offset)
     analytic = dist < params.th_dist
     checkable = np.abs(dist - params.th_dist) > 0.1
@@ -146,7 +147,7 @@ def test_ground_fit_planar_cloud_all_ground(rng):
                            np.full(2000, -1.7)])
     cloud = _cloud(pts)
     params = GroundParams()
-    mask, planes = ground_plane_fit(cloud, split_segments(cloud, params.n_seg), params)
+    mask, planes = ground_plane_fit(cloud, x_segments(cloud, params.n_seg), params)
     assert mask.all()
     assert all(p is not None for p in planes)
 
@@ -158,9 +159,9 @@ def test_ground_fit_rms_non_increasing_on_planar_input(rng):
 
     def rms_after(n_iter):
         params = GroundParams(n_iter=n_iter)
-        mask, planes = ground_plane_fit(cloud, split_segments(cloud, 3), params)
+        mask, planes = ground_plane_fit(cloud, x_segments(cloud, 3), params)
         total = 0.0
-        seg = split_segments(cloud, 3)
+        seg = x_segments(cloud, 3)
         for s, plane in enumerate(planes):
             sel = mask & (seg == s)
             if plane is None or not sel.any():
@@ -175,10 +176,10 @@ def test_ground_mask_translation_invariant():
     scene = generate_synthetic_scene(_scene(seed=5))
     cloud = scene.cloud
     params = GroundParams()
-    base, _ = ground_plane_fit(cloud, split_segments(cloud, 3), params)
+    base, _ = ground_plane_fit(cloud, x_segments(cloud, 3), params)
     shifted = PointCloud(xyz=cloud.xyz + np.array([13.0, -4.0, 0.0]),
                          intensity=cloud.intensity)
-    moved, _ = ground_plane_fit(shifted, split_segments(shifted, 3), params)
+    moved, _ = ground_plane_fit(shifted, x_segments(shifted, 3), params)
     np.testing.assert_array_equal(base, moved)
 
 
@@ -186,11 +187,11 @@ def test_high_point_never_flips_mask():
     scene = generate_synthetic_scene(_scene(seed=6))
     cloud = scene.cloud
     params = GroundParams()
-    base, _ = ground_plane_fit(cloud, split_segments(cloud, 3), params)
+    base, _ = ground_plane_fit(cloud, x_segments(cloud, 3), params)
     mid_x = float(cloud.xyz[:, 0].mean())
     extra = np.vstack([cloud.xyz, [[mid_x, 0.0, 10.0]]])
     bigger = PointCloud(xyz=extra, intensity=np.zeros(len(extra)))
-    grown, _ = ground_plane_fit(bigger, split_segments(bigger, 3), params)
+    grown, _ = ground_plane_fit(bigger, x_segments(bigger, 3), params)
     np.testing.assert_array_equal(grown[:-1], base)
     assert not grown[-1]
 
@@ -200,14 +201,14 @@ def test_degenerate_segment_warns_not_raises(caplog):
     line = np.outer(np.linspace(0, 9, 50), [1.0, 0.0, 0.0])
     cloud = _cloud(line)
     params = GroundParams(n_seg=1)
-    mask, planes = ground_plane_fit(cloud, split_segments(cloud, 1), params)
+    mask, planes = ground_plane_fit(cloud, x_segments(cloud, 1), params)
     assert not mask.any()
     assert planes == [None]
 
 
 def test_mask_length_matches_cloud():
     scene = generate_synthetic_scene(_scene(seed=7))
-    mask, _ = ground_plane_fit(scene.cloud, split_segments(scene.cloud, 3),
+    mask, _ = ground_plane_fit(scene.cloud, x_segments(scene.cloud, 3),
                                GroundParams())
     assert mask.shape == (len(scene.cloud),)
 

@@ -1,8 +1,17 @@
+from dataclasses import MISSING
+
 import numpy as np
 import pytest
 
-from ringseg import SceneValidationError, generate_synthetic_scene
-from ringseg.synth import ObjectSpec, SceneSpec, sample_traffic_scene, scene_from_file
+from ringseg import ConfigError, SceneValidationError, generate_synthetic_scene
+from ringseg.synth import (
+    _OBJECT_KEYS,
+    _SCENE_KEYS,
+    ObjectSpec,
+    SceneSpec,
+    sample_traffic_scene,
+    scene_from_file,
+)
 
 
 def test_ground_only_scene():
@@ -161,3 +170,74 @@ def test_composite_spans_bike_and_rider():
     heights = pts[:, 2] + spec.sensor_height
     assert heights.max() > obj.height  # rider above the bike box
     assert heights.min() < 0.3
+
+
+# for every scene key: a value its check rejects and the requirement the
+# error quotes; object keys are shown for object 0
+REJECTED = {
+    "num_rings": ("0", "integer >= 1"),
+    "points_per_ring": ("7", "integer >= 8"),
+    "elevation_min_deg": ("-91", "degrees in [-90, 90]"),
+    "elevation_max_deg": ("nan", "degrees in [-90, 90]"),
+    "sensor_height": ("0", "finite positive meters"),
+    "ground_tilt_deg": ("90", "degrees in (-90, 90)"),
+    "noise_sigma": ("-0.5", "finite meters >= 0"),
+    "seed": ("-1", "integer >= 0"),
+    "objects.0.class": ("truck", "class name or id (background=0, car=1, pedestrian=2, "
+                                 "cyclist=3)"),
+    "objects.0.shape": ("sphere", "one of box, cylinder, composite"),
+    "objects.0.x": ("inf", "finite meters"),
+    "objects.0.y": ("nan", "finite meters"),
+    "objects.0.yaw_deg": ("-inf", "finite degrees"),
+    "objects.0.length": ("-1", "finite meters >= 0"),
+    "objects.0.width": ("nan", "finite meters >= 0"),
+    "objects.0.height": ("inf", "finite meters >= 0"),
+    "objects.0.radius": ("0.4.1", "finite meters >= 0"),
+    "objects.0.rider_height": ("-0.1", "finite meters >= 0"),
+    "objects.0.clearance": ("-1e-3", "finite meters >= 0"),
+    "objects.0.z_base": ("nan", "finite meters"),
+}
+SCENE_KEYS = sorted([*_SCENE_KEYS, *(f"objects.0.{key}" for key in _OBJECT_KEYS)])
+# an object with only the keys it needs
+OBJECT = {"objects.0.class": "car", "objects.0.shape": "box", "objects.0.x": "12.0",
+          "objects.0.y": "-2.0"}
+
+
+def _load(tmp_path, values: dict):
+    path = tmp_path / "scene.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    return scene_from_file(path)
+
+
+@pytest.mark.parametrize("key", SCENE_KEYS)
+def test_each_scene_key_checked(key, tmp_path):
+    assert set(REJECTED) == set(SCENE_KEYS)
+    section, _, name = key.rpartition(".")
+    base = OBJECT if section else {}
+    f = (_OBJECT_KEYS if section else _SCENE_KEYS)[name]
+    bogus = f"{section}.bogus" if section else "bogus"
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, {**base, bogus: "1"})
+    assert exc.value.key == bogus
+    bad, requirement = REJECTED[key]
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, {**base, key: bad})
+    assert (exc.value.key, exc.value.reason) == (key, f"expected {requirement}, got {bad!r}")
+    if f.default is MISSING:
+        with pytest.raises(ConfigError) as exc:
+            _load(tmp_path, {k: v for k, v in base.items() if k != key})
+        assert (exc.value.key, exc.value.reason) == (section, f"missing {name}")
+    elif f.default is not None:
+        objects = (ObjectSpec(class_id=1, shape="box", x=12.0, y=-2.0),) if section else ()
+        assert _load(tmp_path, {**base, key: str(f.default)}) == SceneSpec(objects=objects)
+
+
+def test_checks_run_at_generation_not_construction():
+    # building a spec checks nothing; generating it runs the same field checks
+    bad_scene = SceneSpec(noise_sigma=-0.5, num_rings=4, points_per_ring=32)
+    with pytest.raises(SceneValidationError, match="noise_sigma: expected finite meters >= 0"):
+        generate_synthetic_scene(bad_scene)
+    tall = ObjectSpec(class_id=1, shape="box", x=10.0, y=0.0, length=4, width=2,
+                      height=float("nan"))
+    with pytest.raises(SceneValidationError, match="objects.0.height: expected"):
+        generate_synthetic_scene(SceneSpec(objects=(tall,), num_rings=4, points_per_ring=32))
