@@ -139,6 +139,14 @@ def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
     return entries
 
 
+def _read_cluster_ids(seg_dir: str, stem: str, n: int) -> np.ndarray:
+    """A frame's proposal id per point, 0 for none, as `segment` writes it."""
+    ids = np.fromfile(Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}", dtype="<u4")
+    if ids.size != n:
+        raise AlignmentError(f"cluster file length {ids.size} != {n}")
+    return ids
+
+
 def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -> None:
     from .cloud import load_point_cloud
     from .pipeline import run_stage1
@@ -173,7 +181,6 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
                  cfg: PipelineConfig) -> list:
     from .cloud import load_labels, load_point_cloud
-    from .clustering import ClusterLabeling
     from .refine import Proposal
     from .samples import (
         BG_KEEP_STREAM,
@@ -186,19 +193,16 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
     bin_path = Path(in_dir) / f"{stem}.bin"
     cloud = load_point_cloud(bin_path)
     cloud = cloud.with_labels(load_labels(bin_path.with_suffix(".label"), len(cloud)))
-    cluster_ids = np.fromfile(Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}", dtype="<u4")
-    if cluster_ids.size != len(cloud):
-        raise AlignmentError(f"cluster file has {cluster_ids.size} ids for "
-                             f"{len(cloud)} points")
+    cluster_ids = _read_cluster_ids(seg_dir, stem, len(cloud))
     manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
 
     prep = cfg.prep
-    groups = ClusterLabeling.from_labels(cluster_ids).clusters
     samples = []
     for cid, distance, bbox in sorted(manifest, key=lambda e: e[0]):
-        members = groups.get(cid)
-        if members is None:
-            continue
+        members = np.flatnonzero(cluster_ids == cid)
+        if not members.size:  # every proposal has members: the files disagree
+            raise AlignmentError(f"{stem}{_CLUSTER_SUFFIX} has no point of manifest "
+                                 f"cluster {cid}")
         prop = Proposal(cluster_id=cid, member_indices=members, bbox=bbox,
                         distance=distance)
         rng0 = sample_rng(cfg.rng_seed, frame_id, cid, 0)
@@ -220,12 +224,15 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
 
 
 def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
-    from . import cloud, clustering, refine  # noqa: F401  the workers' modules
+    from . import cloud, refine  # noqa: F401  the workers' modules
     from .samples import export_samples
 
     if not cfg.input or not cfg.output:
         raise ConfigError("input/output", "prepare needs --input and --output")
-    frames = [(stem, int(stem) if stem.isdigit() else i)  # (stem, frame id)
+    # (stem, frame id): a stem that is a decimal below 2**32, the archive's
+    # uint32, is the id; any other, such as a microsecond timestamp, takes
+    # its position in the list
+    frames = [(stem, int(stem) if stem.isdecimal() and int(stem) < 2**32 else i)
               for i, (stem, _) in enumerate(_list_frames(cfg.input))]
     if not frames:
         log.warning("no .bin frames under %s; nothing to do", cfg.input)
@@ -246,7 +253,6 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
 
 def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str | None):
     from .cloud import load_labels
-    from .clustering import ClusterLabeling
     from .metrics import pointwise_metrics, proposal_recall
 
     gt = load_labels(gt_path, os.path.getsize(gt_path))
@@ -256,13 +262,7 @@ def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str 
         metrics = pointwise_metrics(load_labels(Path(pred_dir) / gt_path.name, len(gt)), gt)
         fields.update(metrics.to_record())
     if clusters_dir:
-        cids = np.fromfile(Path(clusters_dir) / f"{stem}{_CLUSTER_SUFFIX}", dtype="<u4")
-        if cids.size != gt.size:
-            raise AlignmentError(f"cluster file length {cids.size} != {gt.size}")
-        # group only the points proposals kept: a short sort, few large temporaries
-        kept = np.flatnonzero(cids)
-        groups = ClusterLabeling.from_labels(cids[kept]).clusters
-        coverage = proposal_recall([kept[m] for m in groups.values()], gt)
+        coverage = proposal_recall(_read_cluster_ids(clusters_dir, stem, gt.size), gt)
         fields.update(coverage.to_record())
     return format_record(fields), metrics, coverage
 

@@ -6,31 +6,19 @@ nearest neighbour on the previous ring when closer than th_prop. Ids are
 the ones a single pass over the rings assigns, after conflicting labels
 merge to the smallest id; `kernels.cluster_scan` computes them in bulk.
 
-`ClusterParams` is declared in `config`, loaded here only when that name
-is read: `eval` uses `ClusterLabeling` and reads no config.
+`ClusterParams` is declared in `config`; it resolves here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
 from .cloud import PointCloud
-
-if TYPE_CHECKING:
-    from .config import ClusterParams
-
-
-def __getattr__(name: str):
-    if name == "ClusterParams":
-        from .config import ClusterParams
-
-        return ClusterParams
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .config import ClusterParams  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,6 +48,8 @@ class ClusterLabeling:
         return cls(labels=labels, ids=ordered[starts], order=order,
                    offsets=np.append(starts, labels.size))
 
+    # read by the tests and by perfbench's `clusters` and `candidates`
+    # counters; the pipeline slices `order` by `offsets` instead
     @cached_property
     def clusters(self) -> dict[int, np.ndarray]:
         """Each id's members, keyed in ascending id order."""

@@ -96,25 +96,25 @@ class RecallReport:
         }
 
 
-def proposal_recall(proposals, gt_labels: np.ndarray) -> RecallReport:
+def proposal_recall(cluster_ids: np.ndarray, gt_labels: np.ndarray) -> RecallReport:
     """Fraction of foreground points covered by any proposal.
 
-    Also reports the proposal count and the total number of points the
-    proposals would hand to a downstream consumer. Accepts Proposal
-    objects or bare member-index arrays.
+    cluster_ids holds each point's proposal id, 0 for none, as stage 1
+    writes it. Also reports the proposal count (the distinct nonzero ids)
+    and the number of points the proposals would hand to a downstream
+    consumer.
     """
+    cluster_ids = np.asarray(cluster_ids)
     gt_labels = np.asarray(gt_labels)
-    covered = np.zeros(gt_labels.shape[0], dtype=bool)
-    n_props = 0
-    for prop in proposals:
-        covered[getattr(prop, "member_indices", prop)] = True
-        n_props += 1
-    fg = (gt_labels > 0)
+    if cluster_ids.shape != gt_labels.shape:
+        raise AlignmentError(f"cluster ids {cluster_ids.shape} != gt length {gt_labels.shape}")
+    covered = cluster_ids != 0
+    fg = gt_labels > 0
     fg_total = int(fg.sum())
     fg_cov = int((fg & covered).sum())
     return RecallReport(
         recall=_ratio(fg_cov, fg_total, True),
-        n_proposals=n_props,
+        n_proposals=int(np.unique(cluster_ids[covered]).size),
         fg_points=fg_total,
         fg_covered=fg_cov,
         points_passed=int(covered.sum()),

@@ -94,21 +94,19 @@ def run_stage1(
     distances = np.sqrt((centroids[:, None, :] @ centroids[:, :, None]).reshape(-1))
     normals = _segment_normals(planes)[segment_of(centroids[:, 0], lo, width, n_seg)]
     table = fit_boxes(points, offsets, normals)
-    kept, passed = filter_proposals(labeling, distances, table, refine_params)
+    kept, rows = filter_proposals(labeling, distances, table, refine_params)
 
     cluster_labels = np.zeros(n, dtype=np.uint32)
     proposals: list[Proposal] = []
     # ground points no proposal has claimed yet
     ground_free = ground_mask.copy()
-    points_passed = 0
-    for cid, row in zip(kept, np.searchsorted(labeling.ids, kept).tolist()):
-        members = passed.clusters[cid]
+    for cid, row in zip(kept, rows.tolist()):
+        members = labeling.order[offsets[row]:offsets[row + 1]]
         prop = enlarge_and_merge(
             Proposal(cid, nonground[members], table.box(row), float(distances[row])),
             cloud, ground_free, refine_params)
         ground_free[prop.member_indices[members.size:]] = False
         cluster_labels[prop.member_indices] = cid
-        points_passed += prop.member_indices.size
         proposals.append(prop)
     t_refine = time.perf_counter()
 
@@ -123,5 +121,5 @@ def run_stage1(
         ground_mask=ground_mask,
         planes=planes,
         points_in=n,
-        points_passed=points_passed,
+        points_passed=int(np.count_nonzero(cluster_labels)),  # ids >= 1, disjoint
     )

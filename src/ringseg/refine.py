@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cloud import PointCloud
-from .clustering import ClusterLabeling
 from .config import DEFAULT_SIZE_PRIORS, RefineParams, SizePrior, _admitted  # noqa: F401
+
+if TYPE_CHECKING:
+    from .clustering import ClusterLabeling
 
 # degenerate clusters (single point, collinear, flat) get this half extent
 EPS_HALF_EXTENT = 0.01
@@ -412,15 +415,15 @@ def filter_proposals(
     distances: np.ndarray,
     table: BoxTable,
     params: RefineParams,
-) -> tuple[list[int], ClusterLabeling]:
+) -> tuple[list[int], np.ndarray]:
     """Keep clusters that pass both the count and the size-prior test.
 
     Row i of `distances` and `table` belongs to the i-th smallest cluster
     id. A cluster survives iff its member count reaches the adaptive
     threshold at its centroid distance and its box extents fit inside at
-    least one class prior. Kept ids are returned ascending; rejected
-    clusters are relabeled 0 (background). The kept set is a pure function
-    of per-cluster statistics.
+    least one class prior. Returns the kept ids, ascending, and their rows;
+    the members of row i are labeling.order[offsets[i]:offsets[i + 1]].
+    The kept set is a pure function of per-cluster statistics.
     """
     ids = labeling.ids
     if len(table) != ids.size or np.shape(distances) != ids.shape:
@@ -431,14 +434,8 @@ def filter_proposals(
     ok = distances > 0
     ok[ok] = counts[ok] >= adaptive_threshold(distances[ok], params)
     ok &= _admitted(2.0 * table.half_extents, params.size_priors.values())
-    keep = np.zeros(int(ids.max()) + 1 if ids.size else 1, dtype=bool)
-    keep[ids[ok]] = True
-    labels = labeling.labels.copy()
-    labels[~keep[labels]] = 0
-    kept = ClusterLabeling(labels=labels, ids=ids[ok],
-                           order=labeling.order[np.repeat(ok, counts)],
-                           offsets=np.append(0, np.cumsum(counts[ok])))
-    return kept.ids.tolist(), kept
+    rows = np.flatnonzero(ok)
+    return ids[rows].tolist(), rows
 
 
 def enlarge_bbox(bbox: OrientedBBox, params: RefineParams) -> OrientedBBox:

@@ -278,6 +278,22 @@ def counting_metrics(pred, gt, num_classes: int = 4):
     return p, g, pg
 
 
+def looped_recall(cluster_ids, gt) -> dict[str, float | int]:
+    """Proposal recall fields by an explicit per-point loop: a point is
+    covered when its id is nonzero, foreground when its label is."""
+    fg = covered = fg_covered = 0
+    ids = set()
+    for cid, label in zip(cluster_ids, gt):
+        if int(cid):
+            covered += 1
+            ids.add(int(cid))
+        if int(label):
+            fg += 1
+            fg_covered += bool(int(cid))
+    return {"recall": fg_covered / fg if fg else 1.0, "proposals": len(ids),
+            "fg_points": fg, "fg_covered": fg_covered, "points_passed": covered}
+
+
 def pairwise_distance_multiset(points: np.ndarray, decimals: int = 9) -> np.ndarray:
     """Sorted upper-triangle pairwise distances, rounded for comparison."""
     diff = points[:, None, :] - points[None, :, :]

@@ -1,6 +1,6 @@
 """Print one sha256 per ringseg output artefact over a fixed frame set.
 
-    PYTHONPATH=src python tests/output_digests.py
+    PYTHONPATH=src python tests/output_digests.py [--against REV]
 
 The frames are `sample_traffic_scene` seeds 0-11, the acceptance-test
 timing frame (seed 0, 8 objects), the clutter frame from `conftest`, and
@@ -14,13 +14,23 @@ planes), the `.cluster` files and proposal manifests `segment` writes, the
 `.ps3d` archive `prepare --augment` writes, and the `eval --clusters`
 report. Two source trees produce the same outputs iff they print the same
 lines: point PYTHONPATH at each tree's `src` and diff the output.
+
+`--against REV` does that diff: it unpacks the git revision REV into a
+temporary directory (`git archive`, which leaves the repository as it
+is), runs this script with only that tree's `src` on PYTHONPATH, prints
+each artefact whose digest differs, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import logging
+import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -97,7 +107,8 @@ def _files(digests: dict, key: str, paths) -> None:
         digests[key].update(path.read_bytes())
 
 
-def main() -> int:
+def compute_digests() -> dict[str, str] | None:
+    """Each artefact's sha256, or None when a command fails."""
     logging.disable(logging.INFO)
     cfg = load_config()
     keys = ("synth.frames", "stage1.ints", "stage1.floats", "segment.cluster",
@@ -125,15 +136,57 @@ def main() -> int:
                       "--output", str(report)]):
             if cli_main(argv) != 0:
                 print(f"ringseg {argv[0]} failed", file=sys.stderr)
-                return 1
+                return None
         _files(digests, "synth.frames", sorted(synth.iterdir()))
         _files(digests, "segment.cluster", sorted(seg.glob("*.cluster")))
         _files(digests, "segment.manifest", sorted(seg.glob("*.proposals.txt")))
         _files(digests, "prepare.ps3d", [archive])
         _files(digests, "eval.report", [report])
-    for key in keys:
-        print(f"{key} {digests[key].hexdigest()}")
-    return 0
+    return {key: digests[key].hexdigest() for key in keys}
+
+
+def digests_at(rev: str) -> dict[str, str] | None:
+    """This script's digests over the source tree of git revision `rev`."""
+    # from the top of the work tree, which `git archive` packs whole
+    root = Path(__file__).resolve().parent.parent
+    tree = subprocess.run(["git", "archive", rev], cwd=root, capture_output=True)
+    if tree.returncode != 0:
+        print(tree.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        # that tree's src alone, so no other ringseg can stand in for it
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")))
+        run = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                             text=True)
+    if run.returncode != 0:
+        print(run.stderr, end="", file=sys.stderr)
+        return None
+    return dict(line.split() for line in run.stdout.splitlines())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the outputs of this git revision's src")
+    args = parser.parse_args(argv)
+    ours = compute_digests()
+    if ours is None:
+        return 1
+    if not args.against:
+        for key, digest in ours.items():
+            print(f"{key} {digest}")
+        return 0
+    theirs = digests_at(args.against)
+    if theirs is None:
+        print(f"the outputs of {args.against} could not be computed", file=sys.stderr)
+        return 1
+    differ = [key for key in ours if theirs.get(key) != ours[key]]
+    for key in differ:
+        print(f"{key} differs: {theirs.get(key)} at {args.against}, {ours[key]} here")
+    print(f"{len(ours) - len(differ)} of {len(ours)} artefacts identical to {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

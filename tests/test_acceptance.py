@@ -117,7 +117,7 @@ def test_03_stage1_recall_desk_scale():
         assert len(scene.cloud) >= 100_000
         result = run_stage1(scene.cloud, cfg.ground, cfg.cluster, cfg.refine,
                             cfg.num_rings)
-        report = proposal_recall(result.proposals, scene.cloud.labels)
+        report = proposal_recall(result.cluster_labels, scene.cloud.labels)
         covered += report.fg_covered
         total += report.fg_points
         max_props = max(max_props, report.n_proposals)

@@ -232,6 +232,43 @@ def test_prepare_bad_manifest_line_names_file_and_line(synth_dir, tmp_path, capl
     assert {r.frame_id for r in samples} == {1, 2}
 
 
+def test_prepare_manifest_id_without_points_fails_the_frame(synth_dir, tmp_path, caplog):
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+    manifest = seg / "000000.proposals.txt"
+    first = manifest.read_text().splitlines()[0]
+    # a manifest line from another run: its id labels no point of this .cluster file
+    manifest.write_text(manifest.read_text() + first.replace(first.split()[0],
+                                                             "cluster=999999") + "\n")
+    caplog.clear()
+    assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
+                 "--output", str(tmp_path / "s.ps3d")]) == 1
+    assert ("frame 000000 skipped: AlignmentError: 000000.cluster has no point of "
+            "manifest cluster 999999") in caplog.text
+    _, samples = load_samples(tmp_path / "s.ps3d")
+    assert {r.frame_id for r in samples} == {1, 2}
+
+
+def test_prepare_timestamp_stems_take_their_position(synth_dir, tmp_path, caplog):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    # microsecond timestamps, as drivers name their dumps; 2**32 itself is no frame id
+    stems = {"000000": "1533151603547590", "000001": "4294967296", "000002": "4294967295"}
+    for old, new in stems.items():
+        for ext in (".bin", ".label"):
+            shutil.copy(synth_dir / f"{old}{ext}", frames / f"{new}{ext}")
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(frames), "--output", str(seg)]) == 0
+    caplog.clear()
+    archive = tmp_path / "s.ps3d"
+    assert main(["prepare", "--input", str(frames), "--segments", str(seg),
+                 "--output", str(archive), "--n-points", "64"]) == 0
+    assert "Traceback" not in caplog.text
+    _, samples = load_samples(archive)
+    # sorted stems: 1533151603547590, 4294967295, 4294967296
+    assert {r.frame_id for r in samples} == {0, 4294967295, 2}
+
+
 def test_segment_prepare_deterministic_across_runs_and_jobs(synth_dir, tmp_path):
     digests = []
     for run, jobs in (("a", "1"), ("b", "1"), ("c", "4")):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringseg import AlignmentError, pointwise_metrics, proposal_recall
 from ringseg.cloud import CLASS_NAMES
 from ringseg.metrics import eval_summary
 
-from oracles import counting_metrics
+from oracles import counting_metrics, looped_recall
 
 
 def test_identical_labels_all_ones(rng):
@@ -97,7 +97,7 @@ def test_metrics_permutation_invariant(rng):
 
 def test_recall_full_cover():
     gt = np.array([0, 1, 2, 3, 0], dtype=np.uint8)
-    rep = proposal_recall([np.array([1, 2, 3])], gt)
+    rep = proposal_recall(np.array([0, 4, 4, 4, 0]), gt)
     assert rep.recall == 1.0
     assert rep.points_passed == 3
     assert rep.fg_points == 3
@@ -105,7 +105,7 @@ def test_recall_full_cover():
 
 def test_recall_zero_proposals():
     gt = np.array([1, 1], dtype=np.uint8)
-    rep = proposal_recall([], gt)
+    rep = proposal_recall(np.zeros(2, dtype=np.uint32), gt)
     assert rep.recall == 0.0
     assert rep.n_proposals == 0
 
@@ -113,10 +113,29 @@ def test_recall_zero_proposals():
 def test_recall_partial(rng):
     gt = np.zeros(100, dtype=np.uint8)
     gt[:40] = 1
-    rep = proposal_recall([np.arange(0, 20), np.arange(50, 60)], gt)
+    ids = np.zeros(100, dtype=np.uint32)
+    ids[0:20], ids[50:60] = 2, 7
+    rep = proposal_recall(ids, gt)
     assert rep.recall == pytest.approx(0.5)
     assert rep.n_proposals == 2
     assert rep.points_passed == 30
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=80),
+       st.lists(st.integers(1, 2**32 - 1), min_size=4, max_size=4))
+@example([], [1, 2, 3, 4])  # an empty frame
+@example([(0, 1), (0, 0), (0, 3)], [1, 2, 3, 4])  # a frame without proposals
+def test_recall_matches_looped_oracle(points, pool):
+    # each point's id is 0 or one of the pool's ids, which may repeat
+    ids = np.array([([0] + pool)[k] for k, _ in points], dtype=np.uint32)
+    gt = np.array([label for _, label in points], dtype=np.uint8)
+    assert proposal_recall(ids, gt).to_record() == looped_recall(ids, gt)
+
+
+def test_recall_length_mismatch():
+    with pytest.raises(AlignmentError):
+        proposal_recall(np.zeros(3, np.uint32), np.zeros(4, np.uint8))
 
 
 def test_eval_summary_pools_like_one_concatenated_frame(rng):
@@ -124,7 +143,7 @@ def test_eval_summary_pools_like_one_concatenated_frame(rng):
     preds = [rng.integers(0, 3, n).astype(np.uint8) for n in (50, 0, 300)]
     gts = [rng.integers(0, 3, n).astype(np.uint8) for n in (50, 0, 300)]
     whole = pointwise_metrics(np.concatenate(preds), np.concatenate(gts))
-    covers = [proposal_recall([np.arange(0, g.size, 2)], g) for g in gts]
+    covers = [proposal_recall((np.arange(g.size) % 2 == 0).astype(np.uint32), g) for g in gts]
     summary = eval_summary([pointwise_metrics(p, g) for p, g in zip(preds, gts)], covers)
     for cid, name in CLASS_NAMES.items():
         assert summary[f"iou_{name}"] == whole.iou[cid]
@@ -133,5 +152,6 @@ def test_eval_summary_pools_like_one_concatenated_frame(rng):
     fg = np.concatenate(gts) > 0
     covered = np.concatenate([np.arange(g.size) % 2 == 0 for g in gts])
     assert summary["recall"] == (fg & covered).sum() / fg.sum()
-    assert summary["proposals_per_frame"] == 1.0
+    # the empty frame has no proposal: one each in the other two
+    assert summary["proposals_per_frame"] == 0.67
     assert eval_summary([], []) == {}

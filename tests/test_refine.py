@@ -344,10 +344,10 @@ def _distances_and_boxes(xyz: np.ndarray, clusters: dict[int, np.ndarray]):
 def test_filter_rejects_small_cluster():
     xyz = np.tile([[10.0, 0.0, 0.0]], (5, 1)) + np.random.default_rng(0).normal(0, 0.2, (5, 3))
     labeling = _labeling_with_clusters({1: np.arange(5)}, 5)
-    kept, out = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
-                                 RefineParams())
+    kept, rows = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
+                                  RefineParams())
     assert kept == []
-    assert (out.labels == 0).all()
+    assert rows.size == 0
 
 
 def test_filter_rejects_oversized_box():
@@ -364,10 +364,10 @@ def test_filter_accepts_car_sized_cluster(rng):
     xyz = np.column_stack([rng.uniform(0, 4.2, 300), rng.uniform(0, 1.8, 300),
                            rng.uniform(0, 1.5, 300)]) + [8, 0, -1]
     labeling = _labeling_with_clusters({1: np.arange(300)}, 300)
-    kept, out = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
-                                 RefineParams())
+    kept, rows = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
+                                  RefineParams())
     assert kept == [1]
-    assert (out.labels == labeling.labels).all()
+    assert rows.tolist() == [0]
 
 
 def test_filter_matches_predicate_oracle(rng):
@@ -387,8 +387,8 @@ def test_filter_matches_predicate_oracle(rng):
             start += count
         xyz = np.vstack(xyz_parts)
         labeling = _labeling_with_clusters(clusters, start)
-        kept, out = filter_proposals(labeling, *_distances_and_boxes(xyz, clusters),
-                                     params)
+        kept, rows = filter_proposals(labeling, *_distances_and_boxes(xyz, clusters),
+                                      params)
         expect = []
         for cid, m in clusters.items():
             d = float(np.linalg.norm(xyz[m].mean(axis=0)))
@@ -398,10 +398,10 @@ def test_filter_matches_predicate_oracle(rng):
             if count_ok and size_ok:
                 expect.append(cid)
         assert kept == expect
-        assert sorted(out.clusters) == expect
-        assert all(np.array_equal(out.clusters[cid], clusters[cid]) for cid in expect)
-        for cid, m in clusters.items():
-            assert (out.labels[m] == (cid if cid in expect else 0)).all()
+        assert labeling.ids[rows].tolist() == expect
+        for cid, row in zip(kept, rows.tolist()):
+            members = labeling.order[labeling.offsets[row]:labeling.offsets[row + 1]]
+            assert np.array_equal(members, clusters[cid])
 
 
 def test_filter_order_independent(rng):

@@ -25,9 +25,9 @@ def test_import_leaves_scipy_out():
 SUBMODULES = frozenset(m.name for m in pkgutil.iter_modules(ringseg.__path__))
 # what each command loads: itself and, forked from it, its pool workers
 COMMAND_MODULES = {
-    "eval": {"cli", "errors", "cloud", "kernels", "clustering", "metrics"},
+    "eval": {"cli", "errors", "cloud", "kernels", "metrics"},
     "segment": SUBMODULES - {"bench", "metrics", "samples", "synth"},
-    "prepare": SUBMODULES - {"pipeline", "bench", "ground", "metrics", "synth"},
+    "prepare": SUBMODULES - {"pipeline", "bench", "clustering", "ground", "metrics", "synth"},
     "synth": {"cli", "cloud", "config", "errors", "kernels", "synth"},
     "bench": SUBMODULES - {"samples", "metrics", "synth"},
 }
