@@ -2,11 +2,14 @@
 
 Timing is observational: the benchmark re-runs the identical pipeline and
 reports median/p95 per stage, so its outputs always equal an untimed run.
-A warm-up iteration is excluded from the statistics.
+A warm-up iteration is excluded from the statistics. Next to the times it
+reports the median minor page faults per run (own process): the pages the
+kernel had to map in and zero-fill for it.
 """
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,7 @@ class TimingReport:
     points_passed: int
     median_us: dict[str, float]
     p95_us: dict[str, float]
+    faults_med: float
 
     def to_record(self) -> dict:
         rec: dict = {
@@ -36,6 +40,7 @@ class TimingReport:
         for stage in STAGES:
             rec[f"{stage}_us_med"] = round(self.median_us[stage], 1)
             rec[f"{stage}_us_p95"] = round(self.p95_us[stage], 1)
+        rec["faults_med"] = self.faults_med
         return rec
 
 
@@ -56,9 +61,12 @@ def benchmark_stage1(
     args = (ground_params, cluster_params, refine_params, num_rings)
     result = run_stage1(cloud, *args)  # warm-up, excluded
     samples = {stage: [] for stage in STAGES}
+    faults = []
     for _ in range(repetitions):
         timings: dict = {}
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         result = run_stage1(cloud, *args, timings=timings)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         for stage in STAGES:
             samples[stage].append(timings[stage] * 1e6)
     report = TimingReport(
@@ -68,5 +76,6 @@ def benchmark_stage1(
         points_passed=result.points_passed,
         median_us={s: float(np.median(samples[s])) for s in STAGES},
         p95_us={s: float(np.percentile(samples[s], 95)) for s in STAGES},
+        faults_med=float(np.median(faults)),
     )
     return report, result

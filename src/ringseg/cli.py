@@ -141,10 +141,12 @@ def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
 
 def _read_cluster_ids(seg_dir: str, stem: str, n: int) -> np.ndarray:
     """A frame's proposal id per point, 0 for none, as `segment` writes it."""
-    ids = np.fromfile(Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}", dtype="<u4")
-    if ids.size != n:
-        raise AlignmentError(f"cluster file length {ids.size} != {n}")
-    return ids
+    path = Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}"
+    # checked in bytes: np.fromfile drops a trailing partial id
+    size = path.stat().st_size
+    if size != 4 * n:
+        raise AlignmentError(f"cluster file has {size} bytes, not 4 x {n} points")
+    return np.fromfile(path, dtype="<u4")
 
 
 def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -> None:
@@ -393,7 +395,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_allocator() -> None:
+    """Keep frame-sized arrays on the heap for the rest of the process.
+
+    Under glibc's dynamic threshold, a frame's whole-cloud arrays (1-3 MB)
+    are mapped fresh and unmapped on free, or trimmed off the heap top, so
+    every frame faults in and zero-fills the same pages again. Fixed
+    thresholds of 32 MiB (mmap) and 64 MiB (trim) let the next frame reuse
+    them; either alone leaves the faults, since setting one stops glibc
+    from raising the other. Forked `--jobs` workers inherit the setting.
+    Other libcs (musl, macOS) have no `mallopt` or ignore it.
+    """
+    import ctypes  # numpy has already loaded it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _pin_allocator()
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)

@@ -51,5 +51,5 @@ def test_record_fields(small_frame):
     rec = report.to_record()
     for key in ("reps", "points_in", "proposals", "points_passed",
                 "ground_us_med", "cluster_us_med", "refine_us_med",
-                "total_us_med", "total_us_p95"):
+                "total_us_med", "total_us_p95", "faults_med"):
         assert key in rec

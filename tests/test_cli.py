@@ -1,10 +1,16 @@
+import ctypes
 import hashlib
+import os
+import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringseg
 from ringseg import (
     ConfigError,
     PipelineConfig,
@@ -267,6 +273,72 @@ def test_prepare_timestamp_stems_take_their_position(synth_dir, tmp_path, caplog
     _, samples = load_samples(archive)
     # sorted stems: 1533151603547590, 4294967295, 4294967296
     assert {r.frame_id for r in samples} == {0, 4294967295, 2}
+
+
+@pytest.mark.parametrize("command", ["eval", "prepare"])
+def test_cluster_file_with_trailing_bytes_fails_the_frame(command, synth_dir, tmp_path,
+                                                         caplog):
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+    cluster = seg / "000000.cluster"
+    size = cluster.stat().st_size + 2
+    with cluster.open("ab") as f:  # half an id, which np.fromfile would drop
+        f.write(b"\x00\x00")
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--gt", str(synth_dir), "--clusters", str(seg),
+                 "--output", str(out)],
+        "prepare": ["prepare", "--input", str(synth_dir), "--segments", str(seg),
+                    "--output", str(out), "--n-points", "64"],
+    }[command]
+    caplog.clear()
+    assert main(argv) == 1
+    assert (f"frame 000000 skipped: AlignmentError: cluster file has {size} bytes"
+            in caplog.text)
+    if command == "eval":
+        assert [r["frame"] for r in _records(out)] == ["000001", "000002", "all"]
+    else:
+        _, samples = load_samples(out)
+        assert {r.frame_id for r in samples} == {1, 2}
+
+
+_FAULT_PROBE = """
+import resource, sys
+from ringseg.cli import main
+assert main(["segment", "--input", sys.argv[1], "--output", sys.argv[2],
+             "--jobs", "1"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the CLI pins glibc's allocator only")
+def test_segment_frame_loop_does_not_page_fault(tmp_path):
+    # a fresh process per run; the faults of frames 3-8 are the difference.
+    # Unpinned, each 102,400-point frame takes ~2,500 (its arrays mapped anew)
+    frame = tmp_path / "frame.bin"
+    save_point_cloud(generate_synthetic_scene(sample_traffic_scene(0)).cloud, frame)
+    src = str(Path(ringseg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    faults = {}
+    for n in (2, 8):
+        frames = tmp_path / f"in{n}"
+        frames.mkdir()
+        for i in range(n):
+            shutil.copy(frame, frames / f"{i:06d}.bin")
+        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(frames),
+                               str(tmp_path / f"seg{n}")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults[n] = int(proc.stdout.split()[-1])
+    assert (faults[8] - faults[2]) / 6 < 250
+
+
+def test_main_runs_where_libc_has_no_mallopt(synth_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert main(["segment", "--input", str(synth_dir),
+                 "--output", str(tmp_path / "seg")]) == 0
 
 
 def test_segment_prepare_deterministic_across_runs_and_jobs(synth_dir, tmp_path):
