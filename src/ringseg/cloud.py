@@ -15,7 +15,6 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import AlignmentError, FileFormatError, InvalidClassError, ScanFormatError
-from . import kernels
 
 log = logging.getLogger(__name__)
 
@@ -188,6 +187,8 @@ def assign_rings(cloud: PointCloud, num_rings: int) -> PointCloud:
     transition marks the start of the next ring. Partial final revolutions
     are fine; more revolutions than `num_rings` is a scan-format error.
     """
+    from . import kernels  # only ring tracing needs it; eval, prepare and synth skip it
+
     if num_rings < 1:
         raise ValueError("num_rings must be >= 1")
     if len(cloud) == 0:

@@ -19,6 +19,7 @@ import numpy as np
 from . import kernels
 from .cloud import PointCloud
 from .config import ClusterParams  # noqa: F401
+from .errors import ScanFormatError
 
 
 @dataclass(frozen=True)
@@ -65,49 +66,19 @@ def resolve_labels(raw_labels: np.ndarray) -> ClusterLabeling:
     return ClusterLabeling.from_labels(raw)
 
 
-def _ring_offsets(ring_ids: np.ndarray) -> np.ndarray:
-    """Start offset of each ring id in a non-decreasing ring array."""
-    num_rings = int(ring_ids.max()) + 1 if ring_ids.size else 0
-    return np.searchsorted(ring_ids, np.arange(num_rings + 1)).astype(np.int64)
-
-
-def _azimuth_windows(xyz: np.ndarray, th_prop: float) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuth in [0, 2pi) and the half-window guaranteeing no missed link.
-
-    A previous-ring point within th_prop (3D) of a point at planar range r
-    lies within asin(th_prop / r) of its azimuth; beyond quarter-turn
-    separation the planar gap alone already exceeds r > th_prop. A small
-    additive margin absorbs rounding of the asin.
-    """
-    az = np.arctan2(xyz[:, 1], xyz[:, 0])
-    az = np.where(az < 0, az + kernels.TWO_PI, az)
-    r = np.hypot(xyz[:, 0], xyz[:, 1])
-    halfwin = np.full(r.shape, np.pi)
-    far = r > th_prop
-    halfwin[far] = np.arcsin(th_prop / r[far]) + kernels.WINDOW_MARGIN
-    return az, halfwin
-
-
 def cluster_ring_based(cloud: PointCloud, params: ClusterParams) -> ClusterLabeling:
     """Cluster a non-ground cloud whose ring ids are assigned.
 
-    Precondition: points keep scan (azimuth) order within each ring. Ids
-    are dense-first-encounter starting at 1; 0 is reserved for background.
+    Precondition: points keep scan (azimuth) order within each ring, and
+    ring ids are non-negative and non-decreasing (ScanFormatError
+    otherwise). Ids are dense-first-encounter starting at 1; 0 is reserved
+    for background.
     """
-    if cloud.ring_ids is None:
+    rings = cloud.ring_ids
+    if rings is None:
         raise ValueError("cluster_ring_based requires assigned ring_ids")
-    if len(cloud) == 0:
-        return ClusterLabeling.from_labels(np.empty(0, dtype=np.int64))
+    if rings.size and (rings[0] < 0 or (np.diff(rings) < 0).any()):
+        raise ScanFormatError("ring ids must be non-negative and non-decreasing in scan order")
     xyz = cloud.xyz
-    az, halfwin = _azimuth_windows(xyz, params.th_prop)
-    labels = kernels.cluster_scan(
-        xyz[:, 0],
-        xyz[:, 1],
-        xyz[:, 2],
-        az,
-        halfwin,
-        _ring_offsets(cloud.ring_ids),
-        params.th_ring,
-        params.th_prop,
-    )
-    return resolve_labels(labels)
+    return resolve_labels(kernels.cluster_scan(xyz[:, 0], xyz[:, 1], xyz[:, 2], rings,
+                                               params.th_ring, params.th_prop))

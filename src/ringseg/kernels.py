@@ -62,26 +62,29 @@ def _sq_dist(x, y, z, a, b) -> np.ndarray:
     return d2
 
 
-def _previous_ring_nearest(x, y, z, az, halfwin, starts, th_prop2) -> np.ndarray:
+def _previous_ring_nearest(x, y, z, ring, starts, th_prop) -> np.ndarray:
     """Index of each point's nearest previous-ring neighbour, -1 for none.
 
     The neighbour must lie strictly closer than th_prop and inside the
-    point's azimuth window ±halfwin (split in two when it wraps past
-    0/2pi, searched low range first); the first such point in window
-    order wins ties. Windows are first tightened around the distance ub
-    to the two previous-ring points nearest in azimuth: any point within
-    sqrt(ub) of a point at planar range r lies within asin(sqrt(ub) / r)
-    of its azimuth, so the points the tighter window drops are all
-    strictly farther than a known candidate and the result is unchanged.
+    point's azimuth window (split in two when it wraps past 0/2pi, searched
+    low range first); the first such point in window order wins ties. Any
+    point within `reach` of a point at planar range r lies within
+    asin(reach / r) of its azimuth, or anywhere once reach >= r. The reach
+    is th_prop, or sqrt(ub) when closer, ub being the squared distance to
+    the nearer of the two previous-ring points beside the point's azimuth:
+    what that tighter window drops is strictly farther than a candidate.
     """
-    ring_len = np.diff(starts)
-    ring = np.repeat(np.arange(ring_len.size), ring_len)
+    th_prop2 = th_prop * th_prop
+    az = np.arctan2(y, x)
+    az = np.where(az < 0, az + TWO_PI, az)
+    r = np.hypot(x, y)
     # every point's previous ring [ps, pe); empty on ring 0
     pe = starts[ring]
     ps = starts[np.maximum(ring - 1, 0)]
     m = pe - ps
-    searched = [(starts[r - 1], starts[r], starts[r + 1]) for r in range(1, ring_len.size)
-                if ring_len[r] and ring_len[r - 1]]
+    ring_len = np.diff(starts)
+    searched = [(starts[k - 1], starts[k], starts[k + 1]) for k in range(1, ring_len.size)
+                if ring_len[k] and ring_len[k - 1]]
 
     def bisect(values, side):
         """The scan's bisection of each point's value into its previous ring."""
@@ -95,11 +98,10 @@ def _previous_ring_nearest(x, y, z, az, halfwin, starts, th_prop2) -> np.ndarray
     wrap_m = np.maximum(m, 1)
     ub = np.minimum(_sq_dist(x, y, z, slice(None), ps + pos % wrap_m),
                     _sq_dist(x, y, z, slice(None), ps + (pos - 1) % wrap_m))
-    w = halfwin.copy()
-    r_plan = np.hypot(x, y)
-    rad = np.sqrt(ub)
-    tight = (m > 0) & (ub < th_prop2) & (rad < r_plan)
-    w[tight] = np.minimum(w[tight], np.arcsin(rad[tight] / r_plan[tight]) + WINDOW_MARGIN)
+    reach = np.where((m > 0) & (ub < th_prop2), np.sqrt(ub), th_prop)
+    w = np.full(x.shape[0], np.pi)
+    part = reach < r
+    w[part] = np.arcsin(reach[part] / r[part]) + WINDOW_MARGIN
 
     # index ranges [a1, b1) then [a2, pe) of each window, as the scan's
     # bisections over the previous ring would find them
@@ -168,16 +170,16 @@ def min_label_components(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.nda
     return root
 
 
-def cluster_scan(x, y, z, az, halfwin, starts, th_ring, th_prop) -> np.ndarray:
+def cluster_scan(x, y, z, ring_ids, th_ring, th_prop) -> np.ndarray:
     """Ring clustering: intra-ring runs plus previous-ring propagation.
 
-    Points are grouped contiguously per ring by `starts` (length R+1
-    offsets) and ascending in azimuth within each ring. Consecutive points
-    of a ring link when closer than th_ring; so do its first and last
-    points, closing the ring. Each point also links to its nearest
-    neighbour on ring r-1 when that distance is below th_prop, searched
-    within the azimuth window ±halfwin[i], which the caller sizes so no
-    neighbour within th_prop can be missed.
+    Points come grouped by their non-negative, non-decreasing `ring_ids`
+    and ascending in azimuth within each ring. Consecutive points of a
+    ring link when closer than th_ring; so do its first and last points,
+    closing the ring. Each point also links to its nearest neighbour on
+    ring r-1 when that distance is below th_prop. The scan geometry (ring
+    starts, azimuths in [0, 2pi), planar ranges and the azimuth windows
+    that cannot miss such a neighbour) is derived here, once per call.
 
     Returns int64 ids >= 1 per point: the components of the link graph,
     numbered in order of their first point.
@@ -186,9 +188,10 @@ def cluster_scan(x, y, z, az, halfwin, starts, th_ring, th_prop) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.int64)
     th_ring2 = float(th_ring) * float(th_ring)
-    th_prop2 = float(th_prop) * float(th_prop)
-    starts = np.asarray(starts, dtype=np.int64)
-    ring_starts = starts[:-1][np.diff(starts) > 0]
+    ring = np.asarray(ring_ids)
+    starts = np.searchsorted(ring, np.arange(int(ring[-1]) + 2))
+    filled = np.diff(starts) > 0
+    ring_starts = starts[:-1][filled]
 
     intra = np.zeros(n, dtype=bool)
     intra[1:] = _sq_dist(x, y, z, slice(1, None), slice(None, -1)) < th_ring2
@@ -196,11 +199,11 @@ def cluster_scan(x, y, z, az, halfwin, starts, th_ring, th_prop) -> np.ndarray:
     run = np.cumsum(~intra) - 1
     run_first = np.flatnonzero(~intra)
 
-    best = _previous_ring_nearest(x, y, z, az, halfwin, starts, th_prop2)
+    best = _previous_ring_nearest(x, y, z, ring, starts, float(th_prop))
     linked = best >= 0
     opener = ~intra & ~linked
 
-    ring_ends = starts[1:][np.diff(starts) > 0] - 1
+    ring_ends = starts[1:][filled] - 1
     pair = ring_ends > ring_starts
     closes = _sq_dist(x, y, z, ring_starts[pair], ring_ends[pair]) < th_ring2
     u = np.concatenate([run[linked], run[ring_starts[pair][closes]]])

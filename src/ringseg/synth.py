@@ -154,15 +154,19 @@ def _ray_box(dirs: np.ndarray, center: np.ndarray, half: np.ndarray, yaw: float)
     rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
     op = rot @ (-center)
     dp = dirs @ rot.T
-    par = np.abs(dp) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-half - op) / dp
-        t2 = (half - op) / dp
-    inside = np.abs(op) <= half
-    tlo = np.where(par, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
-    thi = np.where(par, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
-    tnear = tlo.max(axis=1)
-    tfar = thi.min(axis=1)
+    tnear = np.full(dirs.shape[0], -np.inf)
+    tfar = np.full(dirs.shape[0], np.inf)
+    # one slab at a time, so a whole frame's rays need only column temporaries
+    for d, o, h in zip(dp.T, op, half):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-h - o) / d
+            t2 = (h - o) / d
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2, out=t1)
+        par = np.abs(d) < 1e-12
+        lo[par], hi[par] = (-np.inf, np.inf) if abs(o) <= h else (np.inf, -np.inf)
+        np.maximum(tnear, lo, out=tnear)
+        np.minimum(tfar, hi, out=tfar)
     hit = (tnear <= tfar) & (tnear > 1e-9)
     return np.where(hit, tnear, np.inf)
 
@@ -180,6 +184,8 @@ def _ray_cylinder(dirs: np.ndarray, cx: float, cy: float, radius: float,
     z_side = t_side * dz
     side_ok = (disc >= 0) & (a > 1e-12) & (t_side > 1e-9) & (z_side >= zb) & (z_side <= zt)
     best = np.where(side_ok, t_side, np.inf)
+    # free the side test's arrays before the caps: a whole frame's rays come at once
+    del a, b, disc, t_side, z_side, side_ok
     for z_cap in (zt, zb):
         with np.errstate(divide="ignore", invalid="ignore"):
             t_cap = z_cap / dz
@@ -253,33 +259,30 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     azimuths = step / 2.0 + step * np.arange(a)  # stays off the axes
     cos_az, sin_az = np.cos(azimuths), np.sin(azimuths)
 
+    # every ray in scan order, ring-major
+    cos_el = np.array([math.cos(el) for el in elevations])[:, None]
+    sin_el = np.array([math.sin(el) for el in elevations])[:, None]
+    all_dirs = np.stack(np.broadcast_arrays(cos_el * cos_az, cos_el * sin_az, sin_el),
+                        axis=-1).reshape(-1, 3)
+    nd = all_dirs @ normal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        all_t = np.where(nd < -1e-12, -offset / nd, np.inf)
+    # the nearest return per ray, the first in (ground, objects...) on ties
+    owner = np.full(all_t.shape[0], -1, dtype=np.int64)  # -1 = ground
+    for k, (obj, zb) in enumerate(zip(spec.objects, z_bases)):
+        t = _object_distances(obj, zb, all_dirs)
+        nearer = t < all_t
+        all_t[nearer] = t[nearer]
+        owner[nearer] = k
+    missing = np.flatnonzero(~np.isfinite(all_t))
+    if missing.size:
+        k = int(missing[0]) // a
+        raise SceneValidationError(
+            f"ring {k} (elevation {math.degrees(elevations[k]):.2f} deg) has rays "
+            "without a return; lower elevation_max_deg or the ground tilt"
+        )
+
     rng = np.random.default_rng(spec.rng_seed)
-    all_t = np.empty(spec.num_rings * a)
-    all_dirs = np.empty((spec.num_rings * a, 3))
-    owner = np.empty(spec.num_rings * a, dtype=np.int64)
-
-    for k, el in enumerate(elevations):
-        ce, se = math.cos(el), math.sin(el)
-        dirs = np.column_stack([ce * cos_az, ce * sin_az, np.full(a, se)])
-        nd = dirs @ normal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ground = np.where(nd < -1e-12, -offset / nd, np.inf)
-        t_stack = [t_ground]
-        for obj, zb in zip(spec.objects, z_bases):
-            t_stack.append(_object_distances(obj, zb, dirs))
-        t_all = np.vstack(t_stack)
-        who = t_all.argmin(axis=0)
-        t_min = t_all[who, np.arange(a)]
-        if not np.all(np.isfinite(t_min)):
-            raise SceneValidationError(
-                f"ring {k} (elevation {math.degrees(el):.2f} deg) has rays "
-                "without a return; lower elevation_max_deg or the ground tilt"
-            )
-        sl = slice(k * a, (k + 1) * a)
-        all_t[sl] = t_min
-        all_dirs[sl] = dirs
-        owner[sl] = who - 1  # -1 = ground
-
     if spec.noise_sigma > 0:
         all_t = all_t + rng.normal(0.0, spec.noise_sigma, all_t.shape[0])
         all_t = np.maximum(all_t, 1e-3)

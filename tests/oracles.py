@@ -359,6 +359,41 @@ def _bisect_right(a, lo, hi, v):
     return lo
 
 
+def scan_windows(x, y, ring_ids, th_prop):
+    """The scalar scan's explicit geometry for a cloud in scan order.
+
+    Returns each point's azimuth in [0, 2pi), its untightened half-window
+    (asin(th_prop / r) plus the kernels' margin, pi within th_prop of the
+    sensor axis) and the ring start offsets (length R + 1) of a non-empty
+    cloud.
+    """
+    az = np.arctan2(y, x)
+    az = np.where(az < 0, az + TWO_PI, az)
+    r = np.hypot(x, y)
+    halfwin = np.full(r.shape, np.pi)
+    far = r > th_prop
+    halfwin[far] = np.arcsin(th_prop / r[far]) + kernels.WINDOW_MARGIN
+    starts = np.searchsorted(ring_ids, np.arange(ring_ids[-1] + 2))
+    return az, halfwin, starts
+
+
+def azimuth_neighbour_d2(x, y, z, az, starts):
+    """Squared distance from each point to the nearer of the two
+    previous-ring points beside its azimuth (cyclically); inf on ring 0 and
+    after an empty ring. Below th_prop^2 it tightens the kernel's window."""
+    ub = np.full(x.shape[0], np.inf)
+    for r in range(1, starts.shape[0] - 1):
+        ps, s, e = starts[r - 1], starts[r], starts[r + 1]
+        m = s - ps
+        if m == 0:
+            continue
+        pos = np.searchsorted(az[ps:s], az[s:e], "left")
+        for j in (ps + pos % m, ps + (pos - 1) % m):
+            d2 = (x[s:e] - x[j]) ** 2 + (y[s:e] - y[j]) ** 2 + (z[s:e] - z[j]) ** 2
+            ub[s:e] = np.minimum(ub[s:e], d2)
+    return ub
+
+
 def scalar_cluster_scan(x, y, z, az, halfwin, starts, th_ring, th_prop):
     """One-pass ring clustering: intra-ring runs + previous-ring propagation.
 

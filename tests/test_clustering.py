@@ -8,12 +8,12 @@ from ringseg import kernels
 from ringseg.synth import ObjectSpec, SceneSpec, generate_synthetic_scene, \
     sample_traffic_scene
 from ringseg.cloud import assign_rings
-from ringseg.clustering import _azimuth_windows, _ring_offsets
+from ringseg.errors import ScanFormatError
 from ringseg.ground import GroundParams, ground_plane_fit
 
 from conftest import random_ring_scene, x_segments
-from oracles import brute_force_clusters, canonical_partition, min_merge_labels, \
-    naive_min_merge, scalar_cluster_ids
+from oracles import azimuth_neighbour_d2, brute_force_clusters, canonical_partition, \
+    min_merge_labels, naive_min_merge, scalar_cluster_ids, scan_windows
 
 
 def _cloud(xyz, ring_ids):
@@ -77,6 +77,16 @@ def test_missing_ring_ids_raises():
         cluster_ring_based(cloud, ClusterParams())
 
 
+@pytest.mark.parametrize("rings", [[2, 2, 1, 0, 0], [-1, 0, 0, 1, 1]])
+def test_decreasing_or_negative_ring_ids_raise(rings):
+    # unchecked, rings [2, 2, 1, 0, 0] gave 3 clusters where the link graph
+    # has 2, and a negative id a numpy broadcast error
+    pts = [[5.0, 0.0, 0.0], [5.0, 0.3, 0.0], [5.0, 0.0, 0.5],
+           [5.0, 0.0, 3.0], [5.0, 0.3, 3.0]]
+    with pytest.raises(ScanFormatError):
+        cluster_ring_based(_cloud(pts, rings), ClusterParams(th_ring=0.5, th_prop=1.0))
+
+
 def test_empty_input():
     cloud = _cloud(np.empty((0, 3)), np.empty(0))
     lab = cluster_ring_based(cloud, ClusterParams())
@@ -97,26 +107,44 @@ def test_oracle_equivalence_sample(rng):
 
 def _scan_args(cloud, params):
     xyz = cloud.xyz
-    az, halfwin = _azimuth_windows(xyz, params.th_prop)
-    return (xyz[:, 0], xyz[:, 1], xyz[:, 2], az, halfwin,
-            _ring_offsets(cloud.ring_ids), params.th_ring, params.th_prop)
+    return (xyz[:, 0], xyz[:, 1], xyz[:, 2], cloud.ring_ids,
+            params.th_ring, params.th_prop)
+
+
+def _scalar_ids(x, y, z, ring_ids, th_ring, th_prop):
+    """The scalar scan's ids over its explicit, untightened windows."""
+    return scalar_cluster_ids(x, y, z, *scan_windows(x, y, ring_ids, th_prop),
+                              th_ring, th_prop)
 
 
 def test_kernel_ids_match_scalar_scan(rng):
-    covered = {"empty ring": 0, "wrapping window": 0, "window >= pi": 0}
-    for _ in range(1000):
+    covered = {"empty ring": 0, "wrapping window": 0, "window >= pi": 0,
+               "tightened window": 0, "tightened to the whole ring": 0}
+    for k in range(1500):
         cloud = random_ring_scene(rng)
+        if k >= 1000:
+            # scaled toward the sensor axis, where ranges below th_prop are common
+            cloud = PointCloud(xyz=cloud.xyz * rng.uniform(0.01, 0.3),
+                               intensity=cloud.intensity, ring_ids=cloud.ring_ids)
         params = ClusterParams(th_ring=float(rng.uniform(0.2, 2.0)),
                                th_prop=float(rng.uniform(0.3, 3.0)))
         args = _scan_args(cloud, params)
-        np.testing.assert_array_equal(kernels.cluster_scan(*args),
-                                      scalar_cluster_ids(*args))
-        az, halfwin, starts = args[3:6]
+        x, y, z, rings, th_ring, th_prop = args
+        az, halfwin, starts = scan_windows(x, y, rings, th_prop)
+        np.testing.assert_array_equal(
+            kernels.cluster_scan(*args),
+            scalar_cluster_ids(x, y, z, az, halfwin, starts, th_ring, th_prop))
         part = halfwin < np.pi
         covered["empty ring"] += bool((np.diff(starts) == 0).any())
         covered["wrapping window"] += bool(
             ((az - halfwin < 0.0) | (az + halfwin > 2 * np.pi))[part].any())
         covered["window >= pi"] += bool((~part).any())
+        # the kernel's reach: a neighbour nearer than th_prop tightens the window
+        ub = azimuth_neighbour_d2(x, y, z, az, starts)
+        tight = ub < th_prop * th_prop
+        beyond = np.sqrt(ub) >= np.hypot(x, y)
+        covered["tightened window"] += bool((tight & ~beyond).any())
+        covered["tightened to the whole ring"] += bool((tight & beyond).any())
     assert min(covered.values()) > 0, covered
 
 
@@ -137,9 +165,10 @@ def test_kernel_edge_cases_match_scalar_scan():
     rings = [0, 0, 1, 3, 3, 4, 4, 5]
     params = ClusterParams(th_ring=0.5, th_prop=1.0)
     args = _scan_args(_cloud(xyz, rings), params)
-    assert (args[4][5:] >= np.pi).all()
+    halfwin = scan_windows(args[0], args[1], rings, params.th_prop)[1]
+    assert (halfwin[5:] >= np.pi).all()
     ids = kernels.cluster_scan(*args)
-    np.testing.assert_array_equal(ids, scalar_cluster_ids(*args))
+    np.testing.assert_array_equal(ids, _scalar_ids(*args))
     assert ids[2] == ids[0] != ids[1]
     assert ids[3] not in ids[:3]
 
@@ -150,8 +179,7 @@ def test_kernel_ids_match_scalar_scan_on_traffic_frames(seed, n_objects):
     cloud = assign_rings(scene.cloud, 64)
     mask, _ = ground_plane_fit(cloud, x_segments(cloud, 3), GroundParams())
     args = _scan_args(cloud.select(np.flatnonzero(~mask)), ClusterParams())
-    np.testing.assert_array_equal(kernels.cluster_scan(*args),
-                                  scalar_cluster_ids(*args))
+    np.testing.assert_array_equal(kernels.cluster_scan(*args), _scalar_ids(*args))
 
 
 def test_labels_partition_and_min_ids(rng):

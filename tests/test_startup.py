@@ -25,10 +25,11 @@ def test_import_leaves_scipy_out():
 SUBMODULES = frozenset(m.name for m in pkgutil.iter_modules(ringseg.__path__))
 # what each command loads: itself and, forked from it, its pool workers
 COMMAND_MODULES = {
-    "eval": {"cli", "errors", "cloud", "kernels", "metrics"},
+    "eval": {"cli", "errors", "cloud", "metrics"},
     "segment": SUBMODULES - {"bench", "metrics", "samples", "synth"},
-    "prepare": SUBMODULES - {"pipeline", "bench", "clustering", "ground", "metrics", "synth"},
-    "synth": {"cli", "cloud", "config", "errors", "kernels", "synth"},
+    "prepare": SUBMODULES - {"pipeline", "bench", "clustering", "ground", "kernels",
+                             "metrics", "synth"},
+    "synth": {"cli", "cloud", "config", "errors", "synth"},
     "bench": SUBMODULES - {"samples", "metrics", "synth"},
 }
 LOADED = "sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('ringseg.'))"
