@@ -23,9 +23,16 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
+# One BLAS thread per process unless the user says otherwise, set before
+# numpy loads BLAS: each forked `--jobs` worker would otherwise start a
+# thread per core for the ground fit's long dot products, and the workers
+# would fight over the cores. A library caller's `import ringseg` sets none.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .errors import AlignmentError, ConfigError, FileFormatError, RingSegError
+import numpy as np  # noqa: E402
+
+from .errors import AlignmentError, ConfigError, FileFormatError, RingSegError  # noqa: E402
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -153,10 +160,14 @@ def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -
     from .cloud import load_point_cloud
     from .pipeline import run_stage1
 
-    cloud = load_point_cloud(bin_path)
+    cloud, kept = load_point_cloud(bin_path)
     result = run_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
+    ids = result.cluster_labels
+    if kept is not None:  # one id per input record, 0 (no proposal) for a dropped one
+        ids = np.zeros(kept.size, dtype=ids.dtype)
+        ids[kept] = result.cluster_labels
     out = Path(out_dir)
-    result.cluster_labels.astype("<u4").tofile(out / f"{stem}{_CLUSTER_SUFFIX}")
+    ids.astype("<u4").tofile(out / f"{stem}{_CLUSTER_SUFFIX}")
     _write_manifest(out / f"{stem}{_MANIFEST_SUFFIX}", result.proposals)
 
 
@@ -193,9 +204,13 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
     )
 
     bin_path = Path(in_dir) / f"{stem}.bin"
-    cloud = load_point_cloud(bin_path)
-    cloud = cloud.with_labels(load_labels(bin_path.with_suffix(".label"), len(cloud)))
-    cluster_ids = _read_cluster_ids(seg_dir, stem, len(cloud))
+    cloud, kept = load_point_cloud(bin_path)
+    records = len(cloud) if kept is None else kept.size
+    labels = load_labels(bin_path.with_suffix(".label"), records)
+    cluster_ids = _read_cluster_ids(seg_dir, stem, records)
+    if kept is not None:  # both files hold one entry per input record
+        labels, cluster_ids = labels[kept], cluster_ids[kept]
+    cloud = cloud.with_labels(labels)
     manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
 
     prep = cfg.prep
@@ -301,7 +316,7 @@ def _bench_one(stem: str, path: Path | None, cfg: PipelineConfig, reps: int) -> 
 
         cloud = generate_synthetic_scene(sample_traffic_scene(cfg.rng_seed, n_objects=6)).cloud
     else:
-        cloud = load_point_cloud(path)
+        cloud, _ = load_point_cloud(path)
     report, _ = benchmark_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine,
                                  cfg.num_rings, repetitions=reps)
     return format_record({"frame": stem, **report.to_record()})

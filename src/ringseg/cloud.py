@@ -111,9 +111,11 @@ class PointCloud:
         )
 
 
-def load_point_cloud(path) -> PointCloud:
+def load_point_cloud(path) -> tuple[PointCloud, np.ndarray | None]:
     """Read a binary point-cloud file (packed x, y, z, intensity float32 LE).
 
+    Returns the cloud and the records it holds: None when it holds every
+    record of the file, else a boolean mask over the file's records.
     Records containing non-finite values are dropped with a logged report of
     their indices; intensity is clamped into [0, 1].
     """
@@ -123,19 +125,20 @@ def load_point_cloud(path) -> PointCloud:
             f"{path}: size {raw.size} is not a multiple of {POINT_RECORD_BYTES}"
         )
     rec = raw.view("<f4").reshape(-1, 4)
+    kept = None
     if not np.isfinite(rec).all():
-        finite = np.isfinite(rec).all(axis=1)
-        bad = np.flatnonzero(~finite)
+        kept = np.isfinite(rec).all(axis=1)
+        bad = np.flatnonzero(~kept)
         log.warning(
             "%s: dropped %d non-finite record(s), first indices %s",
             path, bad.size, bad[:8].tolist(),
         )
-        rec = rec[finite]
+        rec = rec[kept]
     intensity = rec[:, 3].astype(np.float64)
     np.clip(intensity, 0.0, 1.0, out=intensity)
     # finite and clamped here, so the constructor's content scans are skipped
     return PointCloud(xyz=np.asfortranarray(rec[:, :3], dtype=np.float64),
-                      intensity=intensity, validate=False)
+                      intensity=intensity, validate=False), kept
 
 
 def save_point_cloud(cloud: PointCloud, path) -> None:

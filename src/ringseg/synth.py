@@ -236,8 +236,31 @@ def _validate_layout(spec: SceneSpec) -> None:
                 raise SceneValidationError(f"objects {i} and {j} interpenetrate")
 
 
+def _reachable_columns(obj: ObjectSpec, points_per_ring: int) -> np.ndarray:
+    """The azimuth columns whose rays can meet the object's footprint circle.
+
+    The circle (radius R at distance d >= R + 0.5, see `_validate_layout`)
+    subtends asin(R / d) either side of its bearing. The window is widened
+    by one column on each side, so rounding cannot drop a ray, and wraps at
+    0/2pi. It spans under half a turn plus 3 columns, so with 8 or more
+    columns per ring it never takes a column twice.
+    """
+    step = TWO_PI / points_per_ring
+    bearing = math.atan2(obj.y, obj.x)
+    half = math.asin(obj.footprint_radius() / math.hypot(obj.x, obj.y))
+    # column j looks along (j + 0.5) * step
+    lo = math.ceil((bearing - half) / step - 0.5) - 1
+    hi = math.floor((bearing + half) / step - 0.5) + 1
+    return np.arange(lo, hi + 1) % points_per_ring
+
+
 def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     """Cast all rays in scan order (ring-major, azimuth ascending).
+
+    The ground takes every ray; each object takes only the rays of the
+    azimuth columns its footprint can reach, on every ring, so a frame
+    costs rings x (columns + the objects' window columns), not
+    rings x columns x objects.
 
     Raises SceneValidationError for physically inconsistent specs or when
     some ray would not return (incomplete rings would make ring ids
@@ -269,11 +292,14 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
         all_t = np.where(nd < -1e-12, -offset / nd, np.inf)
     # the nearest return per ray, the first in (ground, objects...) on ties
     owner = np.full(all_t.shape[0], -1, dtype=np.int64)  # -1 = ground
+    ring_starts = np.arange(0, all_t.shape[0], a)[:, None]
     for k, (obj, zb) in enumerate(zip(spec.objects, z_bases)):
-        t = _object_distances(obj, zb, all_dirs)
-        nearer = t < all_t
-        all_t[nearer] = t[nearer]
-        owner[nearer] = k
+        rays = (ring_starts + _reachable_columns(obj, a)).ravel()
+        t = _object_distances(obj, zb, all_dirs[rays])
+        nearer = t < all_t[rays]
+        hit = rays[nearer]
+        all_t[hit] = t[nearer]
+        owner[hit] = k
     missing = np.flatnonzero(~np.isfinite(all_t))
     if missing.size:
         k = int(missing[0]) // a

@@ -6,8 +6,10 @@ check. Two exceptions: `per_cluster_box`, the one-cluster-at-a-time
 box fit, which `refine.fit_boxes` must match bit for bit: it shares the
 plane basis, the PCA fallback and the prefilter size with the library,
 and fits each cluster alone with the scalar hull prefilter and monotone
-chain below; and `min_merge_labels`, which runs the library's union-find
-over label ids so the tests can check it against `naive_min_merge`.
+chain below; `min_merge_labels`, which runs the library's union-find
+over label ids so the tests can check it against `naive_min_merge`; and
+`all_rays_scene`, which casts every ray of a frame against every object
+with the generator's own ray tests, so only the azimuth windows differ.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ringseg import kernels, refine
+from ringseg import kernels, refine, synth
 
 
 def canonical_partition(labels) -> np.ndarray:
@@ -515,3 +517,41 @@ def scalar_cluster_ids(x, y, z, az, halfwin, starts, th_ring, th_prop) -> np.nda
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     return np.array([find(int(lab)) for lab in labels], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic frames: every ray against every object, the cast that
+# `generate_synthetic_scene` narrows to each object's azimuth window.
+
+
+def all_rays_scene(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ring ids, owner, labels, xyz) of a valid spec, casting every ray of
+    the frame against the ground and then each object in turn; a strictly
+    nearer return takes the ray, so ties go to the ground, then the first
+    object. The directions, ray tests and noise draw are the generator's."""
+    normal, offset = spec.ground_plane()
+    elevations = np.radians(
+        np.linspace(spec.elevation_min_deg, spec.elevation_max_deg, spec.num_rings))
+    a = spec.points_per_ring
+    step = TWO_PI / a
+    azimuths = step / 2.0 + step * np.arange(a)
+    cos_el = np.array([math.cos(el) for el in elevations])[:, None]
+    sin_el = np.array([math.sin(el) for el in elevations])[:, None]
+    dirs = np.stack(np.broadcast_arrays(cos_el * np.cos(azimuths), cos_el * np.sin(azimuths),
+                                        sin_el), axis=-1).reshape(-1, 3)
+    nd = dirs @ normal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_all = np.where(nd < -1e-12, -offset / nd, np.inf)
+    owner = np.full(t_all.shape[0], -1, dtype=np.int64)
+    for k, obj in enumerate(spec.objects):
+        z_base = synth._object_z_base(obj, normal, offset)
+        t = synth._object_distances(obj, z_base, dirs)
+        nearer = t < t_all
+        t_all[nearer] = t[nearer]
+        owner[nearer] = k
+    if spec.noise_sigma > 0:
+        noise = np.random.default_rng(spec.rng_seed).normal(0.0, spec.noise_sigma, t_all.size)
+        t_all = np.maximum(t_all + noise, 1e-3)
+    class_of = np.array([0] + [obj.class_id for obj in spec.objects], dtype=np.uint8)
+    ring_ids = np.repeat(np.arange(spec.num_rings, dtype=np.int32), a)
+    return ring_ids, owner, class_of[owner + 1], dirs * t_all[:, None]

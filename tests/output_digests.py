@@ -34,12 +34,18 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, the CLI's default, in this process and the --against
+# one: a threaded BLAS splits the ground fit's long dot products, so the
+# float outputs would depend on the thread count, not on the tree
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from conftest import clutter_scene
-from ringseg import load_config, run_stage1, save_labels, save_point_cloud
-from ringseg.cli import main as cli_main
-from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
+import numpy as np  # noqa: E402
+
+from conftest import clutter_scene  # noqa: E402
+from ringseg import load_config, run_stage1, save_labels, save_point_cloud  # noqa: E402
+from ringseg.cli import main as cli_main  # noqa: E402
+from ringseg.synth import generate_synthetic_scene, sample_traffic_scene  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402

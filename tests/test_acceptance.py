@@ -301,7 +301,8 @@ def test_10_format_roundtrips(tmp_path):
         cloud = random_cloud(rng, int(rng.integers(0, 200)))
         path = tmp_path / "c.bin"
         save_point_cloud(cloud, path)
-        back = load_point_cloud(path)
+        back, kept = load_point_cloud(path)
+        assert kept is None
         assert back.xyz.tobytes() == cloud.xyz.tobytes()
         assert back.intensity.tobytes() == cloud.intensity.tobytes()
 

@@ -512,6 +512,52 @@ def test_origin_records_keep_the_frame(tmp_path):
     assert "recall=1.0 proposals=4 " in reports[1]
 
 
+def test_dropped_record_keeps_outputs_aligned(tmp_path):
+    # a non-finite record is dropped from the cloud but keeps its place in
+    # the outputs: id 0 in the .cluster file, skipped by prepare
+    cloud = generate_synthetic_scene(sample_traffic_scene(0)).cloud
+    frames, seg = tmp_path / "frames", tmp_path / "seg"
+    frames.mkdir()
+    xyz = cloud.xyz.copy()
+    xyz[600] = np.nan
+    save_point_cloud(PointCloud(xyz=xyz, intensity=cloud.intensity, validate=False),
+                     frames / "000000.bin")
+    save_labels(cloud.labels, frames / "000000.label")
+    assert main(["segment", "--input", str(frames), "--output", str(seg)]) == 0
+    ids = np.fromfile(seg / "000000.cluster", dtype="<u4")
+    assert ids.size == 102_400 and ids[600] == 0 and ids.any()
+    assert main(["eval", "--gt", str(frames), "--clusters", str(seg),
+                 "--output", str(tmp_path / "eval.txt")]) == 0
+    assert "proposals=4 " in (tmp_path / "eval.txt").read_text()
+    assert main(["prepare", "--input", str(frames), "--segments", str(seg),
+                 "--output", str(tmp_path / "s.ps3d")]) == 0
+    assert len(load_samples(tmp_path / "s.ps3d")[1]) > 0
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_PROBE = """
+import os, sys
+import {module}
+print(" ".join(os.environ.get(v, "-") for v in sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("module, preset, expected", [
+    ("ringseg.cli", None, "1 1 1"),  # the CLI defaults BLAS to one thread
+    ("ringseg.cli", "3", "3 3 3"),  # a value the user set wins
+    ("ringseg", None, "- - -"),  # the package sets nothing
+])
+def test_cli_defaults_blas_to_one_thread(module, preset, expected):
+    src = str(Path(ringseg.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(dict.fromkeys(_BLAS_VARS, preset) if preset else {}, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE.format(module=module),
+                           *_BLAS_VARS], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == expected.split()
+
+
 def test_unknown_config_key(tmp_path, caplog):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("ground.bogus = 3\n")

@@ -27,8 +27,8 @@ from oracles import scalar_trace_rings
 def test_load_decodes_records(tmp_path):
     path = tmp_path / "two.bin"
     path.write_bytes(struct.pack("<8f", 1, 2, 3, 0.5, 4, 5, 6, 0.25))
-    cloud = load_point_cloud(path)
-    assert len(cloud) == 2
+    cloud, kept = load_point_cloud(path)
+    assert len(cloud) == 2 and kept is None
     np.testing.assert_array_equal(cloud.xyz, [[1, 2, 3], [4, 5, 6]])
     np.testing.assert_array_equal(cloud.intensity, [0.5, 0.25])
 
@@ -36,7 +36,8 @@ def test_load_decodes_records(tmp_path):
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"")
-    assert len(load_point_cloud(path)) == 0
+    cloud, kept = load_point_cloud(path)
+    assert len(cloud) == 0 and kept is None
 
 
 def test_load_truncated_file(tmp_path):
@@ -49,15 +50,16 @@ def test_load_truncated_file(tmp_path):
 def test_load_drops_nonfinite_records(tmp_path):
     path = tmp_path / "nan.bin"
     path.write_bytes(struct.pack("<8f", 1, 2, 3, 0.5, np.nan, 5, 6, 0.25))
-    cloud = load_point_cloud(path)
+    cloud, kept = load_point_cloud(path)
     assert len(cloud) == 1
+    np.testing.assert_array_equal(kept, [True, False])
     np.testing.assert_array_equal(cloud.xyz, [[1, 2, 3]])
 
 
 def test_load_clamps_intensity(tmp_path):
     path = tmp_path / "dirty.bin"
     path.write_bytes(struct.pack("<8f", 0, 0, 0, -0.5, 1, 1, 1, 3.0))
-    cloud = load_point_cloud(path)
+    cloud, _ = load_point_cloud(path)
     np.testing.assert_array_equal(cloud.intensity, [0.0, 1.0])
 
 
@@ -66,7 +68,7 @@ def test_point_cloud_roundtrip_bits(tmp_path, rng):
         cloud = random_cloud(rng, int(rng.integers(0, 300)))
         path = tmp_path / f"{trial}.bin"
         save_point_cloud(cloud, path)
-        back = load_point_cloud(path)
+        back, _ = load_point_cloud(path)
         np.testing.assert_array_equal(back.xyz, cloud.xyz)
         np.testing.assert_array_equal(back.intensity, cloud.intensity)
 

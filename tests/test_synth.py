@@ -1,9 +1,15 @@
-from dataclasses import MISSING
+import math
+from dataclasses import MISSING, replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import clutter_scene
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import all_rays_scene
 
-from ringseg import ConfigError, SceneValidationError, generate_synthetic_scene
+from ringseg import ConfigError, SceneValidationError, generate_synthetic_scene, synth
 from ringseg.synth import (
     _OBJECT_KEYS,
     _SCENE_KEYS,
@@ -81,6 +87,75 @@ def test_owner_partition_and_ring_monotone():
         sel = scene.owner == k
         if sel.any():
             assert (scene.cloud.labels[sel] == obj.class_id).all()
+
+
+# bearings on and next to the 0/2pi wrap, and any other
+_BEARINGS = st.sampled_from([0.0, 1e-9, -1e-9, math.pi, -math.pi + 1e-9]) | st.floats(
+    -math.pi, math.pi)
+
+
+@st.composite
+def _objects(draw):
+    shape = draw(st.sampled_from(["box", "cylinder", "composite"]))
+    sizes = {"height": draw(st.floats(0.3, 3.0))}
+    if shape != "cylinder":
+        sizes.update(length=draw(st.floats(0.05, 5.0)), width=draw(st.floats(0.05, 2.5)))
+    if shape != "box":
+        sizes["radius"] = draw(st.floats(0.05, 1.5))
+    if shape == "composite":
+        sizes["rider_height"] = draw(st.floats(0.3, 1.0))
+    obj = ObjectSpec(class_id=draw(st.integers(0, 3)), shape=shape, x=0.0, y=0.0,
+                     yaw_deg=draw(st.floats(-180.0, 180.0)), **sizes)
+    # as near as the layout check admits (0.5 m clear of the footprint), or farther
+    d = obj.footprint_radius() + 0.5 + draw(st.sampled_from([1e-6]) | st.floats(1e-6, 30.0))
+    bearing = draw(_BEARINGS)
+    return replace(obj, x=d * math.cos(bearing), y=d * math.sin(bearing))
+
+
+@st.composite
+def _scenes(draw):
+    objects = draw(st.lists(_objects(), min_size=1, max_size=4))
+    for a, b in combinations(objects, 2):
+        assume(math.hypot(a.x - b.x, a.y - b.y) >= a.footprint_radius() + b.footprint_radius())
+    tilt = draw(st.sampled_from([0.0]) | st.floats(-5.0, 5.0))
+    return SceneSpec(num_rings=draw(st.integers(1, 6)),
+                     points_per_ring=draw(st.sampled_from([8, 9, 13]) | st.integers(8, 400)),
+                     elevation_min_deg=-30.0, elevation_max_deg=-(abs(tilt) + 1.0),
+                     ground_tilt_deg=tilt, noise_sigma=draw(st.sampled_from([0.0, 0.02])),
+                     rng_seed=draw(st.integers(0, 99)), objects=tuple(objects))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenes())
+def test_windowed_cast_matches_all_rays(spec):
+    scene = generate_synthetic_scene(spec)
+    ring_ids, owner, labels, xyz = all_rays_scene(spec)
+    np.testing.assert_array_equal(scene.ring_ids, ring_ids)
+    np.testing.assert_array_equal(scene.owner, owner)
+    np.testing.assert_array_equal(scene.cloud.labels, labels)
+    assert scene.cloud.xyz.tobytes() == np.asfortranarray(xyz).tobytes()
+
+
+def test_each_object_casts_only_its_azimuth_window(monkeypatch):
+    spec = clutter_scene(0)  # traffic plus 30 thin poles
+    assert sum(o.shape == "cylinder" and o.class_id == 0 for o in spec.objects) == 30
+    rays = []
+    object_distances = synth._object_distances
+
+    def counted(obj, z_base, dirs):
+        rays.append(dirs.shape[0])
+        return object_distances(obj, z_base, dirs)
+
+    monkeypatch.setattr(synth, "_object_distances", counted)
+    generate_synthetic_scene(spec)
+    a = spec.points_per_ring
+    azimuths = (np.arange(a) + 0.5) * (2.0 * math.pi / a)
+    assert len(rays) == len(spec.objects)
+    for obj, n in zip(spec.objects, rays):
+        off = (azimuths - math.atan2(obj.y, obj.x) + math.pi) % (2.0 * math.pi) - math.pi
+        half = math.asin(obj.footprint_radius() / math.hypot(obj.x, obj.y))
+        window = int((np.abs(off) <= half).sum())
+        assert n <= spec.num_rings * (window + 2)
 
 
 def test_object_below_ground_rejected():
