@@ -4,8 +4,8 @@ Outputs are file-per-frame (cluster labels, proposal manifests, synthetic
 ground truth) or a single sample archive; metric and timing reports are
 line-delimited `key=value` records on stdout (or --output). Frames are
 processed in lexicographic filename order and, for `segment` and `prepare`
-with --jobs > 1, by a process pool whose output is byte-identical to a
-sequential run.
+with --jobs > 1, in strided shares by forked processes, with output
+byte-identical to a sequential run.
 
 Every per-frame command has one failure policy: a frame that cannot be
 read or processed is skipped with one logged line, the outputs of the
@@ -18,7 +18,10 @@ import argparse
 import functools
 import logging
 import os
+import pickle
 import sys
+import tempfile
+import traceback
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -70,29 +73,76 @@ def _list_frames(directory: str, suffix: str = ".bin") -> list[tuple[str, Path]]
 def _attempt(worker, frame: tuple[str, object]):
     try:
         return worker(*frame), None
-    except _FRAME_ERRORS as exc:  # caught in the worker, so it crosses a pool
+    except _FRAME_ERRORS as exc:  # an outcome, so a forked share can report it
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_frames(worker, frames: list[tuple[str, object]], jobs: int = 1):
-    """The one frame loop: `worker(stem, arg)` per frame, in a process pool
-    when jobs > 1.
+def _run_share(worker, share: list[tuple[str, object]], out) -> None:
+    """A forked child's whole life: one pickled outcome per frame into `out`.
 
-    A frame that raises one of _FRAME_ERRORS is logged and skipped. Returns
-    the good frames' results in frame order and how many frames failed.
+    It leaves through `os._exit`, so it never returns into its caller's
+    stack (a test runner's included) or runs the parent's exit handlers.
+    """
+    code = 1
+    try:
+        for frame in share:
+            out.write(pickle.dumps(_attempt(worker, frame)))
+            out.flush()  # a frame's outcome survives the child dying later
+        code = 0
+    except Exception:  # not a frame error: the rest of the share fails
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _read_share(out, n: int, status: int) -> list:
+    """A child's outcomes, and a failure for each frame it left without one."""
+    outcomes = []
+    out.seek(0)
+    while len(outcomes) < n:
+        try:
+            outcomes.append(pickle.load(out))
+        except (EOFError, pickle.UnpicklingError):  # none, or cut off by a death
+            break
+    code = os.waitstatus_to_exitcode(status)
+    error = (f"worker exited with signal {-code}" if code < 0
+             else f"worker exited with code {code}")
+    return outcomes + [(None, error)] * (n - len(outcomes))
+
+
+def _run_frames(worker, frames: list[tuple[str, object]], jobs: int = 1):
+    """The one frame loop: `worker(stem, arg)` per frame, in `jobs` processes.
+
+    With jobs > 1 (capped at the frame count), it forks jobs - 1 children:
+    child k runs the strided share frames[k::jobs] and the parent runs share
+    0 itself, then reaps them all, also when interrupted. A frame that
+    raises one of _FRAME_ERRORS, or that a child left without an outcome
+    by dying, is logged and skipped. Returns the good frames' results in
+    frame order and how many frames failed.
 
     Commands import the modules that they and their workers run before they
-    call this: the pool's workers are forked, so they inherit those modules
-    and their own imports are `sys.modules` lookups.
+    call this: the children are forked, so they inherit those modules and
+    their own imports are `sys.modules` lookups.
     """
-    attempt = functools.partial(_attempt, worker)
-    if jobs <= 1 or len(frames) <= 1:
-        outcomes = map(attempt, frames)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(attempt, frames))
+    jobs = max(1, min(jobs, len(frames))) if hasattr(os, "fork") else 1
+    outcomes = [None] * len(frames)
+    children = []
+    try:
+        for k in range(1, jobs):
+            # a file, not a pipe: a full pipe would stall the child while
+            # the parent runs its own share
+            out = tempfile.TemporaryFile()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(worker, frames[k::jobs], out)
+            children.append((k, pid, out))
+        outcomes[0::jobs] = [_attempt(worker, frame) for frame in frames[0::jobs]]
+    finally:
+        for k, pid, out in children:
+            with out:
+                status = os.waitpid(pid, 0)[1]
+                outcomes[k::jobs] = _read_share(out, len(outcomes[k::jobs]), status)
     results, failed = [], 0
     for (stem, _), (result, error) in zip(frames, outcomes):
         if error:

@@ -3,6 +3,7 @@ import hashlib
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from ringseg import (
     save_labels,
     save_point_cloud,
 )
-from ringseg.cli import main
+from ringseg.cli import _run_frames, main
 from ringseg.config import _KEYS
 
 SCENE_TEXT = """
@@ -355,6 +356,56 @@ def test_segment_prepare_deterministic_across_runs_and_jobs(synth_dir, tmp_path)
         tree["__archive__"] = hashlib.sha256(archive.read_bytes()).hexdigest()
         digests.append(tree)
     assert digests[0] == digests[1] == digests[2]
+
+
+def _stem_and_pid(stem: str, _) -> tuple[str, int]:
+    return stem, os.getpid()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shares run in forked children")
+@pytest.mark.parametrize("jobs", range(1, 6))
+def test_frame_loop_runs_strided_shares(jobs, monkeypatch):
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for n in range(8):
+        forks.clear()
+        frames = [(f"{i:06d}", i) for i in range(n)]
+        results, failed = _run_frames(_stem_and_pid, frames, jobs)
+        assert failed == 0
+        assert [stem for stem, _ in results] == [stem for stem, _ in frames], (n, jobs)
+        pids = [pid for _, pid in results]
+        shares = [set(pids[k::jobs]) for k in range(min(jobs, n))]
+        assert all(len(share) == 1 for share in shares), (n, jobs)
+        assert len(set.union(set(), *shares)) == len(shares), (n, jobs)
+        assert not shares or shares[0] == {os.getpid()}, (n, jobs)
+        assert len(forks) <= max(min(jobs, n) - 1, 0), (n, jobs)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shares run in forked children")
+def test_dead_worker_costs_only_its_unfinished_frames(synth_dir, tmp_path, monkeypatch,
+                                                       caplog):
+    test_pid, segment_one = os.getpid(), ringseg.cli._segment_one
+
+    def dies_in_child(stem, *args, **kwargs):
+        if stem == "000001" and os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return segment_one(stem, *args, **kwargs)
+
+    monkeypatch.setattr(ringseg.cli, "_segment_one", dies_in_child)
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg),
+                 "--jobs", "2"]) == 1
+    assert sorted(p.name for p in seg.glob("*.cluster")) == [
+        "000000.cluster", "000002.cluster"]
+    assert "frame 000001 skipped: worker exited with signal 9" in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def test_empty_input_dir_ok(tmp_path, caplog):

@@ -23,7 +23,7 @@ def test_import_leaves_scipy_out():
 
 
 SUBMODULES = frozenset(m.name for m in pkgutil.iter_modules(ringseg.__path__))
-# what each command loads: itself and, forked from it, its pool workers
+# what each command loads: itself and, forked from it, its --jobs children
 COMMAND_MODULES = {
     "eval": {"cli", "errors", "cloud", "metrics"},
     "segment": SUBMODULES - {"bench", "metrics", "samples", "synth"},
@@ -92,8 +92,10 @@ def two_frames(tmp_path_factory):
 
 
 def test_each_command_loads_only_its_modules(two_frames):
+    # the frame loop forks its children itself: no process pool is imported
     code = ("import sys; from ringseg.cli import main; assert main(sys.argv[1:]) == 0; "
-            f"print({LOADED})")
+            f"print(({LOADED}, sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules)))")
     runs = {
         "segment": ["segment", "--input", "in", "--output", "seg", "--jobs", "2"],
         "prepare": ["prepare", "--input", "in", "--segments", "seg", "--output",
@@ -103,4 +105,6 @@ def test_each_command_loads_only_its_modules(two_frames):
         "bench": ["bench", "--input", "in", "--reps", "1", "--output", "b.txt"],
     }
     for command, argv in runs.items():  # in order: prepare and eval read seg/
-        assert set(_fresh(code, *argv, cwd=two_frames)) == COMMAND_MODULES[command], command
+        loaded, pools = _fresh(code, *argv, cwd=two_frames)
+        assert set(loaded) == COMMAND_MODULES[command], command
+        assert pools == [], command
