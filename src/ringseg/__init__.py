@@ -1,11 +1,11 @@
 """Ring-based LiDAR cluster proposals and training-sample preparation.
 
-Pipeline per frame: assign ring indices by azimuth quadrant tracing,
-remove the ground with segmented iterative plane fits, cluster the
+Pipeline per frame: assign ring indices from where each revolution
+starts, remove the ground with segmented iterative plane fits, cluster the
 remainder ring by ring, then filter and enlarge oriented boxes into
 proposals. A separate preparation stage turns proposals into fixed-size,
 augmented training samples. `ringseg.kernels` holds the vectorized
-numpy kernels for the ring trace and the cluster scan.
+numpy kernel of the cluster scan.
 
 The package imports lazily (PEP 562): `import ringseg` loads no
 submodule, and each exported name or submodule is imported on first use,

@@ -102,8 +102,12 @@ class PointCloud:
 
     def select(self, index: np.ndarray) -> "PointCloud":
         """Subset by index array or boolean mask, preserving scan order."""
+        index = np.asarray(index)
+        rows = np.flatnonzero(index) if index.dtype == bool else index
         return PointCloud(
-            xyz=self.xyz[index],
+            # one gather per coordinate through the C-ordered (3, n) view;
+            # its transpose is column-major already, so nothing copies again
+            xyz=np.take(self.xyz.T, rows, axis=1).T,
             intensity=self.intensity[index],
             ring_ids=None if self.ring_ids is None else self.ring_ids[index],
             labels=None if self.labels is None else self.labels[index],
@@ -166,40 +170,42 @@ def save_labels(labels: np.ndarray, path) -> None:
     np.asarray(labels, dtype=np.uint8).tofile(path)
 
 
-def compute_quadrants(xyz: np.ndarray) -> np.ndarray:
-    """Per-point azimuth quadrant, 1..4 counter-clockwise, 0 for on-axis.
-
-    Points with x == 0 or y == 0 get 0; the tracer makes them inherit the
-    previous point's quadrant so measurement jitter on an axis cannot fake
-    a revolution boundary.
-    """
-    x, y = xyz[:, 0], xyz[:, 1]
-    q = np.zeros(xyz.shape[0], dtype=np.int8)
-    q[(x > 0) & (y > 0)] = 1
-    q[(x < 0) & (y > 0)] = 2
-    q[(x < 0) & (y < 0)] = 3
-    q[(x > 0) & (y < 0)] = 4
-    return q
-
-
 def assign_rings(cloud: PointCloud, num_rings: int) -> PointCloud:
-    """Assign a ring index to every point by tracing azimuth quadrants.
+    """Assign a ring index to every point from where its revolution starts.
 
-    A rotating scanner emits each ring as one full revolution; in scan order
-    the quadrant sequence of (x, y) cycles 1 -> 2 -> 3 -> 4, and a 4 -> 1
-    transition marks the start of the next ring. Partial final revolutions
-    are fine; more revolutions than `num_rings` is a scan-format error.
+    A rotating scanner emits each ring as one counter-clockwise revolution,
+    so in scan order the azimuth quadrants of (x, y) cycle 1 -> 2 -> 3 -> 4.
+    A ring starts at an off-axis point in quadrant 1 whose previous off-axis
+    point lies in quadrant 4; points with x == 0 or y == 0 never start one,
+    so jitter on an axis cannot fake a boundary. Partial final revolutions
+    are fine. More revolutions than `num_rings`, or more 1 -> 4 steps than
+    4 -> 1 steps (a clockwise scan), is a scan-format error.
     """
-    from . import kernels  # only ring tracing needs it; eval, prepare and synth skip it
-
     if num_rings < 1:
         raise ValueError("num_rings must be >= 1")
-    if len(cloud) == 0:
-        return cloud.with_ring_ids(np.empty(0, dtype=np.int32))
-    q = compute_quadrants(cloud.xyz)
-    ring_ids, revolutions = kernels.trace_rings(q)
+    n = len(cloud)
+    x, y = cloud.xyz[:, 0], cloud.xyz[:, 1]
+    east, north = x > 0, y > 0
+    off_axis = (x != 0) & (y != 0)
+    at = None if off_axis.all() else np.flatnonzero(off_axis)
+    if at is not None:
+        east, north = east[at], north[at]
+    # steps between consecutive off-axis points east of the y axis that
+    # cross the x axis: northward is 4 -> 1, southward is 1 -> 4
+    crossing = east[1:] & east[:-1] & (north[1:] != north[:-1])
+    starts = np.flatnonzero(crossing & north[1:]) + 1
+    revolutions = starts.size + 1
     if revolutions > num_rings:
         raise ScanFormatError(
             f"detected {revolutions} revolutions but num_rings={num_rings}"
         )
-    return cloud.with_ring_ids(ring_ids)
+    backward = np.count_nonzero(crossing) - starts.size
+    if backward > starts.size:
+        raise ScanFormatError(
+            f"scan turns clockwise: {backward} quadrant 1 -> 4 steps against "
+            f"{starts.size} 4 -> 1 steps; rings are traced counter-clockwise"
+        )
+    if at is not None:
+        starts = at[starts]
+    lengths = np.diff(starts, prepend=0, append=n)
+    return cloud.with_ring_ids(np.repeat(np.arange(revolutions, dtype=np.int32), lengths))

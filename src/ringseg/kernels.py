@@ -1,22 +1,18 @@
-"""Vectorized numpy kernels for the two per-frame scans.
+"""Vectorized numpy kernel for the ring-order cluster scan.
 
-Ring tracing and ring-order clustering read like sequential scans, but
-neither needs a per-point interpreter loop:
+Clustering reads like a sequential scan, but needs no per-point
+interpreter loop. It links consecutive ring points by their squared
+distance and finds every point's nearest previous-ring neighbour inside
+its azimuth window, enumerated as (point, candidate) pairs and reduced
+per point with `np.minimum.reduceat`. Connected components are taken
+over whole runs. A point's id is the number of "openers" (points with
+neither link) up to the first point of its component, which is the id a
+one-pass scan assigns on first encounter and keeps after merging
+conflicting labels to the smallest.
 
-* Ring tracing forward-fills the on-axis quadrant codes with a running
-  maximum over indices and counts the 4 -> 1 steps with a cumulative sum.
-* Clustering links consecutive ring points by their squared distance and
-  finds every point's nearest previous-ring neighbour inside its azimuth
-  window, enumerated as (point, candidate) pairs and reduced per point
-  with `np.minimum.reduceat`. Connected components are taken over whole
-  runs. A point's id is the number of "openers" (points with
-  neither link) up to the first point of its component, which is the id
-  a one-pass scan assigns on first encounter and keeps after merging
-  conflicting labels to the smallest.
-
-Both kernels give the same ids as the scalar scans they replace (kept as
-oracles in the test suite): distances use the scan's `dx*dx + dy*dy +
-dz*dz` in the same order, the same strict `<` thresholds, and the same
+It gives the same ids as the scalar scan it replaces (kept as an oracle
+in the test suite): distances use the scan's `dx*dx + dy*dy + dz*dz` in
+the same order, the same strict `<` thresholds, and the same
 binary searches over each ring's ascending azimuths.
 """
 
@@ -31,24 +27,6 @@ WINDOW_MARGIN = 1e-7
 # candidate pairs evaluated at once; bounds the temporary arrays of frames
 # where many points search a whole previous ring
 _PAIR_CHUNK = 1 << 18
-
-
-def trace_rings(quadrant: np.ndarray) -> tuple[np.ndarray, int]:
-    """Count revolutions in a scan-order sequence of quadrant codes.
-
-    Codes are 0 (on-axis) or 1..4 counter-clockwise. On-axis points
-    inherit the previously seen quadrant (0 before any); a 4 -> 1 step
-    starts the next ring. Returns (int32 ring ids, revolutions).
-    """
-    q = np.asarray(quadrant, dtype=np.int8)
-    if not q.all():
-        # index of the last nonzero code at or before each point
-        last = np.where(q != 0, np.arange(q.size), -1)
-        np.maximum.accumulate(last, out=last)
-        q = np.where(last >= 0, q[last], 0).astype(np.int8)
-    ring_ids = np.zeros(q.size, dtype=np.int32)
-    np.cumsum((q[:-1] == 4) & (q[1:] == 1), out=ring_ids[1:])
-    return ring_ids, int(ring_ids[-1]) + 1 if q.size else 1
 
 
 def _sq_dist(x, y, z, a, b) -> np.ndarray:

@@ -69,7 +69,8 @@ def run_stage1(
     """
     n = len(cloud)
     t0 = time.perf_counter()
-    ringed = assign_rings(cloud, num_rings)
+    # without the labels, which the cluster scan does not read
+    ringed = assign_rings(PointCloud(cloud.xyz, cloud.intensity, validate=False), num_rings)
     t_rings = time.perf_counter()
 
     n_seg = ground_params.n_seg

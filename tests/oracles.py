@@ -320,25 +320,41 @@ def points_in_oriented_box(points: np.ndarray, center, axes, half) -> np.ndarray
 TWO_PI = 2.0 * np.pi
 
 
+def compute_quadrants(xyz: np.ndarray) -> np.ndarray:
+    """Per-point azimuth quadrant, 1..4 counter-clockwise, 0 for on-axis
+    (x == 0 or y == 0, either sign of zero)."""
+    x, y = xyz[:, 0], xyz[:, 1]
+    q = np.zeros(xyz.shape[0], dtype=np.int8)
+    q[(x > 0) & (y > 0)] = 1
+    q[(x < 0) & (y > 0)] = 2
+    q[(x < 0) & (y < 0)] = 3
+    q[(x > 0) & (y < 0)] = 4
+    return q
+
+
 def scalar_trace_rings(quadrant):
     """Scan quadrant codes (0 = on-axis, 1..4 CCW) and count revolutions.
 
     On-axis points inherit the previously seen quadrant; a 4 -> 1
-    transition increments the ring index. Returns (ring_ids, revolutions).
+    transition increments the ring index, and a 1 -> 4 transition is a
+    clockwise step. Returns (ring_ids, revolutions, clockwise steps).
     """
     n = quadrant.shape[0]
     ring_ids = np.zeros(n, dtype=np.int32)
     prev = 0
     ring = 0
+    clockwise = 0
     for i in range(n):
         q = quadrant[i]
         if q == 0:
             q = prev
         if prev == 4 and q == 1:
             ring += 1
+        if prev == 1 and q == 4:
+            clockwise += 1
         prev = q
         ring_ids[i] = ring
-    return ring_ids, ring + 1
+    return ring_ids, ring + 1, clockwise
 
 
 def _bisect_left(a, lo, hi, v):

@@ -629,6 +629,20 @@ def test_unreadable_frame_skipped_nonzero_exit(synth_dir, tmp_path):
     assert not (out / "zz_corrupt.cluster").exists()
 
 
+def test_clockwise_frame_fails_by_name(tmp_path, caplog, capsys):
+    cloud = generate_synthetic_scene(sample_traffic_scene(0)).cloud
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    save_point_cloud(PointCloud(xyz=cloud.xyz * [1.0, -1.0, 1.0],
+                                intensity=cloud.intensity), frames / "000000.bin")
+    caplog.clear()
+    assert main(["segment", "--input", str(frames), "--output", str(tmp_path / "seg")]) == 1
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert len(skipped) == 1
+    assert skipped[0].startswith("frame 000000 skipped: ScanFormatError: scan turns clockwise")
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 def test_bench_synthetic_record(tmp_path):
     report = tmp_path / "bench.txt"
     assert main(["bench", "--reps", "1", "--seed", "3",

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringseg import (
     AlignmentError,
@@ -16,12 +18,10 @@ from ringseg import (
     save_labels,
     save_point_cloud,
 )
-from ringseg import kernels
-from ringseg.cloud import compute_quadrants
 from ringseg.synth import SceneSpec
 
 from conftest import random_cloud
-from oracles import scalar_trace_rings
+from oracles import compute_quadrants, scalar_trace_rings
 
 
 def test_load_decodes_records(tmp_path):
@@ -130,23 +130,52 @@ def test_on_axis_points_inherit_quadrant():
     np.testing.assert_array_equal(ringed.ring_ids[17:], 1)
 
 
-def test_trace_rings_matches_scalar_trace(rng):
-    cases = [np.array([0, 0, 1, 4, 0, 1, 0, 4, 0, 0, 1], dtype=np.int8),
-             np.zeros(5, dtype=np.int8), np.empty(0, dtype=np.int8)]
-    for _ in range(300):
-        # sweeps of quadrant runs, some codes knocked onto an axis
-        sweeps = int(rng.integers(1, 6))
-        q = np.repeat(np.tile(np.arange(1, 5, dtype=np.int8), sweeps),
-                      rng.integers(1, 6, 4 * sweeps))
-        q[rng.random(q.size) < rng.uniform(0.0, 0.5)] = 0
-        cases.append(q)
-        cases.append(rng.integers(0, 5, int(rng.integers(1, 40))).astype(np.int8))
-    for q in cases:
-        ring_ids, revolutions = kernels.trace_rings(q)
-        expected, expected_revolutions = scalar_trace_rings(q)
+_ZERO = st.sampled_from([-0.0, 0.0])
+_COORD = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                   st.floats(-1e3, 1e3))
+# positive, down to values whose products underflow to 0
+_MAGNITUDE = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1e-300, 1e3))
+_ON_AXIS = st.one_of(st.tuples(_ZERO, _COORD), st.tuples(_COORD, _ZERO))
+
+
+@st.composite
+def _scan_xy(draw):
+    """A leading on-axis run, then free points or counter-clockwise sweeps
+    with some points knocked onto an axis."""
+    points = draw(st.lists(_ON_AXIS, max_size=4))
+    if draw(st.booleans()):
+        return points + draw(st.lists(st.tuples(_COORD, _COORD), max_size=40))
+    for _ in range(draw(st.integers(1, 5))):
+        for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+            for _ in range(draw(st.integers(1, 4))):
+                if draw(st.integers(0, 4)) == 0:
+                    points.append(draw(_ON_AXIS))
+                else:
+                    points.append((sx * draw(_MAGNITUDE), sy * draw(_MAGNITUDE)))
+    return points
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=_scan_xy(), num_rings=st.integers(1, 8))
+@example(points=[], num_rings=1)
+@example(points=[(1.0, 1.0)], num_rings=1)
+@example(points=[(0.0, 1.0), (-0.0, -2.0), (2.0, 0.0), (1.0, -0.0)], num_rings=1)
+def test_trace_rings_matches_scalar_trace(points, num_rings):
+    xyz = np.zeros((len(points), 3))
+    xyz[:, :2] = np.reshape(points, (-1, 2))
+    cloud = PointCloud(xyz=xyz, intensity=np.zeros(len(points)))
+    expected, revolutions, clockwise = scalar_trace_rings(compute_quadrants(xyz))
+    if revolutions > num_rings:
+        with pytest.raises(ScanFormatError, match=(
+                f"^detected {revolutions} revolutions but num_rings={num_rings}$")):
+            assign_rings(cloud, num_rings)
+    elif clockwise > revolutions - 1:
+        with pytest.raises(ScanFormatError, match="^scan turns clockwise: "):
+            assign_rings(cloud, num_rings)
+    else:
+        ring_ids = assign_rings(cloud, num_rings).ring_ids
         assert ring_ids.dtype == np.int32
         np.testing.assert_array_equal(ring_ids, expected)
-        assert revolutions == expected_revolutions
 
 
 def test_quadrants_on_axis_zero():
@@ -178,6 +207,22 @@ def test_assign_rings_scale_invariant(rng):
     scaled = PointCloud(xyz=scene.cloud.xyz * 3.7,
                         intensity=scene.cloud.intensity)
     np.testing.assert_array_equal(assign_rings(scaled, 8).ring_ids, base)
+
+
+def test_select_matches_gather(rng):
+    cloud = random_cloud(rng, 200)
+    cloud = PointCloud(cloud.xyz, cloud.intensity,
+                       ring_ids=np.sort(rng.integers(0, 8, 200)),
+                       labels=rng.integers(0, 4, 200))
+    mask = rng.random(200) < 0.3
+    for index in (np.flatnonzero(mask), mask, rng.integers(0, 200, 50),
+                  np.zeros(200, dtype=bool), np.array([7])):
+        sub = cloud.select(index)
+        for got, full in ((sub.xyz, cloud.xyz), (sub.intensity, cloud.intensity),
+                          (sub.ring_ids, cloud.ring_ids), (sub.labels, cloud.labels)):
+            np.testing.assert_array_equal(got, full[index])
+            assert got.dtype == full.dtype
+            assert got.flags.f_contiguous and not got.flags.writeable
 
 
 def test_select_preserves_order(rng):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ringseg import PointCloud, load_config, run_stage1
+from ringseg import PointCloud, ScanFormatError, load_config, run_stage1
 from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 
 from conftest import clutter_scene
@@ -91,6 +91,16 @@ def test_all_ground_cloud(rng):
     assert result.ground_mask.all()
     assert result.proposals == []
     assert (result.cluster_labels == 0).all()
+
+
+def test_clockwise_scan_raises():
+    # the seed-0 traffic frame mirrored in y, as a clockwise scanner sees it
+    cfg = load_config()
+    cloud = generate_synthetic_scene(sample_traffic_scene(0)).cloud
+    mirrored = PointCloud(xyz=cloud.xyz * [1.0, -1.0, 1.0], intensity=cloud.intensity)
+    with pytest.raises(ScanFormatError, match=(
+            "^scan turns clockwise: 63 quadrant 1 -> 4 steps against 0 4 -> 1 steps")):
+        run_stage1(mirrored, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
 
 
 def test_timings_dict_populated(frame_and_result):
