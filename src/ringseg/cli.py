@@ -45,8 +45,9 @@ log = logging.getLogger("ringseg")
 
 _MANIFEST_SUFFIX = ".proposals.txt"
 _CLUSTER_SUFFIX = ".cluster"
-# the manifest fields prepare reads; `count` is informational
-_MANIFEST_KEYS = ("cluster", "d", "cx", "cy", "cz", "yaw", "hx", "hy", "hz", "nx", "ny", "nz")
+# a manifest line's fields in write order; prepare reads all but `count`
+_MANIFEST_KEYS = ("cluster", "count", "d", "cx", "cy", "cz", "yaw",
+                  "hx", "hy", "hz", "nx", "ny", "nz")
 
 
 def format_record(fields: dict) -> str:
@@ -158,18 +159,9 @@ def _run_frames(worker, frames: list[tuple[str, object]], jobs: int = 1):
 
 
 def _write_manifest(path: Path, proposals: list[Proposal]) -> None:
-    lines = []
-    for p in proposals:
-        b = p.bbox
-        lines.append(format_record({
-            "cluster": p.cluster_id,
-            "count": p.member_indices.size,
-            "d": p.distance,
-            "cx": b.center[0], "cy": b.center[1], "cz": b.center[2],
-            "yaw": b.yaw,
-            "hx": b.half_extents[0], "hy": b.half_extents[1], "hz": b.half_extents[2],
-            "nx": b.normal[0], "ny": b.normal[1], "nz": b.normal[2],
-        }))
+    lines = [format_record(dict(zip(_MANIFEST_KEYS, (
+        p.cluster_id, p.member_indices.size, p.distance, *p.bbox.center, p.bbox.yaw,
+        *p.bbox.half_extents, *p.bbox.normal)))) for p in proposals]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -186,7 +178,7 @@ def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
         if any(len(tok) != 2 for tok in tokens):
             raise FileFormatError(f"{path}:{lineno}: expected key=value tokens")
         e = dict(tokens)
-        missing = [key for key in _MANIFEST_KEYS if key not in e]
+        missing = [key for key in _MANIFEST_KEYS if key != "count" and key not in e]
         if missing:
             raise FileFormatError(f"{path}:{lineno}: no {', '.join(missing)} field")
         center, half_extents, normal = (
@@ -410,10 +402,11 @@ def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> i
 # argument wiring
 
 
+# a flag that sets a config key has that key as its dest; None is "not given"
 _SHARED_FLAGS = {
     "--config": {"help": "key=value config file"},
     "--input": {"help": "input directory"},
-    "--seed": {"type": int, "help": "rng seed override"},
+    "--seed": {"type": int, "dest": "rng_seed", "metavar": "SEED", "help": "rng seed override"},
     "--jobs": {"type": int, "help": "worker processes (default 1)"},
 }
 
@@ -439,9 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--config", "--input", "--seed", "--jobs")
     p.add_argument("--segments", help="directory with segment outputs "
                                       "(default: the input directory)")
-    p.add_argument("--augment", action="store_true",
+    p.add_argument("--augment", dest="prep.augment", action="store_const", const=True,
                    help="emit all 8 isometry variants per foreground sample")
-    p.add_argument("--n-points", type=int, help="rows per sample")
+    p.add_argument("--n-points", type=int, dest="prep.n_points", metavar="N",
+                   help="rows per sample")
 
     p = sub.add_parser("eval", help="point-wise metrics and proposal recall")
     _add_common(p)
@@ -495,15 +489,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "eval":  # the one command that reads no config
             return cmd_eval(args.gt, args.pred, args.clusters, args.output)
-        from .config import load_config
+        from .config import _KEYS, load_config
 
-        # None is "not given", so an absent flag keeps the config file's value
-        cfg = load_config(getattr(args, "config", None), {
-            "rng_seed": getattr(args, "seed", None), "jobs": getattr(args, "jobs", None),
-            "input": getattr(args, "input", None), "output": args.output,
-            "prep.augment": getattr(args, "augment", None) or None,
-            "prep.n_points": getattr(args, "n_points", None),
-        })
+        cfg = load_config(getattr(args, "config", None),
+                          {k: v for k, v in vars(args).items() if k in _KEYS})
 
         if args.command == "segment":
             return cmd_segment(cfg)
@@ -514,7 +503,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             if not args.output:
                 raise ConfigError("output", "synth needs --output")
-            return cmd_synth(args.scene, args.output, args.frames, args.seed)
+            return cmd_synth(args.scene, args.output, args.frames, args.rng_seed)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         log.error("%s", exc)

@@ -57,8 +57,9 @@ class PointCloud:
     intensity: np.ndarray
     ring_ids: np.ndarray | None = None
     labels: np.ndarray | None = None
-    # content scans are skipped for derived clouds whose invariants are
-    # inherited (subsets, attribute attachment); shape checks always run
+    # content scans (finite xyz, intensity range, class ids) are skipped
+    # for derived clouds whose values are inherited or were checked when
+    # read (subsets, attribute attachment); shape checks always run
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
@@ -86,7 +87,7 @@ class PointCloud:
             object.__setattr__(self, "labels", labels)
             if labels.shape != (n,):
                 raise AlignmentError(f"labels length {labels.shape[0]} != cloud length {n}")
-            if n and labels.max() > max(ClassId):
+            if validate and n and labels.max() > max(ClassId):
                 raise InvalidClassError(f"label value {labels.max()} > {max(ClassId)}")
 
     def __len__(self) -> int:

@@ -3,8 +3,9 @@
 Each field of the parameter classes is the one declaration of a key: its
 default, its check and the requirement a rejection quotes. The defaults
 are the stock parameter set, so the zero-config run is the published one.
-A key is its field's path, `<section>.<field>` or `<field>` at top level,
-and the size priors take `refine.size_priors.<class>.<min|max>.<axis>`.
+A key is its field's path, `<section>.<field>` or `<field>` at top level;
+each size-prior bound is a key of its own,
+`refine.size_priors.<class>.<min|max>.<axis>`.
 A config file is `key = value` lines with `#` comments; CLI flags
 override file values. Every key, from a file or a flag, is validated
 before any frame is touched, and a rejected config leaves the filesystem
@@ -16,11 +17,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .cloud import CLASS_NAMES, FOREGROUND_CLASSES, ClassId
+from .cloud import CLASS_NAMES, ClassId
 from .errors import ConfigError
-
-_PRIOR_CLASSES = {CLASS_NAMES[c]: int(c) for c in FOREGROUND_CLASSES}
-_PRIOR_AXES = ("x", "y", "z")
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -206,12 +204,17 @@ class PipelineConfig(_Checked):
     output: str | None = _param(None, lambda v: True, "path")
 
 
-# every accepted key -> its field; fields without a check (the size priors)
-# have keys of their own
+# every accepted key -> its field; `refine.size_priors` has no check, and
+# each of its bounds is a key of its own, with no rule but "not NaN"
 _KEYS = {
     **{f"{top.name}.{f.name}": f for top in fields(PipelineConfig) if is_dataclass(top.type)
        for f in fields(top.type) if "check" in f.metadata},
     **{top.name: top for top in fields(PipelineConfig) if "check" in top.metadata},
+    **{f"refine.size_priors.{CLASS_NAMES[cid]}.{bound}.{axis}":
+       _param(value, lambda v: not np.isnan(v), "meters", parse=float)
+       for cid, prior in DEFAULT_SIZE_PRIORS.items()
+       for bound, values in (("min", prior.mins), ("max", prior.maxes))
+       for axis, value in zip("xyz", values)},
 }
 
 
@@ -220,16 +223,6 @@ def _field(key: str):
         return _KEYS[key]
     except KeyError:
         raise ConfigError(key, "unknown key") from None
-
-
-def _parse_prior_key(key: str) -> tuple[str, str, str]:
-    parts = key.split(".")
-    # refine.size_priors.<class>.<min|max>.<axis>
-    if (len(parts) != 5 or parts[3] not in ("min", "max") or parts[4] not in _PRIOR_AXES
-            or parts[2] not in _PRIOR_CLASSES):
-        raise ConfigError(key, f"expected refine.size_priors.<{'|'.join(_PRIOR_CLASSES)}>"
-                               ".<min|max>.<x|y|z>")
-    return parts[2], parts[3], parts[4]
 
 
 def build_config(
@@ -241,47 +234,30 @@ def build_config(
     `file_values` are raw strings from read_kv_file; `overrides` are typed
     values (from CLI flags) keyed by the same dotted names and win over the
     file; None means not given. Both pass their field's check, and keys
-    given by neither keep the fields' defaults. Raises ConfigError naming
-    the offending key.
+    given by neither keep the fields' defaults. A class's size prior is
+    built from its six bounds, which must keep each min below its max.
+    Raises ConfigError naming the offending key.
     """
     # section ("" at top level) -> field name -> value
     kwargs: dict[str, dict[str, object]] = {"": {}}
-    prior_values: dict[tuple[str, str, str], float] = {}
 
-    def put(key: str, raw) -> None:
-        section, _, name = key.rpartition(".")
-        kwargs.setdefault(section, {})[name] = field_value(key, _field(key), raw)
+    for key, raw in [*(file_values or {}).items(), *(overrides or {}).items()]:
+        if raw is not None:
+            section, _, name = key.rpartition(".")
+            kwargs.setdefault(section, {})[name] = field_value(key, _field(key), raw)
 
-    for key, raw in (file_values or {}).items():
-        if key.startswith("refine.size_priors."):
-            cls, bound, axis = _parse_prior_key(key)
-            try:
-                prior_values[(cls, bound, axis)] = float(raw)
-            except ValueError:
-                raise ConfigError(key, f"invalid float: {raw!r}")
-            continue
-        put(key, raw)
+    def corner(section: str) -> tuple:  # a prior's min or max, given axes over defaults
+        given = kwargs.pop(section, {})
+        return tuple(given.get(axis, _KEYS[f"{section}.{axis}"].default) for axis in "xyz")
 
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            put(key, value)
-
-    if prior_values:
-        priors = dict(DEFAULT_SIZE_PRIORS)
-        for cls_name, cid in _PRIOR_CLASSES.items():
-            base = priors[cid]
-            mins = list(base.mins)
-            maxes = list(base.maxes)
-            for i, axis in enumerate(_PRIOR_AXES):
-                if (cls_name, "min", axis) in prior_values:
-                    mins[i] = prior_values[(cls_name, "min", axis)]
-                if (cls_name, "max", axis) in prior_values:
-                    maxes[i] = prior_values[(cls_name, "max", axis)]
-            try:
-                priors[cid] = SizePrior(tuple(mins), tuple(maxes))
-            except ValueError as exc:
-                raise ConfigError(f"refine.size_priors.{cls_name}", str(exc))
-        kwargs.setdefault("refine", {})["size_priors"] = priors
+    priors = {}
+    for cid in DEFAULT_SIZE_PRIORS:
+        key = f"refine.size_priors.{CLASS_NAMES[cid]}"
+        try:
+            priors[cid] = SizePrior(corner(f"{key}.min"), corner(f"{key}.max"))
+        except ValueError as exc:
+            raise ConfigError(key, str(exc))
+    kwargs.setdefault("refine", {})["size_priors"] = priors
     top = kwargs.pop("")
     sections = {f.name: f.type for f in fields(PipelineConfig)}
     for section, kw in kwargs.items():

@@ -31,7 +31,6 @@ class PlaneModel:
 
     normal: np.ndarray
     offset: float
-    segment_index: int = -1
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64)
@@ -90,7 +89,7 @@ def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plane_from_moments(count: int, first: np.ndarray, second: np.ndarray,
-                        shift: np.ndarray, segment_index: int = -1) -> PlaneModel:
+                        shift: np.ndarray) -> PlaneModel:
     """Total least-squares plane of `count` points given their moments
     about `shift` (a point near them, so the moments stay small)."""
     if count < 3:
@@ -103,11 +102,10 @@ def _plane_from_moments(count: int, first: np.ndarray, second: np.ndarray,
     normal = eigvecs[:, 0]
     if normal[2] < 0:
         normal = -normal
-    return PlaneModel(normal=normal, offset=float(-normal @ (shift + mean)),
-                      segment_index=segment_index)
+    return PlaneModel(normal=normal, offset=float(-normal @ (shift + mean)))
 
 
-def fit_plane(points: np.ndarray, segment_index: int = -1) -> PlaneModel:
+def fit_plane(points: np.ndarray) -> PlaneModel:
     """Total least-squares plane through the centroid.
 
     The normal is the smallest-eigenvalue eigenvector of the covariance
@@ -118,7 +116,7 @@ def fit_plane(points: np.ndarray, segment_index: int = -1) -> PlaneModel:
     rows = np.array(np.asarray(points, dtype=np.float64).T, order="C")
     shift = rows.mean(axis=1) if rows.shape[1] else np.zeros(3)
     rows -= shift[:, None]
-    return _plane_from_moments(rows.shape[1], *_moments(rows), shift, segment_index)
+    return _plane_from_moments(rows.shape[1], *_moments(rows), shift)
 
 
 def ground_plane_fit(
@@ -161,7 +159,7 @@ def ground_plane_fit(
                     first, second = total[0] - first, total[1] - second
                 else:
                     first, second = _moments(np.compress(ground_sel, centered, axis=1))
-                model = _plane_from_moments(count, first, second, shift, seg)
+                model = _plane_from_moments(count, first, second, shift)
                 np.matmul(model.normal, pts_t, out=dist)
                 dist += model.offset
                 ground_sel = np.abs(dist, out=dist) < params.th_dist

@@ -13,11 +13,15 @@ import pytest
 
 import ringseg
 from ringseg import (
+    DEFAULT_SIZE_PRIORS,
+    ClassId,
     ConfigError,
     PipelineConfig,
     PointCloud,
     build_config,
+    cli,
     generate_synthetic_scene,
+    load_config,
     load_samples,
     sample_traffic_scene,
     save_labels,
@@ -501,6 +505,10 @@ REJECTED = {
     "jobs": ("0", "integer >= 1"),
     "input": None,
     "output": None,
+    # a bound's only rule is "not NaN": inf maxima and negative minima pass
+    **{f"refine.size_priors.{cls}.{bound}.{axis}": ("nan", "meters")
+       for cls in ("car", "pedestrian", "cyclist") for bound in ("min", "max")
+       for axis in "xyz"},
 }
 
 
@@ -661,6 +669,51 @@ def test_bench_compare_backends_on_frames(synth_dir, tmp_path):
     frames = [dict(t.split("=", 1) for t in line.split())["frame"]
               for line in report.read_text().strip().splitlines()]
     assert frames == [p.stem for p in sorted(synth_dir.glob("*.bin"))]
+
+
+def test_size_prior_keys_reach_refine_params(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("refine.size_priors.car.max.x = inf\n")
+    from_file = load_config(cfg).refine.size_priors
+    assert from_file[int(ClassId.CAR)].maxes == (np.inf, 2.5, 2.5)
+    from_override = build_config(None, {"refine.size_priors.cyclist.min.z": -1.0})
+    assert from_override.refine.size_priors[int(ClassId.CYCLIST)].mins == (0.8, 0.2, -1.0)
+    assert {k: v for k, v in from_file.items() if k != ClassId.CAR} == {
+        k: v for k, v in DEFAULT_SIZE_PRIORS.items() if k != ClassId.CAR}
+    with pytest.raises(ConfigError) as exc:
+        build_config({"refine.size_priors.car.max.z": "0.5"})
+    assert exc.value.key == "refine.size_priors.car"
+
+
+def test_augment_from_config_file_survives_absent_flag(synth_dir, tmp_path):
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("prep.augment = true\n")
+    common = ["prepare", "--input", str(synth_dir), "--segments", str(seg), "--n-points", "16"]
+    archives = {}
+    for name, extra in [("file", ["--config", str(cfg)]), ("flag", ["--augment"]), ("off", [])]:
+        archives[name] = tmp_path / f"{name}.ps3d"
+        assert main(common + extra + ["--output", str(archives[name])]) == 0
+    assert archives["file"].read_bytes() == archives["flag"].read_bytes()
+    assert archives["file"].read_bytes() != archives["off"].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["prepare", "bench", "synth"])
+def test_seed_flag_sets_rng_seed(command, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("rng_seed = 9\n")
+    seeds = []
+    monkeypatch.setattr(cli, "cmd_prepare", lambda cfg, seg: seeds.append(cfg.rng_seed) or 0)
+    monkeypatch.setattr(cli, "cmd_bench", lambda cfg, *_: seeds.append(cfg.rng_seed) or 0)
+    monkeypatch.setattr(cli, "cmd_synth", lambda *args: seeds.append(args[-1]) or 0)
+    argv = {"prepare": ["prepare", "--config", str(cfg)],
+            "bench": ["bench", "--config", str(cfg)],
+            "synth": ["synth", "--scene", "s.cfg"]}[command] + ["--output", "o"]
+    assert main(argv + ["--seed", "5"]) == 0
+    assert main(argv) == 0
+    # synth's seed comes from its scene file unless the flag gives one
+    assert seeds == [5, None if command == "synth" else 9]
 
 
 def test_config_file_overrides_and_flag_priority(synth_dir, tmp_path):

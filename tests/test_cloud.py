@@ -94,6 +94,16 @@ def test_nonfinite_coordinates_rejected():
         PointCloud(xyz=np.array([[np.inf, 0, 0]]), intensity=np.array([0.5]))
 
 
+def test_class_ids_scanned_only_when_validating():
+    xyz, intensity, labels = np.zeros((2, 3)), np.full(2, 0.5), np.array([0, 9])
+    with pytest.raises(InvalidClassError):
+        PointCloud(xyz=xyz, intensity=intensity, labels=labels)
+    # a scan would raise; a derived cloud inherits labels checked when read
+    cloud = PointCloud(xyz=xyz, intensity=intensity, labels=labels, validate=False)
+    np.testing.assert_array_equal(cloud.labels, [0, 9])
+    assert cloud.with_ring_ids(np.zeros(2)).select([1]).labels.tolist() == [9]
+
+
 def _sweep(azimuths, radius=5.0):
     return np.column_stack([
         radius * np.cos(azimuths),
