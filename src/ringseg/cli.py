@@ -234,13 +234,15 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 
 
 def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
-                 cfg: PipelineConfig) -> list:
+                 cfg: PipelineConfig) -> np.ndarray:
+    """The frame's samples as archive records (`samples.record_dtype`)."""
     from .cloud import load_labels, load_point_cloud
     from .refine import Proposal
     from .samples import (
         BG_KEEP_STREAM,
         augment_eightfold,
         canonical_transform,
+        pack_samples,
         resample_points,
         sample_rng,
     )
@@ -279,12 +281,13 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
             rng = rng0 if variant.variant_id == 0 else sample_rng(
                 cfg.rng_seed, frame_id, cid, variant.variant_id)
             samples.append(resample_points(variant, prep.n_points, rng))
-    return samples
+    return pack_samples(samples, prep.n_points)
 
 
 def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
+    import numpy.random  # noqa: F401  numpy 2 loads it on first use, in sample_rng
     from . import cloud, refine  # noqa: F401  the workers' modules
-    from .samples import export_samples
+    from .samples import export_samples, pack_samples
 
     if not cfg.input or not cfg.output:
         raise ConfigError("input/output", "prepare needs --input and --output")
@@ -299,10 +302,10 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     worker = functools.partial(_prepare_one, in_dir=cfg.input,
                                seg_dir=seg_dir or cfg.input, cfg=cfg)
     per_frame, failed = _run_frames(worker, frames, cfg.jobs)
-    samples = [s for frame_samples in per_frame for s in frame_samples]
-    export_samples(samples, cfg.output, n_points=cfg.prep.n_points)
+    records = np.concatenate(per_frame) if per_frame else pack_samples([], cfg.prep.n_points)
+    export_samples(records, cfg.output, n_points=cfg.prep.n_points)
     log.info("wrote %d sample(s) from %d frame(s) to %s, %d failed",
-             len(samples), len(per_frame), cfg.output, failed)
+             len(records), len(per_frame), cfg.output, failed)
     return 1 if failed else 0
 
 
@@ -365,8 +368,6 @@ def _bench_one(stem: str, path: Path | None, cfg: PipelineConfig, reps: int) -> 
 
 
 def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
-    if reps < 1:
-        raise ConfigError("--reps", f"expected integer >= 1, got {reps}")
     frames = _list_frames(cfg.input) if cfg.input else [("synthetic", None)]
     if not frames:
         log.warning("no .bin frames under %s", cfg.input)
@@ -381,8 +382,6 @@ def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> i
     from .cloud import save_labels, save_point_cloud
     from .synth import generate_synthetic_scene, scene_from_file
 
-    if frames < 1:
-        raise ConfigError("--frames", f"expected integer >= 1, got {frames}")
     spec = scene_from_file(scene_path)
     base_seed = spec.rng_seed if seed is None else seed
     out = Path(out_dir)
@@ -489,7 +488,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "eval":  # the one command that reads no config
             return cmd_eval(args.gt, args.pred, args.clusters, args.output)
-        from .config import _KEYS, load_config
+        from .config import _KEYS, _integer, field_value, load_config
 
         cfg = load_config(getattr(args, "config", None),
                           {k: v for k, v in vars(args).items() if k in _KEYS})
@@ -498,12 +497,15 @@ def main(argv=None) -> int:
             return cmd_segment(cfg)
         if args.command == "prepare":
             return cmd_prepare(cfg, args.segments)
+        # a command's own count, not a config key, passes config's integer rule
+        count = functools.partial(field_value, f=_integer(1))
         if args.command == "bench":
-            return cmd_bench(cfg, args.reps, args.output)
+            return cmd_bench(cfg, count("--reps", raw=args.reps), args.output)
         if args.command == "synth":
             if not args.output:
                 raise ConfigError("output", "synth needs --output")
-            return cmd_synth(args.scene, args.output, args.frames, args.rng_seed)
+            return cmd_synth(args.scene, args.output, count("--frames", raw=args.frames),
+                             args.rng_seed)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         log.error("%s", exc)

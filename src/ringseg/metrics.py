@@ -112,9 +112,11 @@ def proposal_recall(cluster_ids: np.ndarray, gt_labels: np.ndarray) -> RecallRep
     fg = gt_labels > 0
     fg_total = int(fg.sum())
     fg_cov = int((fg & covered).sum())
+    # distinct ids by sort and diff: np.unique loads numpy.ma on first use
+    ids = np.sort(cluster_ids[covered])
     return RecallReport(
         recall=_ratio(fg_cov, fg_total, True),
-        n_proposals=int(np.unique(cluster_ids[covered]).size),
+        n_proposals=int(ids.size and 1 + np.count_nonzero(ids[1:] != ids[:-1])),
         fg_points=fg_total,
         fg_covered=fg_cov,
         points_passed=int(covered.sum()),

@@ -40,8 +40,8 @@ _ROT = [
 ]
 _MIRROR = np.array([[1.0, 0.0], [0.0, -1.0]])
 DIHEDRAL_LINEAR = np.stack(_ROT + [_MIRROR @ r for r in _ROT])
-# odd quarter-turns swap the box extents
-_SWAPS = (False, True, False, True, False, True, False, True)
+# per variant, 1 where its odd quarter-turn swaps the box extents
+_SWAPS = (0, 1, 0, 1, 0, 1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -142,23 +142,21 @@ def augment_eightfold(sample: Sample) -> list[Sample]:
     and keeps the class label.
     """
     hx, hy, hz = sample.bbox_local.half_extents
-    center = np.array([hx, hy])
-    out = [replace(sample, variant_id=0)]
-    for k in range(1, 8):
-        m = DIHEDRAL_LINEAR[k]
-        nhx, nhy = (hy, hx) if _SWAPS[k] else (hx, hy)
-        new_center = np.array([nhx, nhy])
-        pts = sample.local_points.copy()
-        pts[:, :2] = (sample.local_points[:, :2] - center) @ m.T + new_center
-        bbox_local = OrientedBBox(
-            center=np.array([nhx, nhy, hz]),
-            yaw=0.0,
-            half_extents=np.array([nhx, nhy, hz]),
-            normal=np.array([0.0, 0.0, 1.0]),
-        )
-        out.append(replace(sample, local_points=pts, variant_id=k,
-                           bbox_local=bbox_local))
-    return out
+    extents = np.array([[hx, hy, hz], [hy, hx, hz]])  # unswapped, swapped
+    boxes = [OrientedBBox(center=e, yaw=0.0, half_extents=e,
+                          normal=np.array([0.0, 0.0, 1.0])) for e in extents]
+    # the seven other variants in one product: (p - c) @ m.T + c' per
+    # matrix m, where c' is the variant's box center. Entries of m are 0
+    # and +-1 and c' is positive, so every coordinate is exact
+    src = sample.local_points
+    xy = (src[:, :2] - [hx, hy]) @ DIHEDRAL_LINEAR[1:].transpose(0, 2, 1)
+    xy += extents[list(_SWAPS[1:]), None, :2]  # contiguous: faster than into pts
+    pts = np.empty((7, *src.shape))
+    pts[:, :, :2] = xy
+    pts[:, :, 2] = src[:, 2]
+    return [replace(sample, variant_id=0)] + [
+        replace(sample, local_points=p, variant_id=k, bbox_local=boxes[_SWAPS[k]])
+        for k, p in enumerate(pts, 1)]
 
 
 def resample_points(sample: Sample, n_points: int, rng: np.random.Generator) -> Sample:
@@ -212,29 +210,52 @@ class ArchiveRecord:
 
 
 _HEADER = struct.Struct("<4sIIQ")
-_SAMPLE_HEAD = struct.Struct("<BBIII")
+# a sample's head in the archive, in file order: `<BBIII`
+_HEAD = (("class_label", "u1"), ("variant_id", "u1"), ("frame_id", "<u4"),
+         ("cluster_id", "<u4"), ("num_original", "<u4"))
+
+
+def record_dtype(n_points: int) -> np.dtype:
+    """One archive sample as it lies on disk: its head, then n_points x 5
+    `<f4` feature rows (`build_feature_matrix`), unpadded."""
+    return np.dtype([*_HEAD, ("features", "<f4", (n_points, 5))])
+
+
+def pack_samples(samples, n_points: int | None = None) -> np.ndarray:
+    """Resampled samples as archive records (`record_dtype`), in order.
+
+    n_points defaults to the first sample's row count; a sample with any
+    other count raises ValueError.
+    """
+    samples = list(samples)
+    if n_points is None:
+        n_points = samples[0].local_points.shape[0] if samples else 0
+    records = np.empty(len(samples), dtype=record_dtype(n_points))
+    features = records["features"]
+    for i, s in enumerate(samples):
+        if s.local_points.shape[0] != n_points:
+            raise ValueError(f"sample has {s.local_points.shape[0]} rows, archive N={n_points}")
+        features[i] = build_feature_matrix(s).rows
+    for name, _ in _HEAD:
+        records[name] = [getattr(s, name) for s in samples]
+    return records
 
 
 def export_samples(samples, path, n_points: int | None = None) -> None:
     """Write resampled samples to a flat binary archive (little-endian).
 
-    Layout: magic, version, N, count; then per sample class, variant id,
-    frame id, cluster id, original point count, and N x 5 float32 feature
-    rows. Reload is bit-exact.
+    `samples` are `Sample`s or their records from `pack_samples`. Layout:
+    magic, version, N, count; then per sample class, variant id, frame id,
+    cluster id, original point count, and N x 5 float32 feature rows
+    (`record_dtype(N)`). Reload is bit-exact.
     """
-    samples = list(samples)
-    if n_points is None:
-        n_points = samples[0].local_points.shape[0] if samples else 0
+    records = samples if isinstance(samples, np.ndarray) else pack_samples(samples, n_points)
+    n = records.dtype["features"].shape[0]
+    if n_points is not None and n != n_points:
+        raise ValueError(f"records have {n} rows, archive N={n_points}")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n_points, len(samples)))
-        for s in samples:
-            if s.local_points.shape[0] != n_points:
-                raise ValueError(
-                    f"sample has {s.local_points.shape[0]} rows, archive N={n_points}"
-                )
-            fh.write(_SAMPLE_HEAD.pack(s.class_label, s.variant_id, s.frame_id,
-                                       s.cluster_id, s.num_original))
-            fh.write(build_feature_matrix(s).rows.astype("<f4").tobytes())
+        fh.write(_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n, len(records)))
+        fh.write(np.ascontiguousarray(records).data)
 
 
 def load_samples(path) -> tuple[int, list[ArchiveRecord]]:
@@ -248,18 +269,16 @@ def load_samples(path) -> tuple[int, list[ArchiveRecord]]:
         raise FileFormatError(f"{path}: bad magic {magic!r}")
     if version != ARCHIVE_VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    row_bytes = n_points * 5 * 4
-    offset = _HEADER.size
-    records: list[ArchiveRecord] = []
-    for _ in range(count):
-        if offset + _SAMPLE_HEAD.size + row_bytes > len(data):
-            raise FileFormatError(f"{path}: truncated at sample {len(records)}")
-        cls, variant, frame, cluster, num = _SAMPLE_HEAD.unpack_from(data, offset)
-        offset += _SAMPLE_HEAD.size
-        feats = np.frombuffer(data, dtype="<f4", count=n_points * 5,
-                              offset=offset).reshape(n_points, 5).copy()
-        offset += row_bytes
-        records.append(ArchiveRecord(cls, variant, frame, cluster, num, feats))
-    if offset != len(data):
-        raise FileFormatError(f"{path}: {len(data) - offset} trailing bytes")
-    return n_points, records
+    try:
+        dtype = record_dtype(n_points)
+    except ValueError:  # a record larger than numpy allows
+        raise FileFormatError(f"{path}: N={n_points} rows per sample is too large") from None
+    body = len(data) - _HEADER.size
+    if body < count * dtype.itemsize:
+        raise FileFormatError(f"{path}: truncated at sample {body // dtype.itemsize}")
+    if body > count * dtype.itemsize:
+        raise FileFormatError(f"{path}: {body - count * dtype.itemsize} trailing bytes")
+    records = np.frombuffer(data, dtype=dtype, count=count, offset=_HEADER.size)
+    heads = zip(*(records[name].tolist() for name, _ in _HEAD))
+    return n_points, [ArchiveRecord(*head, features)
+                      for head, features in zip(heads, records["features"].copy())]

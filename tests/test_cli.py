@@ -29,6 +29,7 @@ from ringseg import (
 )
 from ringseg.cli import _run_frames, main
 from ringseg.config import _KEYS
+from ringseg.samples import record_dtype
 
 SCENE_TEXT = """
 seed = 20
@@ -360,6 +361,27 @@ def test_segment_prepare_deterministic_across_runs_and_jobs(synth_dir, tmp_path)
         tree["__archive__"] = hashlib.sha256(archive.read_bytes()).hexdigest()
         digests.append(tree)
     assert digests[0] == digests[1] == digests[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shares run in forked children")
+def test_prepare_frame_outcome_is_one_record_array(synth_dir, tmp_path, monkeypatch):
+    seg, archive = tmp_path / "seg", tmp_path / "s.ps3d"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+    run_frames, outcomes = cli._run_frames, []
+
+    def recording(*args, **kwargs):
+        results, failed = run_frames(*args, **kwargs)
+        outcomes.extend(results)
+        return results, failed
+
+    monkeypatch.setattr(cli, "_run_frames", recording)
+    assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
+                 "--output", str(archive), "--n-points", "64", "--augment",
+                 "--jobs", "2"]) == 0
+    # frame 1 comes back from the forked child, frames 0 and 2 from the parent
+    assert all(type(o) is np.ndarray and o.dtype == record_dtype(64) for o in outcomes)
+    assert [set(o["frame_id"].tolist()) for o in outcomes] == [{0}, {1}, {2}]
+    assert sum(map(len, outcomes)) == len(load_samples(archive)[1])
 
 
 def _stem_and_pid(stem: str, _) -> tuple[str, int]:

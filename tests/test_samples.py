@@ -3,6 +3,7 @@ import pytest
 
 from ringseg import (
     FileFormatError,
+    OrientedBBox,
     PointCloud,
     Proposal,
     Sample,
@@ -15,7 +16,7 @@ from ringseg import (
     resample_points,
     sample_rng,
 )
-from ringseg.samples import DIHEDRAL_LINEAR
+from ringseg.samples import DIHEDRAL_LINEAR, pack_samples, record_dtype
 
 from oracles import pairwise_distance_multiset
 
@@ -95,6 +96,23 @@ def test_augment_first_octant_and_isometry(rng):
                                    base, atol=1e-9)
         assert v.class_label == sample.class_label
         assert v.num_original == sample.num_original
+
+
+def test_augment_bit_equal_to_per_matrix_formula(rng):
+    h = np.array([1.3, 0.7, 0.9])
+    # the box centre and points on its axes, where p - c is exactly +-0
+    on_axes = [h, [h[0], 0.2, 0.5], [0.4, h[1], 1.1], [h[0], 1.4, 0.0], [2.6, h[1], 1.8]]
+    pts = np.vstack([on_axes, rng.uniform(0, 2 * h, (30, 3))])
+    sample = Sample(local_points=pts, intensities=rng.random(len(pts)), class_label=1,
+                    frame_id=0, cluster_id=1, variant_id=0, origin_vertex=0,
+                    bbox_local=OrientedBBox(h, 0.0, h, UP), num_original=len(pts))
+    for k, v in enumerate(augment_eightfold(sample)[1:], 1):
+        new_h = h[[1, 0, 2]] if k % 2 else h  # odd quarter-turns swap the extents
+        want = pts.copy()
+        want[:, :2] = (pts[:, :2] - h[:2]) @ DIHEDRAL_LINEAR[k].T + new_h[:2]
+        assert v.local_points.tobytes() == want.tobytes(), k
+        assert v.bbox_local.center.tobytes() == new_h.tobytes(), k
+        assert v.bbox_local.half_extents.tobytes() == new_h.tobytes(), k
 
 
 def test_augment_mirror_is_involution(rng):
@@ -215,6 +233,23 @@ def test_archive_roundtrip_bits(tmp_path, rng):
                     r.num_original) == (s.class_label, s.variant_id, s.frame_id,
                                         s.cluster_id, s.num_original)
             assert r.features.tobytes() == build_feature_matrix(s).rows.tobytes()
+
+
+def test_archive_from_records_is_the_samples_archive(tmp_path, rng):
+    samples = [resample_points(_fresh_sample(rng, num), 16, np.random.default_rng(num))
+               for num in (5, 16, 40)]
+    records = pack_samples(samples)
+    assert records.dtype == record_dtype(16)
+    assert records.dtype.itemsize == 1 + 1 + 4 + 4 + 4 + 16 * 5 * 4  # <BBIII, N x 5 <f4
+    from_samples, from_records = tmp_path / "s.ps3d", tmp_path / "r.ps3d"
+    export_samples(samples, from_samples)
+    export_samples(records, from_records)
+    assert from_records.read_bytes() == from_samples.read_bytes()
+    with pytest.raises(ValueError):
+        export_samples(records, from_records, n_points=8)
+    from_records.write_bytes(from_samples.read_bytes() + b"\0")
+    with pytest.raises(FileFormatError, match="1 trailing bytes"):
+        load_samples(from_records)
 
 
 def test_archive_empty(tmp_path):

@@ -91,11 +91,27 @@ def two_frames(tmp_path_factory):
     return root
 
 
+# the command's own first frame (the parent runs share 0 of a --jobs run)
+FIRST_FRAME_IMPORTS = """
+from ringseg import cli
+attempt, first = cli._attempt, []
+def _attempt(worker, frame):
+    before = set(sys.modules)
+    outcome = attempt(worker, frame)
+    if not first:
+        first.append(sorted(set(sys.modules) - before))
+    return outcome
+cli._attempt = _attempt
+"""
+
+
 def test_each_command_loads_only_its_modules(two_frames):
-    # the frame loop forks its children itself: no process pool is imported
-    code = ("import sys; from ringseg.cli import main; assert main(sys.argv[1:]) == 0; "
+    # the frame loop forks its children itself: no process pool is imported;
+    # and a command loads what its workers use before it forks, so no
+    # process imports a module in its first frame
+    code = ("import sys" + FIRST_FRAME_IMPORTS + "assert cli.main(sys.argv[1:]) == 0; "
             f"print(({LOADED}, sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-            "if m in sys.modules)))")
+            "if m in sys.modules), first))")
     runs = {
         "segment": ["segment", "--input", "in", "--output", "seg", "--jobs", "2"],
         "prepare": ["prepare", "--input", "in", "--segments", "seg", "--output",
@@ -105,6 +121,8 @@ def test_each_command_loads_only_its_modules(two_frames):
         "bench": ["bench", "--input", "in", "--reps", "1", "--output", "b.txt"],
     }
     for command, argv in runs.items():  # in order: prepare and eval read seg/
-        loaded, pools = _fresh(code, *argv, cwd=two_frames)
+        loaded, pools, first = _fresh(code, *argv, cwd=two_frames)
         assert set(loaded) == COMMAND_MODULES[command], command
         assert pools == [], command
+        if command in ("segment", "prepare", "eval"):
+            assert first == [[]], (command, first)
