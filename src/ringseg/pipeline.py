@@ -26,6 +26,7 @@ from .ground import (
 from .refine import (
     Proposal,
     RefineParams,
+    block_index,
     enlarge_and_merge,
     filter_proposals,
     fit_boxes,
@@ -101,11 +102,12 @@ def run_stage1(
     proposals: list[Proposal] = []
     # ground points no proposal has claimed yet
     ground_free = ground_mask.copy()
+    blocks = block_index(cloud.xyz) if kept else None
     for cid, row in zip(kept, rows.tolist()):
         members = labeling.order[offsets[row]:offsets[row + 1]]
         prop = enlarge_and_merge(
             Proposal(cid, nonground[members], table.box(row), float(distances[row])),
-            cloud, ground_free, refine_params)
+            cloud, ground_free, refine_params, blocks)
         ground_free[prop.member_indices[members.size:]] = False
         cluster_labels[prop.member_indices] = cid
         proposals.append(prop)

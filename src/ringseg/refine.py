@@ -38,6 +38,9 @@ _HULL_FILTER_MIN = 64
 # a float turn smaller than this times its two products' magnitudes may
 # have the wrong sign (Shewchuk 1997, orient2d error bound A)
 _TURN_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+# the merge index bounds runs of this many consecutive scan points; on the
+# traffic frames 48, 64, 96 and 256 measured no faster
+MERGE_BLOCK = 128
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -451,21 +454,49 @@ def enlarge_bbox(bbox: OrientedBBox, params: RefineParams) -> OrientedBBox:
     return replace(bbox, center=center, half_extents=half)
 
 
-def merge_candidates(bbox: OrientedBBox, xyz: np.ndarray,
-                     eligible: np.ndarray) -> np.ndarray:
-    """Indices of eligible points inside the box.
+def block_index(xyz: np.ndarray) -> np.ndarray:
+    """The merge index of a frame, for `merge_candidates`.
 
-    A coarse axis-aligned cut (the box circumradius bounds every inside
-    point per axis) runs before the exact rotated containment test. The
-    x cut runs over the whole array; eligibility and the y and z cuts
-    only over the points it leaves.
+    Row by row: the x min, the negated x max, the y min and the negated y
+    max of each run of MERGE_BLOCK consecutive points (the last run may be
+    shorter), as a (4, blocks) array. Points next to each other in scan
+    order lie close together, so a box meets few blocks; points in any
+    other order give the same query results, only more slowly.
     """
+    starts = np.arange(0, xyz.shape[0], MERGE_BLOCK)
+    x, y = xyz[:, 0], xyz[:, 1]
+    return np.stack([np.minimum.reduceat(x, starts), -np.maximum.reduceat(x, starts),
+                     np.minimum.reduceat(y, starts), -np.maximum.reduceat(y, starts)])
+
+
+def merge_candidates(bbox: OrientedBBox, xyz: np.ndarray, eligible: np.ndarray,
+                     blocks: np.ndarray | None = None) -> np.ndarray:
+    """Indices of eligible points inside the box, ascending.
+
+    `blocks` is `block_index(xyz)`, built here when not given. Only the
+    blocks whose x and y bounds come within the box circumradius of its
+    center are read. Each point of those blocks then passes a coarse
+    axis-aligned cut (the circumradius bounds every inside point per axis)
+    before the exact rotated containment test. Float subtraction rounds
+    monotonically, so a block whose bound lies beyond the radius holds no
+    point that would pass the cut: the result is that of the cut over every
+    point.
+    """
+    if blocks is None:
+        blocks = block_index(xyz)
     radius = float(np.linalg.norm(bbox.half_extents))
-    dx = xyz[:, 0] - bbox.center[0]
-    candidates = np.flatnonzero(np.abs(dx, out=dx) <= radius)
+    c = bbox.center
+    # a NaN bound compares False, so its block is read
+    far = (blocks + np.array([[-c[0]], [c[0]], [-c[1]], [c[1]]])).max(axis=0) > radius
+    candidates = (np.flatnonzero(~far)[:, None] * MERGE_BLOCK + np.arange(MERGE_BLOCK)).ravel()
+    n = xyz.shape[0]
+    if candidates.size and candidates[-1] >= n:  # the last block is short
+        candidates = candidates[:n - 1 - candidates[-1]]
+    dx = xyz[:, 0][candidates] - c[0]
+    candidates = candidates[np.abs(dx, out=dx) <= radius]
     candidates = candidates[eligible[candidates]]
     for axis in (1, 2):
-        candidates = candidates[np.abs(xyz[candidates, axis] - bbox.center[axis]) <= radius]
+        candidates = candidates[np.abs(xyz[:, axis][candidates] - c[axis]) <= radius]
     if candidates.size:
         return candidates[bbox.contains(xyz[candidates])]
     return candidates
@@ -476,15 +507,23 @@ def enlarge_and_merge(
     cloud: PointCloud,
     ground_mask: np.ndarray,
     params: RefineParams,
+    blocks: np.ndarray | None = None,
 ) -> Proposal:
     """Enlarge the proposal's box and append the contained masked points.
 
-    Only points set in `ground_mask` are merged: non-ground points already
-    belong to clusters, and a caller that merges several proposals clears
-    the points each one claims so that no point ends up in two. The merged
-    points follow the original members, which are always kept.
+    Only points set in `ground_mask`, a bool array over the cloud, are
+    merged: non-ground points already belong to clusters, and a caller that
+    merges several proposals clears the points each one claims so that no
+    point ends up in two. The merged points follow the original members,
+    which are always kept. `blocks` is the cloud's `block_index`; a caller
+    that merges several proposals builds it once.
     """
+    if not (isinstance(ground_mask, np.ndarray) and ground_mask.dtype == bool
+            and ground_mask.shape == (len(cloud),)):
+        got = (f"{ground_mask.dtype} array of shape {ground_mask.shape}"
+               if isinstance(ground_mask, np.ndarray) else type(ground_mask).__name__)
+        raise ValueError(f"ground_mask must be a bool array of {len(cloud)} points, got {got}")
     bbox = enlarge_bbox(proposal.bbox, params)
-    merged = merge_candidates(bbox, cloud.xyz, ground_mask)
+    merged = merge_candidates(bbox, cloud.xyz, ground_mask, blocks)
     members = np.concatenate([proposal.member_indices, merged])
     return replace(proposal, member_indices=members, bbox=bbox)

@@ -2,13 +2,14 @@
 
 Deliberately naive: explicit graph construction, exhaustive sweeps and
 per-point counting, sharing no code path with the library internals they
-check. Two exceptions: `per_cluster_box`, the one-cluster-at-a-time
+check. The exceptions: `per_cluster_box`, the one-cluster-at-a-time
 box fit, which `refine.fit_boxes` must match bit for bit: it shares the
 plane basis, the PCA fallback and the prefilter size with the library,
 and fits each cluster alone with the scalar hull prefilter and monotone
 chain below; `min_merge_labels`, which runs the library's union-find
-over label ids so the tests can check it against `naive_min_merge`; and
-`all_rays_scene`, which casts every ray of a frame against every object
+over label ids so the tests can check it against `naive_min_merge`;
+`xcut_merge_candidates`, which shares the library's box containment test;
+and `all_rays_scene`, which casts every ray of a frame against every object
 with the generator's own ray tests, so only the azimuth windows differ.
 """
 
@@ -302,6 +303,22 @@ def pairwise_distance_multiset(points: np.ndarray, decimals: int = 9) -> np.ndar
     d = np.sqrt((diff ** 2).sum(axis=2))
     iu = np.triu_indices(points.shape[0], k=1)
     return np.sort(np.round(d[iu], decimals))
+
+
+def xcut_merge_candidates(bbox: refine.OrientedBBox, xyz: np.ndarray,
+                          eligible: np.ndarray) -> np.ndarray:
+    """`refine.merge_candidates` without its block index: the whole-frame
+    x cut it replaced, then eligibility, the y and z cuts and the exact
+    containment test, which it shares with the library."""
+    radius = float(np.linalg.norm(bbox.half_extents))
+    dx = xyz[:, 0] - bbox.center[0]
+    candidates = np.flatnonzero(np.abs(dx, out=dx) <= radius)
+    candidates = candidates[eligible[candidates]]
+    for axis in (1, 2):
+        candidates = candidates[np.abs(xyz[candidates, axis] - bbox.center[axis]) <= radius]
+    if candidates.size:
+        return candidates[bbox.contains(xyz[candidates])]
+    return candidates
 
 
 def points_in_oriented_box(points: np.ndarray, center, axes, half) -> np.ndarray:

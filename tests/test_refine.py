@@ -31,6 +31,7 @@ from oracles import (
     scalar_hull_candidates,
     scalar_hull_vertices,
     sweep_min_rect_area,
+    xcut_merge_candidates,
 )
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -479,6 +480,112 @@ def test_enlarge_exclude_prevents_double_claims(rng):
     overlap = set(first.member_indices.tolist()) & set(
         second.member_indices.tolist()) - set(range(5))
     assert not overlap
+
+
+def test_enlarge_and_merge_rejects_mask_that_is_not_bool_per_point(rng):
+    # the feet cloud: a 0/1 uint8 copy of its mask would index points 0 and 1
+    n = 200
+    pts = np.column_stack([rng.uniform(-0.3, 0.3, n) + 5.0,
+                           rng.uniform(-0.3, 0.3, n),
+                           rng.uniform(-1.7, 0.0, n)])
+    cloud = PointCloud(xyz=pts, intensity=np.zeros(n))
+    ground = pts[:, 2] < -1.5
+    members = np.flatnonzero(~ground)
+    prop = Proposal(1, members, min_oriented_bbox(pts[members], UP), 5.0)
+    out = enlarge_and_merge(prop, cloud, ground, RefineParams())
+    assert np.unique(out.member_indices).size == out.member_indices.size == n
+    for bad in (ground.astype(np.uint8), ground[:-1], np.append(ground, True),
+                ground.tolist(), ground[None, :]):
+        with pytest.raises(ValueError, match="ground_mask"):
+            enlarge_and_merge(prop, cloud, bad, RefineParams())
+
+
+@st.composite
+def _merge_queries(draw):
+    """A cloud, a box and an eligibility mask for `merge_candidates`.
+
+    Cloud sizes include 0, fewer points than one block and counts that are
+    not a multiple of the block size; the points lie in scan order on a few
+    rings or in random order. Boxes have tilted normals, any yaw and
+    extents down to EPS_HALF_EXTENT, and sit on a run of the scan that
+    sweeps through the box and stops at one of its corners, around the
+    sensor origin or beyond every point. Some points lie within a float
+    step of the circumradius cut in x and y.
+    """
+    block = refine.MERGE_BLOCK
+    n = draw(st.one_of(st.sampled_from([0, 1, block - 1, block, block + 1, 20 * block + 17]),
+                       st.integers(0, 30 * block)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = rng.choice([3.0, 30.0], p=[0.25, 0.75])
+    if rng.random() < 0.5:  # rings in scan order
+        ring, az = rng.integers(0, 4, n), rng.uniform(0, 2 * np.pi, n)
+        order = np.lexsort((az, ring))
+        r = rng.uniform(0.5, span, 4)[ring[order]]
+        xyz = np.column_stack([r * np.cos(az[order]), r * np.sin(az[order]),
+                               rng.uniform(-2, 2, n)])
+    else:
+        xyz = rng.uniform(-span, span, (n, 3))
+    normal = np.array([*rng.uniform(-0.5, 0.5, 2), 1.0]) if rng.random() < 0.5 else UP
+    half = np.full(3, refine.EPS_HALF_EXTENT)
+    if rng.random() < 0.7:
+        half = np.maximum(rng.uniform(0, 4, 3), refine.EPS_HALF_EXTENT)
+    if rng.random() < 0.3:  # a needle, whose corners reach nearly its circumradius in x or y
+        half[1:] = refine.EPS_HALF_EXTENT
+    where = rng.choice(["point", "origin", "beyond", "anywhere"], p=[0.55, 0.15, 0.1, 0.2])
+    center = {"point": rng.uniform(-span, span, 3), "origin": rng.normal(0, 0.3, 3),
+              "beyond": np.array([100.0, -100.0, 0.0]) * rng.uniform(1, 10),
+              "anywhere": rng.uniform(-span, span, 3)}[where]
+    yaw = draw(st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(-10, 10)))
+    bbox = OrientedBBox(center=center, yaw=yaw, half_extents=half,
+                        normal=normal / np.linalg.norm(normal))
+    if where == "point":  # a run of the scan that sweeps through the box and stops at a corner
+        near = slice(*np.sort(rng.integers(0, n + 1, 2)))
+        start = rng.uniform(-1.5, 1.5, 3)
+        corner = rng.choice([-1.0, 1.0], 3) * (1 - 1e-12)
+        t = np.minimum(np.linspace(0, 2, xyz[near].shape[0]), 1)[:, None]
+        local = start + t * (corner - start)
+        xyz[near] = center + (local * bbox.half_extents) @ bbox.axes().T
+    radius = float(np.linalg.norm(bbox.half_extents))
+    for axis in (0, 1):  # three points at the cut, one float step either way or on it
+        edge = rng.integers(0, max(n, 1), 3 if n else 0)
+        xyz[edge, axis] = np.nextafter(bbox.center[axis] + rng.choice([-radius, radius], edge.size),
+                                       rng.choice([-np.inf, 0.0, np.inf], edge.size))
+    if rng.random() < 0.5:
+        xyz = np.asfortranarray(xyz)  # as PointCloud holds it
+    return bbox, xyz, rng.random(n) < rng.choice([0.0, 0.3, 0.8, 1.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_merge_queries())
+def test_merge_candidates_matches_xcut_oracle(query):
+    bbox, xyz, eligible = query
+    want = xcut_merge_candidates(bbox, xyz, eligible)
+    for got in (refine.merge_candidates(bbox, xyz, eligible),
+                refine.merge_candidates(bbox, xyz, eligible, refine.block_index(xyz))):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_merge_candidates_need_no_scan_order():
+    # a permuted frame's blocks are scattered, but the query finds the
+    # same points, which map back through the permutation
+    cfg = load_config()
+    scene = generate_synthetic_scene(sample_traffic_scene(0))
+    result = run_stage1(scene.cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
+    xyz, ground = scene.cloud.xyz, result.ground_mask
+    perm = np.random.default_rng(7).permutation(xyz.shape[0])
+    shuffled, shuffled_ground = np.asfortranarray(xyz[perm]), ground[perm]
+    blocks = refine.block_index(shuffled)
+    assert result.proposals
+    merged = 0
+    for prop in result.proposals:
+        want = xcut_merge_candidates(prop.bbox, xyz, ground)
+        got = refine.merge_candidates(prop.bbox, shuffled, shuffled_ground, blocks)
+        np.testing.assert_array_equal(
+            got, xcut_merge_candidates(prop.bbox, shuffled, shuffled_ground))
+        np.testing.assert_array_equal(np.sort(perm[got]), want)
+        merged += want.size
+    assert merged
 
 
 def test_size_prior_validation():
