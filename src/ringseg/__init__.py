@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("TimingReport", "benchmark_stage1"), "bench"),
+    **dict.fromkeys(("OrientedBBox", "Proposal"), "boxes"),
     **dict.fromkeys(("CLASS_NAMES", "FOREGROUND_CLASSES", "ClassId", "PointCloud",
                      "assign_rings", "load_labels", "load_point_cloud", "save_labels",
                      "save_point_cloud"), "cloud"),
@@ -35,9 +36,8 @@ _EXPORTS = {
     **dict.fromkeys(("MetricsReport", "RecallReport", "pointwise_metrics",
                      "proposal_recall"), "metrics"),
     **dict.fromkeys(("Stage1Result", "run_stage1"), "pipeline"),
-    **dict.fromkeys(("BoxTable", "OrientedBBox", "Proposal", "adaptive_threshold",
-                     "enlarge_and_merge", "enlarge_bbox", "filter_proposals", "fit_boxes",
-                     "min_oriented_bbox"), "refine"),
+    **dict.fromkeys(("BoxTable", "adaptive_threshold", "enlarge_and_merge", "enlarge_bbox",
+                     "filter_proposals", "fit_boxes", "min_oriented_bbox"), "refine"),
     **dict.fromkeys(("ArchiveRecord", "FeatureMatrix", "Sample", "augment_eightfold",
                      "build_feature_matrix", "canonical_transform", "export_samples",
                      "load_samples", "resample_points", "sample_rng"), "samples"),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import pickle
 import sys
@@ -39,7 +40,7 @@ from .errors import AlignmentError, ConfigError, FileFormatError, RingSegError  
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
-    from .refine import OrientedBBox, Proposal
+    from .boxes import OrientedBBox, Proposal
 
 log = logging.getLogger("ringseg")
 
@@ -166,25 +167,46 @@ def _write_manifest(path: Path, proposals: list[Proposal]) -> None:
 
 
 def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
-    """(cluster id, distance, box) per manifest line, in file order."""
-    from .refine import OrientedBBox
+    """(cluster id, distance, box) per manifest line, in file order.
 
-    entries = []
+    A line must hold every field but `count`, finite numbers, positive
+    half extents and a unit normal (within 1e-6), and no cluster id may
+    repeat: `prepare` writes samples from these boxes as they are.
+    """
+    from .boxes import OrientedBBox
+
+    entries, line_of = [], {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
         tokens = [tok.split("=", 1) for tok in line.split()]
         if any(len(tok) != 2 for tok in tokens):
-            raise FileFormatError(f"{path}:{lineno}: expected key=value tokens")
+            raise FileFormatError(f"{where}: expected key=value tokens")
         e = dict(tokens)
         missing = [key for key in _MANIFEST_KEYS if key != "count" and key not in e]
         if missing:
-            raise FileFormatError(f"{path}:{lineno}: no {', '.join(missing)} field")
+            raise FileFormatError(f"{where}: no {', '.join(missing)} field")
+        try:
+            cid = int(e["cluster"])
+            v = {key: float(e[key]) for key in _MANIFEST_KEYS[2:]}
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: {exc}") from None
+        for key, value in v.items():
+            if not math.isfinite(value):
+                raise FileFormatError(f"{where}: {key}={e[key]} is not finite")
+            if key in ("hx", "hy", "hz") and value <= 0.0:
+                raise FileFormatError(f"{where}: half extent {key}={e[key]} is not positive")
+        length = math.hypot(v["nx"], v["ny"], v["nz"])
+        if abs(length - 1.0) > 1e-6:
+            raise FileFormatError(f"{where}: normal (nx, ny, nz) has length {length!r}, not 1")
+        if cid in line_of:
+            raise FileFormatError(f"{where}: cluster={cid} repeats line {line_of[cid]}")
+        line_of[cid] = lineno
         center, half_extents, normal = (
-            np.array([float(e[v + axis]) for axis in "xyz"]) for v in "chn")
-        bbox = OrientedBBox(center, float(e["yaw"]), half_extents, normal)
-        entries.append((int(e["cluster"]), float(e["d"]), bbox))
+            np.array([v[c + axis] for axis in "xyz"]) for c in "chn")
+        entries.append((cid, v["d"], OrientedBBox(center, v["yaw"], half_extents, normal)))
     return entries
 
 
@@ -236,15 +258,14 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
                  cfg: PipelineConfig) -> np.ndarray:
     """The frame's samples as archive records (`samples.record_dtype`)."""
+    from .boxes import Proposal
     from .cloud import load_labels, load_point_cloud
-    from .refine import Proposal
     from .samples import (
         BG_KEEP_STREAM,
-        augment_eightfold,
         canonical_transform,
-        pack_samples,
-        resample_points,
+        record_dtype,
         sample_rng,
+        write_variants,
     )
 
     bin_path = Path(in_dir) / f"{stem}.bin"
@@ -258,7 +279,7 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
     manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
 
     prep = cfg.prep
-    samples = []
+    seed, kept_samples = cfg.rng_seed, []
     for cid, distance, bbox in sorted(manifest, key=lambda e: e[0]):
         members = np.flatnonzero(cluster_ids == cid)
         if not members.size:  # every proposal has members: the files disagree
@@ -266,28 +287,31 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
                                  f"cluster {cid}")
         prop = Proposal(cluster_id=cid, member_indices=members, bbox=bbox,
                         distance=distance)
-        rng0 = sample_rng(cfg.rng_seed, frame_id, cid, 0)
+        rng0 = sample_rng(seed, frame_id, cid, 0)
         sample = canonical_transform(prop, cloud, rng0, frame_id=frame_id)
         if sample.class_label == 0:
-            keep = sample_rng(cfg.rng_seed, frame_id, cid, BG_KEEP_STREAM).random()
+            keep = sample_rng(seed, frame_id, cid, BG_KEEP_STREAM).random()
             if keep >= prep.background_keep_prob:
                 continue
-            variants = [sample]
-        elif prep.augment:
-            variants = augment_eightfold(sample)
+            variants = 1
         else:
-            variants = [sample]
-        for variant in variants:
-            rng = rng0 if variant.variant_id == 0 else sample_rng(
-                cfg.rng_seed, frame_id, cid, variant.variant_id)
-            samples.append(resample_points(variant, prep.n_points, rng))
-    return pack_samples(samples, prep.n_points)
+            variants = 8 if prep.augment else 1
+        kept_samples.append((sample, rng0, variants))
+    records = np.empty(sum(v for _, _, v in kept_samples), dtype=record_dtype(prep.n_points))
+    row = 0
+    for sample, rng0, variants in kept_samples:
+        # variant 0 resamples with the stream that chose the origin vertex
+        rngs = [rng0, *(sample_rng(seed, frame_id, sample.cluster_id, k)
+                        for k in range(1, variants))]
+        write_variants(records[row:row + variants], sample, rngs)
+        row += variants
+    return records
 
 
 def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     import numpy.random  # noqa: F401  numpy 2 loads it on first use, in sample_rng
-    from . import cloud, refine  # noqa: F401  the workers' modules
-    from .samples import export_samples, pack_samples
+    from . import boxes, cloud  # noqa: F401  the workers' modules
+    from .samples import export_samples, record_dtype
 
     if not cfg.input or not cfg.output:
         raise ConfigError("input/output", "prepare needs --input and --output")
@@ -302,7 +326,8 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     worker = functools.partial(_prepare_one, in_dir=cfg.input,
                                seg_dir=seg_dir or cfg.input, cfg=cfg)
     per_frame, failed = _run_frames(worker, frames, cfg.jobs)
-    records = np.concatenate(per_frame) if per_frame else pack_samples([], cfg.prep.n_points)
+    records = (np.concatenate(per_frame) if per_frame
+               else np.empty(0, dtype=record_dtype(cfg.prep.n_points)))
     export_samples(records, cfg.output, n_points=cfg.prep.n_points)
     log.info("wrote %d sample(s) from %d frame(s) to %s, %d failed",
              len(records), len(per_frame), cfg.output, failed)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import Proposal
 from .cloud import PointCloud, assign_rings
 from .clustering import ClusterParams, cluster_ring_based
 from .ground import (
@@ -24,7 +25,6 @@ from .ground import (
     segment_of,
 )
 from .refine import (
-    Proposal,
     RefineParams,
     block_index,
     enlarge_and_merge,

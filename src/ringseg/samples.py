@@ -12,15 +12,16 @@ preparation parameters, is declared in `config` and resolves here too.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .boxes import OrientedBBox, Proposal
 from .cloud import ClassId, PointCloud
 from .config import SamplePrepParams  # noqa: F401
 from .errors import FileFormatError
-from .refine import OrientedBBox, Proposal
 
 ARCHIVE_MAGIC = b"PS3D"
 ARCHIVE_VERSION = 1
@@ -80,9 +81,22 @@ def sample_rng(seed: int, frame_id: int, cluster_id: int, stream: int) -> np.ran
     """Deterministic rng split per (frame, cluster, stream).
 
     Parallel workers draw from independent streams, so output bytes do not
-    depend on scheduling.
+    depend on scheduling. The stream is `np.random.default_rng([seed,
+    frame_id, cluster_id, stream])`'s, seeded from the uint32 words numpy
+    would split that list into (each int little-endian, 0 as one word)
+    without its per-int coercion. A negative component raises ValueError.
     """
-    return np.random.default_rng([seed, frame_id, cluster_id, stream])
+    words = []
+    for value in (seed, frame_id, cluster_id, stream):
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError(f"rng key components must be >= 0, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def canonical_transform(
@@ -110,7 +124,11 @@ def canonical_transform(
     frame = np.column_stack([local_x, local_y, axes[:, 2]])
 
     members = proposal.member_indices
-    local = (cloud.xyz[members] - origin) @ frame
+    # one gather per coordinate through the C-ordered (3, n) view, as
+    # `PointCloud.select` does; the difference is laid out C-ordered, as
+    # a row gather's would be, so the product below runs the same kernel
+    xyz = np.take(cloud.xyz.T, members, axis=1).T
+    local = np.subtract(xyz, origin, order="C") @ frame
     if cloud.labels is not None:
         label = int(np.bincount(cloud.labels[members], minlength=4).argmax())
     else:
@@ -134,6 +152,61 @@ def canonical_transform(
     )
 
 
+def _moved_xy(x: np.ndarray, y: np.ndarray, half_extents) -> np.ndarray:
+    """(x, y) of point block k moved by isometry k, as one (2, k, r) array.
+
+    x and y are (k, r), k <= 8: block j holds the coordinates of r points
+    in the canonical frame of a box with these half extents. Isometry j
+    turns a block about the box center and re-translates it into the first
+    octant of its own box; block 0, the identity, is copied as it is. The
+    others are (p - c) @ m.T + c' per matrix m, c' the variant's box
+    center, with the product written out per coordinate: entries of m are
+    0 and +-1 and c' is positive, so every coordinate is exact and equal
+    to a matrix product's, and a row's image does not depend on the rows
+    it is computed with.
+    """
+    k = x.shape[0]
+    hx, hy, _ = half_extents
+    m = DIHEDRAL_LINEAR[1:k, :, :, None]
+    c = np.array([[hx, hy], [hy, hx]])[list(_SWAPS[1:k]), :, None]  # unswapped, swapped
+    dx, dy = x[1:] - hx, y[1:] - hy
+    out = np.empty((2, *x.shape))
+    out[0, 0], out[1, 0] = x[0], y[0]
+    for i in (0, 1):
+        out[i, 1:] = m[:, i, 0] * dx + m[:, i, 1] * dy + c[:, i]
+    return out
+
+
+def _resample_into(index: np.ndarray, num: int, rng: np.random.Generator) -> None:
+    """Fill `index` (n_points,) with the rows of a resample of num points.
+
+    More points than needed: a uniform draw of distinct indices. Fewer:
+    every original point is kept once and the remainder is drawn uniformly
+    with replacement. Equal: identity, drawing nothing.
+    """
+    n_points = index.size
+    if num == 0:
+        raise ValueError("cannot resample an empty sample")
+    if num > n_points:
+        index[:] = rng.choice(num, size=n_points, replace=False)
+        return
+    index[:num] = np.arange(num)
+    if num < n_points:
+        index[num:] = rng.integers(0, num, size=n_points - num)
+
+
+def _fill_features(rows: np.ndarray, columns, intensities: np.ndarray,
+                   num_original: int) -> None:
+    """Write (x, y, z, intensity, n) into `rows` (..., N, 5) from the
+    resampled x, y and z `columns` and intensities, each (..., N), of a
+    sample of num_original points."""
+    n_points = rows.shape[-2]
+    for j, column in enumerate(columns):
+        rows[..., j] = column
+    rows[..., 3] = intensities
+    rows[..., 4] = (num_original - n_points) / n_points
+
+
 def augment_eightfold(sample: Sample) -> list[Sample]:
     """All eight planar isometry variants of a canonical sample.
 
@@ -142,40 +215,21 @@ def augment_eightfold(sample: Sample) -> list[Sample]:
     and keeps the class label.
     """
     hx, hy, hz = sample.bbox_local.half_extents
-    extents = np.array([[hx, hy, hz], [hy, hx, hz]])  # unswapped, swapped
-    boxes = [OrientedBBox(center=e, yaw=0.0, half_extents=e,
-                          normal=np.array([0.0, 0.0, 1.0])) for e in extents]
-    # the seven other variants in one product: (p - c) @ m.T + c' per
-    # matrix m, where c' is the variant's box center. Entries of m are 0
-    # and +-1 and c' is positive, so every coordinate is exact
-    src = sample.local_points
-    xy = (src[:, :2] - [hx, hy]) @ DIHEDRAL_LINEAR[1:].transpose(0, 2, 1)
-    xy += extents[list(_SWAPS[1:]), None, :2]  # contiguous: faster than into pts
-    pts = np.empty((7, *src.shape))
-    pts[:, :, :2] = xy
-    pts[:, :, 2] = src[:, 2]
+    boxes = [OrientedBBox(center=e, yaw=0.0, half_extents=e, normal=np.array([0.0, 0.0, 1.0]))
+             for e in np.array([[hx, hy, hz], [hy, hx, hz]])]  # unswapped, swapped
+    x, y, z = (np.broadcast_to(column, (8, column.size)) for column in sample.local_points.T)
+    pts = np.stack([*_moved_xy(x, y, sample.bbox_local.half_extents), z], axis=-1)
     return [replace(sample, variant_id=0)] + [
         replace(sample, local_points=p, variant_id=k, bbox_local=boxes[_SWAPS[k]])
-        for k, p in enumerate(pts, 1)]
+        for k, p in enumerate(pts[1:], 1)]
 
 
 def resample_points(sample: Sample, n_points: int, rng: np.random.Generator) -> Sample:
-    """Fix the sample to exactly n_points rows, recording the original count.
-
-    More points than needed: a uniform draw of distinct indices. Fewer:
-    every original point is kept once and the remainder is drawn uniformly
-    with replacement. Equal: identity.
-    """
+    """Fix the sample to exactly n_points rows, recording the original count
+    (`_resample_into` draws the rows)."""
     num = sample.local_points.shape[0]
-    if num == 0:
-        raise ValueError("cannot resample an empty sample")
-    if num > n_points:
-        idx = rng.choice(num, size=n_points, replace=False)
-    elif num < n_points:
-        extra = rng.integers(0, num, size=n_points - num)
-        idx = np.concatenate([np.arange(num), extra])
-    else:
-        idx = np.arange(num)
+    idx = np.empty(n_points, dtype=np.int64)
+    _resample_into(idx, num, rng)
     return replace(
         sample,
         local_points=sample.local_points[idx],
@@ -191,12 +245,31 @@ def build_feature_matrix(sample: Sample) -> FeatureMatrix:
     by forcing NUM original points into N rows; it is constant per sample.
     """
     n_points = sample.local_points.shape[0]
-    rel = (sample.num_original - n_points) / n_points
     rows = np.empty((n_points, 5), dtype=np.float32)
-    rows[:, :3] = sample.local_points
-    rows[:, 3] = sample.intensities
-    rows[:, 4] = rel
+    _fill_features(rows, sample.local_points.T, sample.intensities, sample.num_original)
     return FeatureMatrix(rows=rows, n_points=n_points, num_original=sample.num_original)
+
+
+def write_variants(records: np.ndarray, sample: Sample, rngs) -> None:
+    """Variants 0..k-1 of a canonical sample, resampled, as the k archive
+    `records` (`record_dtype`); variant j draws its rows from rngs[j].
+
+    The records `pack_samples` makes of `resample_points` over
+    `augment_eightfold`, bit for bit, built without per-variant objects:
+    the rows are drawn first and only they are moved.
+    """
+    count, n_points = records.shape[0], records.dtype["features"].shape[0]
+    num = sample.local_points.shape[0]
+    idx = np.empty((count, n_points), dtype=np.int64)
+    for row, rng in zip(idx, rngs, strict=True):
+        _resample_into(row, num, rng)
+    x, y, z = np.take(sample.local_points.T, idx, axis=1)
+    xy = _moved_xy(x, y, sample.bbox_local.half_extents)
+    _fill_features(records["features"], (*xy, z), sample.intensities[idx], num)
+    records["variant_id"] = np.arange(count)
+    for name in ("class_label", "frame_id", "cluster_id"):
+        records[name] = getattr(sample, name)
+    records["num_original"] = num
 
 
 @dataclass(frozen=True)
@@ -235,7 +308,7 @@ def pack_samples(samples, n_points: int | None = None) -> np.ndarray:
     for i, s in enumerate(samples):
         if s.local_points.shape[0] != n_points:
             raise ValueError(f"sample has {s.local_points.shape[0]} rows, archive N={n_points}")
-        features[i] = build_feature_matrix(s).rows
+        _fill_features(features[i], s.local_points.T, s.intensities, s.num_original)
     for name, _ in _HEAD:
         records[name] = [getattr(s, name) for s in samples]
     return records

@@ -244,6 +244,39 @@ def test_prepare_bad_manifest_line_names_file_and_line(synth_dir, tmp_path, capl
     assert {r.frame_id for r in samples} == {1, 2}
 
 
+def _with_fields(line: str, **fields: str) -> str:
+    return " ".join(f"{key}={fields.get(key, value)}"
+                    for key, value in (tok.split("=", 1) for tok in line.split()))
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda first: _with_fields(first, nx="nan"), "1: nx=nan is not finite"),
+    (lambda first: _with_fields(first, hx="-0.5"), "1: half extent hx=-0.5 is not positive"),
+    (lambda first: _with_fields(first, nx="0.0", ny="0.0", nz="0.0"),
+     "1: normal (nx, ny, nz) has length 0.0, not 1"),
+    (lambda first: None, "{last}: cluster={cluster} repeats line 1"),
+], ids=["non-finite", "negative-half-extent", "zero-normal", "repeated-cluster"])
+def test_prepare_rejects_manifest_values_it_cannot_use(synth_dir, tmp_path, caplog,
+                                                       edit, reason):
+    # each edit made `prepare` exit 0 with a wrong archive before the reader
+    # checked values: non-finite features, coordinates below 0, a sample twice
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+    manifest = seg / "000000.proposals.txt"
+    lines = manifest.read_text().splitlines()
+    edited = edit(lines[0])
+    lines = [edited, *lines[1:]] if edited else [*lines, lines[0]]
+    manifest.write_text("\n".join(lines) + "\n")
+    caplog.clear()
+    assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
+                 "--output", str(tmp_path / "s.ps3d"), "--augment"]) == 1
+    cluster = lines[0].split()[0].split("=")[1]
+    assert (f"FileFormatError: {manifest}:"
+            + reason.format(last=len(lines), cluster=cluster)) in caplog.text
+    _, samples = load_samples(tmp_path / "s.ps3d")
+    assert {r.frame_id for r in samples} == {1, 2}
+
+
 def test_prepare_manifest_id_without_points_fails_the_frame(synth_dir, tmp_path, caplog):
     seg = tmp_path / "seg"
     assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0

@@ -16,7 +16,7 @@ from ringseg import (
     resample_points,
     sample_rng,
 )
-from ringseg.samples import DIHEDRAL_LINEAR, pack_samples, record_dtype
+from ringseg.samples import DIHEDRAL_LINEAR, pack_samples, record_dtype, write_variants
 
 from oracles import pairwise_distance_multiset
 
@@ -276,6 +276,36 @@ def test_archive_truncated(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(FileFormatError):
         load_samples(path)
+
+
+@pytest.mark.parametrize("variants", [1, 8])
+@pytest.mark.parametrize("num", [5, 64, 200])
+def test_write_variants_is_pack_of_resampled_variants(rng, num, variants):
+    # fewer, as many and more points than rows: each resample branch
+    prop, cloud = _proposal(rng, n=num, labels=np.full(num, 1, dtype=np.uint8))
+    sample = canonical_transform(prop, cloud, np.random.default_rng(6), frame_id=4)
+    want = pack_samples([resample_points(v, 64, sample_rng(9, 4, 1, k))
+                         for k, v in enumerate(augment_eightfold(sample)[:variants])], 64)
+    got = np.zeros(variants, dtype=record_dtype(64))
+    write_variants(got, sample, [sample_rng(9, 4, 1, k) for k in range(variants)])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0, 0), (2**32 - 1, 7, 0, 3), (7, 2**32, 1, 8),
+                                 (2**64 + 5, 2**32 - 1, 2**32, 0)])
+def test_sample_rng_is_default_rng_of_the_key(key):
+    want = np.random.default_rng(list(key))
+    got = sample_rng(*key)
+    assert got.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(got.random(8), want.random(8))
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_sample_rng_rejects_a_negative_component(position):
+    key = [7, 1, 2, 0]
+    key[position] = -1
+    with pytest.raises(ValueError, match="must be >= 0"):
+        sample_rng(*key)
 
 
 def test_sample_rng_streams_independent():

@@ -27,8 +27,9 @@ SUBMODULES = frozenset(m.name for m in pkgutil.iter_modules(ringseg.__path__))
 COMMAND_MODULES = {
     "eval": {"cli", "errors", "cloud", "metrics"},
     "segment": SUBMODULES - {"bench", "metrics", "samples", "synth"},
+    # prepare reads boxes and proposals from `boxes`; it loads no box-fit code
     "prepare": SUBMODULES - {"pipeline", "bench", "clustering", "ground", "kernels",
-                             "metrics", "synth"},
+                             "metrics", "refine", "synth"},
     "synth": {"cli", "cloud", "config", "errors", "synth"},
     "bench": SUBMODULES - {"samples", "metrics", "synth"},
 }
