@@ -36,8 +36,8 @@ _EXPORTS = {
     **dict.fromkeys(("MetricsReport", "RecallReport", "pointwise_metrics",
                      "proposal_recall"), "metrics"),
     **dict.fromkeys(("Stage1Result", "run_stage1"), "pipeline"),
-    **dict.fromkeys(("BoxTable", "adaptive_threshold", "enlarge_and_merge", "enlarge_bbox",
-                     "filter_proposals", "fit_boxes", "min_oriented_bbox"), "refine"),
+    **dict.fromkeys(("BoxTable", "adaptive_threshold", "enlarge_and_merge", "filter_proposals",
+                     "fit_boxes", "min_oriented_bbox"), "refine"),
     **dict.fromkeys(("ArchiveRecord", "FeatureMatrix", "Sample", "augment_eightfold",
                      "build_feature_matrix", "canonical_transform", "export_samples",
                      "load_samples", "resample_points", "sample_rng"), "samples"),

@@ -17,8 +17,6 @@ import numpy as np
 from .cloud import PointCloud
 from .pipeline import Stage1Result, run_stage1
 
-STAGES = ("ground", "cluster", "refine", "total")
-
 
 @dataclass(frozen=True)
 class TimingReport:
@@ -37,7 +35,7 @@ class TimingReport:
             "proposals": self.proposals_out,
             "points_passed": self.points_passed,
         }
-        for stage in STAGES:
+        for stage in self.median_us:
             rec[f"{stage}_us_med"] = round(self.median_us[stage], 1)
             rec[f"{stage}_us_p95"] = round(self.p95_us[stage], 1)
         rec["faults_med"] = self.faults_med
@@ -60,22 +58,21 @@ def benchmark_stage1(
         raise ValueError("repetitions must be >= 1")
     args = (ground_params, cluster_params, refine_params, num_rings)
     result = run_stage1(cloud, *args)  # warm-up, excluded
-    samples = {stage: [] for stage in STAGES}
-    faults = []
+    runs, faults = [], []
     for _ in range(repetitions):
-        timings: dict = {}
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        result = run_stage1(cloud, *args, timings=timings)
+        result = run_stage1(cloud, *args)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        for stage in STAGES:
-            samples[stage].append(timings[stage] * 1e6)
+        runs.append(result.timings)
+    # stages in the order of Stage1Result.timings
+    samples = {stage: [t[stage] * 1e6 for t in runs] for stage in result.timings}
     report = TimingReport(
         repetitions=repetitions,
         points_in=result.points_in,
         proposals_out=len(result.proposals),
         points_passed=result.points_passed,
-        median_us={s: float(np.median(samples[s])) for s in STAGES},
-        p95_us={s: float(np.percentile(samples[s], 95)) for s in STAGES},
+        median_us={s: float(np.median(t)) for s, t in samples.items()},
+        p95_us={s: float(np.percentile(t, 95)) for s, t in samples.items()},
         faults_med=float(np.median(faults)),
     )
     return report, result

@@ -46,7 +46,7 @@ log = logging.getLogger("ringseg")
 
 _MANIFEST_SUFFIX = ".proposals.txt"
 _CLUSTER_SUFFIX = ".cluster"
-# a manifest line's fields in write order; prepare reads all but `count`
+# a manifest line's fields in write order
 _MANIFEST_KEYS = ("cluster", "count", "d", "cx", "cy", "cz", "yaw",
                   "hx", "hy", "hz", "nx", "ny", "nz")
 
@@ -166,12 +166,13 @@ def _write_manifest(path: Path, proposals: list[Proposal]) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
-    """(cluster id, distance, box) per manifest line, in file order.
+def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
+    """(cluster id, count, distance, box) per manifest line, in file order.
 
-    A line must hold every field but `count`, finite numbers, positive
-    half extents and a unit normal (within 1e-6), and no cluster id may
-    repeat: `prepare` writes samples from these boxes as they are.
+    A line must hold every field, a cluster id of at least 1 (0 is the
+    `.cluster` file's "no proposal"), finite numbers, positive half
+    extents and a unit normal (within 1e-6), and no cluster id may repeat:
+    `prepare` writes samples from these boxes as they are.
     """
     from .boxes import OrientedBBox
 
@@ -185,14 +186,16 @@ def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
         if any(len(tok) != 2 for tok in tokens):
             raise FileFormatError(f"{where}: expected key=value tokens")
         e = dict(tokens)
-        missing = [key for key in _MANIFEST_KEYS if key != "count" and key not in e]
+        missing = [key for key in _MANIFEST_KEYS if key not in e]
         if missing:
             raise FileFormatError(f"{where}: no {', '.join(missing)} field")
         try:
-            cid = int(e["cluster"])
+            cid, count = int(e["cluster"]), int(e["count"])
             v = {key: float(e[key]) for key in _MANIFEST_KEYS[2:]}
         except ValueError as exc:
             raise FileFormatError(f"{where}: {exc}") from None
+        if cid < 1:
+            raise FileFormatError(f"{where}: cluster={cid} is no proposal id: ids start at 1")
         for key, value in v.items():
             if not math.isfinite(value):
                 raise FileFormatError(f"{where}: {key}={e[key]} is not finite")
@@ -206,7 +209,7 @@ def _read_manifest(path: Path) -> list[tuple[int, float, OrientedBBox]]:
         line_of[cid] = lineno
         center, half_extents, normal = (
             np.array([v[c + axis] for axis in "xyz"]) for c in "chn")
-        entries.append((cid, v["d"], OrientedBBox(center, v["yaw"], half_extents, normal)))
+        entries.append((cid, count, v["d"], OrientedBBox(center, v["yaw"], half_extents, normal)))
     return entries
 
 
@@ -280,11 +283,14 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
 
     prep = cfg.prep
     seed, kept_samples = cfg.rng_seed, []
-    for cid, distance, bbox in sorted(manifest, key=lambda e: e[0]):
+    for cid, count, distance, bbox in sorted(manifest, key=lambda e: e[0]):
         members = np.flatnonzero(cluster_ids == cid)
         if not members.size:  # every proposal has members: the files disagree
             raise AlignmentError(f"{stem}{_CLUSTER_SUFFIX} has no point of manifest "
                                  f"cluster {cid}")
+        if members.size != count:
+            raise AlignmentError(f"{stem}{_MANIFEST_SUFFIX} gives cluster {cid} count={count}, "
+                                 f"but {stem}{_CLUSTER_SUFFIX} has {members.size} of its points")
         prop = Proposal(cluster_id=cid, member_indices=members, bbox=bbox,
                         distance=distance)
         rng0 = sample_rng(seed, frame_id, cid, 0)
@@ -297,6 +303,12 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
         else:
             variants = 8 if prep.augment else 1
         kept_samples.append((sample, rng0, variants))
+    # with every count right, the counts fall short of the labelled points
+    # only when a labelled id has no manifest line
+    labelled, counted = np.count_nonzero(cluster_ids), sum(e[1] for e in manifest)
+    if counted != labelled:
+        raise AlignmentError(f"{stem}{_MANIFEST_SUFFIX} counts {counted} proposal points, "
+                             f"but {stem}{_CLUSTER_SUFFIX} labels {labelled}")
     records = np.empty(sum(v for _, _, v in kept_samples), dtype=record_dtype(prep.n_points))
     row = 0
     for sample, rng0, variants in kept_samples:

@@ -2,9 +2,9 @@
 
 Order per frame: ring assignment (needs the full scan order), segmented
 ground fitting, ring clustering of the non-ground remainder, then box
-fitting, filtering and enlargement. Everything is a pure function of the
-frame and the configuration, so frames can be processed in parallel with
-identical results.
+fitting, filtering and enlargement. Every field of the result but
+`timings` is a pure function of the frame and the configuration, so
+frames can be processed in parallel with identical results.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from .ground import (
     segment_bounds,
     segment_of,
 )
-from .refine import (
-    RefineParams,
-    block_index,
-    enlarge_and_merge,
-    filter_proposals,
-    fit_boxes,
-)
+from .refine import RefineParams, enlarge_and_merge, filter_proposals, fit_boxes
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -43,6 +37,9 @@ class Stage1Result:
     planes: list[PlaneModel | None]
     points_in: int
     points_passed: int
+    # wall-clock seconds of "ground", "cluster" (including ring
+    # assignment), "refine" and "total", in that order
+    timings: dict[str, float]
 
 
 def _segment_normals(planes: list[PlaneModel | None]) -> np.ndarray:
@@ -61,13 +58,8 @@ def run_stage1(
     cluster_params: ClusterParams,
     refine_params: RefineParams,
     num_rings: int,
-    timings: dict | None = None,
 ) -> Stage1Result:
-    """Full per-frame proposal pipeline.
-
-    When `timings` is given, per-stage wall-clock seconds are stored under
-    "ground", "cluster" (including ring assignment), "refine" and "total".
-    """
+    """Full per-frame proposal pipeline."""
     n = len(cloud)
     t0 = time.perf_counter()
     # without the labels, which the cluster scan does not read
@@ -98,26 +90,16 @@ def run_stage1(
     table = fit_boxes(points, offsets, normals)
     kept, rows = filter_proposals(labeling, distances, table, refine_params)
 
+    proposals = enlarge_and_merge(
+        [Proposal(cid, nonground[labeling.order[offsets[row]:offsets[row + 1]]],
+                  table.box(row), float(distances[row]))
+         for cid, row in zip(kept, rows.tolist())],
+        cloud, ground_mask, refine_params)
     cluster_labels = np.zeros(n, dtype=np.uint32)
-    proposals: list[Proposal] = []
-    # ground points no proposal has claimed yet
-    ground_free = ground_mask.copy()
-    blocks = block_index(cloud.xyz) if kept else None
-    for cid, row in zip(kept, rows.tolist()):
-        members = labeling.order[offsets[row]:offsets[row + 1]]
-        prop = enlarge_and_merge(
-            Proposal(cid, nonground[members], table.box(row), float(distances[row])),
-            cloud, ground_free, refine_params, blocks)
-        ground_free[prop.member_indices[members.size:]] = False
-        cluster_labels[prop.member_indices] = cid
-        proposals.append(prop)
+    for prop in proposals:
+        cluster_labels[prop.member_indices] = prop.cluster_id
     t_refine = time.perf_counter()
 
-    if timings is not None:
-        timings["ground"] = t_ground - t_rings
-        timings["cluster"] = (t_rings - t0) + (t_cluster - t_ground)
-        timings["refine"] = t_refine - t_cluster
-        timings["total"] = t_refine - t0
     return Stage1Result(
         proposals=proposals,
         cluster_labels=cluster_labels,
@@ -125,4 +107,8 @@ def run_stage1(
         planes=planes,
         points_in=n,
         points_passed=int(np.count_nonzero(cluster_labels)),  # ids >= 1, disjoint
+        timings={"ground": t_ground - t_rings,
+                 "cluster": (t_rings - t0) + (t_cluster - t_ground),
+                 "refine": t_refine - t_cluster,
+                 "total": t_refine - t0},
     )

@@ -19,7 +19,7 @@ this module imports them from there, and they resolve here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -350,19 +350,6 @@ def filter_proposals(
     return ids[rows].tolist(), rows
 
 
-def enlarge_bbox(bbox: OrientedBBox, params: RefineParams) -> OrientedBBox:
-    """Grow half extents by enlarge_xy in-plane and enlarge_z along the normal.
-
-    The z growth is applied downward only (center shifts toward the ground,
-    top face stays): the points to recover sit below the cluster, and
-    symmetric growth would admit overhead structure.
-    """
-    half = bbox.half_extents + np.array([params.enlarge_xy, params.enlarge_xy,
-                                         params.enlarge_z])
-    center = bbox.center - params.enlarge_z * bbox.normal
-    return replace(bbox, center=center, half_extents=half)
-
-
 def block_index(xyz: np.ndarray) -> np.ndarray:
     """The merge index of a frame, for `merge_candidates`.
 
@@ -379,20 +366,17 @@ def block_index(xyz: np.ndarray) -> np.ndarray:
 
 
 def merge_candidates(bbox: OrientedBBox, xyz: np.ndarray, eligible: np.ndarray,
-                     blocks: np.ndarray | None = None) -> np.ndarray:
+                     blocks: np.ndarray) -> np.ndarray:
     """Indices of eligible points inside the box, ascending.
 
-    `blocks` is `block_index(xyz)`, built here when not given. Only the
-    blocks whose x and y bounds come within the box circumradius of its
-    center are read. Each point of those blocks then passes a coarse
-    axis-aligned cut (the circumradius bounds every inside point per axis)
-    before the exact rotated containment test. Float subtraction rounds
-    monotonically, so a block whose bound lies beyond the radius holds no
-    point that would pass the cut: the result is that of the cut over every
-    point.
+    `blocks` is `block_index(xyz)`. Only the blocks whose x and y bounds
+    come within the box circumradius of its center are read. Each point of
+    those blocks then passes a coarse axis-aligned cut (the circumradius
+    bounds every inside point per axis) before the exact rotated
+    containment test. Float subtraction rounds monotonically, so a block
+    whose bound lies beyond the radius holds no point that would pass the
+    cut: the result is that of the cut over every point.
     """
-    if blocks is None:
-        blocks = block_index(xyz)
     radius = float(np.linalg.norm(bbox.half_extents))
     c = bbox.center
     # a NaN bound compares False, so its block is read
@@ -412,27 +396,40 @@ def merge_candidates(bbox: OrientedBBox, xyz: np.ndarray, eligible: np.ndarray,
 
 
 def enlarge_and_merge(
-    proposal: Proposal,
+    proposals: list[Proposal],
     cloud: PointCloud,
     ground_mask: np.ndarray,
     params: RefineParams,
-    blocks: np.ndarray | None = None,
-) -> Proposal:
-    """Enlarge the proposal's box and append the contained masked points.
+) -> list[Proposal]:
+    """Enlarge each proposal's box and append the unclaimed masked points inside it.
 
-    Only points set in `ground_mask`, a bool array over the cloud, are
-    merged: non-ground points already belong to clusters, and a caller that
-    merges several proposals clears the points each one claims so that no
-    point ends up in two. The merged points follow the original members,
-    which are always kept. `blocks` is the cloud's `block_index`; a caller
-    that merges several proposals builds it once.
+    A box grows by enlarge_xy in-plane and enlarge_z along the normal, the
+    z growth downward only (center shifts toward the ground, top face
+    stays): the points to recover sit below the cluster, and symmetric
+    growth would admit overhead structure. Only points set in
+    `ground_mask`, a bool array over the cloud, are merged: non-ground
+    points already belong to clusters. The proposals claim points in list
+    order (`run_stage1` passes them by ascending id), and a point that one
+    claims joins no later one, so no point ends up in two. The merged
+    points follow the original members, which are always kept.
     """
     if not (isinstance(ground_mask, np.ndarray) and ground_mask.dtype == bool
             and ground_mask.shape == (len(cloud),)):
         got = (f"{ground_mask.dtype} array of shape {ground_mask.shape}"
                if isinstance(ground_mask, np.ndarray) else type(ground_mask).__name__)
         raise ValueError(f"ground_mask must be a bool array of {len(cloud)} points, got {got}")
-    bbox = enlarge_bbox(proposal.bbox, params)
-    merged = merge_candidates(bbox, cloud.xyz, ground_mask, blocks)
-    members = np.concatenate([proposal.member_indices, merged])
-    return replace(proposal, member_indices=members, bbox=bbox)
+    if not proposals:
+        return []
+    free = ground_mask.copy()  # ground points no proposal has claimed yet
+    blocks = block_index(cloud.xyz)
+    grow = np.array([params.enlarge_xy, params.enlarge_xy, params.enlarge_z])
+    enlarged = []
+    for prop in proposals:
+        box = prop.bbox
+        bbox = OrientedBBox(box.center - params.enlarge_z * box.normal, box.yaw,
+                            box.half_extents + grow, box.normal)
+        merged = merge_candidates(bbox, cloud.xyz, free, blocks)
+        free[merged] = False
+        enlarged.append(Proposal(prop.cluster_id, np.concatenate([prop.member_indices, merged]),
+                                 bbox, prop.distance))
+    return enlarged

@@ -227,7 +227,7 @@ def test_eval_summary_without_good_frames_has_no_pooled_fields(synth_dir, tmp_pa
 
 @pytest.mark.parametrize("bad_line, reason", [
     ("garbage here", "expected key=value tokens"),
-    ("cluster=1", "no d, cx, cy, cz, yaw, hx, hy, hz, nx, ny, nz field"),
+    ("cluster=1", "no count, d, cx, cy, cz, yaw, hx, hy, hz, nx, ny, nz field"),
 ])
 def test_prepare_bad_manifest_line_names_file_and_line(synth_dir, tmp_path, caplog,
                                                        bad_line, reason):
@@ -249,30 +249,52 @@ def _with_fields(line: str, **fields: str) -> str:
                     for key, value in (tok.split("=", 1) for tok in line.split()))
 
 
-@pytest.mark.parametrize("edit, reason", [
-    (lambda first: _with_fields(first, nx="nan"), "1: nx=nan is not finite"),
-    (lambda first: _with_fields(first, hx="-0.5"), "1: half extent hx=-0.5 is not positive"),
-    (lambda first: _with_fields(first, nx="0.0", ny="0.0", nz="0.0"),
-     "1: normal (nx, ny, nz) has length 0.0, not 1"),
-    (lambda first: None, "{last}: cluster={cluster} repeats line 1"),
-], ids=["non-finite", "negative-half-extent", "zero-normal", "repeated-cluster"])
+def _field(line: str, key: str) -> str:
+    return dict(tok.split("=", 1) for tok in line.split())[key]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [_with_fields(lines[0], nx="nan"), *lines[1:]],
+     "FileFormatError: {manifest}:1: nx=nan is not finite"),
+    (lambda lines: [_with_fields(lines[0], hx="-0.5"), *lines[1:]],
+     "FileFormatError: {manifest}:1: half extent hx=-0.5 is not positive"),
+    (lambda lines: [_with_fields(lines[0], nx="0.0", ny="0.0", nz="0.0"), *lines[1:]],
+     "FileFormatError: {manifest}:1: normal (nx, ny, nz) has length 0.0, not 1"),
+    (lambda lines: [*lines, lines[0]],
+     "FileFormatError: {manifest}:{last}: cluster={cluster} repeats line 1"),
+    (lambda lines: [_with_fields(lines[0], cluster="0"), *lines[1:]],
+     "FileFormatError: {manifest}:1: cluster=0 is no proposal id: ids start at 1"),
+    (lambda lines: [_with_fields(lines[0], count="5"), *lines[1:]],
+     "AlignmentError: 000000.proposals.txt gives cluster {cluster} count=5, "
+     "but 000000.cluster has {count} of its points"),
+    (lambda lines: lines[1:],
+     "AlignmentError: 000000.proposals.txt counts {rest} proposal points, "
+     "but 000000.cluster labels {total}"),
+    (lambda lines: [],
+     "AlignmentError: 000000.proposals.txt counts 0 proposal points, "
+     "but 000000.cluster labels {total}"),
+], ids=["non-finite", "negative-half-extent", "zero-normal", "repeated-cluster", "cluster-0",
+        "wrong-count", "first-line-removed", "emptied"])
 def test_prepare_rejects_manifest_values_it_cannot_use(synth_dir, tmp_path, caplog,
-                                                       edit, reason):
+                                                       edit, message):
     # each edit made `prepare` exit 0 with a wrong archive before the reader
-    # checked values: non-finite features, coordinates below 0, a sample twice
+    # checked values and the manifest was checked against the .cluster file:
+    # non-finite features, coordinates below 0, a sample twice, a sample of
+    # every point outside the proposals, a count nothing read, a sample
+    # fewer, no sample
     seg = tmp_path / "seg"
     assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
     manifest = seg / "000000.proposals.txt"
     lines = manifest.read_text().splitlines()
-    edited = edit(lines[0])
-    lines = [edited, *lines[1:]] if edited else [*lines, lines[0]]
-    manifest.write_text("\n".join(lines) + "\n")
+    counts = [int(_field(line, "count")) for line in lines]
+    edited = edit(lines)
+    manifest.write_text("".join(line + "\n" for line in edited))
     caplog.clear()
     assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
                  "--output", str(tmp_path / "s.ps3d"), "--augment"]) == 1
-    cluster = lines[0].split()[0].split("=")[1]
-    assert (f"FileFormatError: {manifest}:"
-            + reason.format(last=len(lines), cluster=cluster)) in caplog.text
+    assert message.format(manifest=manifest, last=len(edited),
+                          cluster=_field(lines[0], "cluster"), count=counts[0],
+                          rest=sum(counts[1:]), total=sum(counts)) in caplog.text
     _, samples = load_samples(tmp_path / "s.ps3d")
     assert {r.frame_id for r in samples} == {1, 2}
 
@@ -716,7 +738,7 @@ def test_bench_synthetic_record(tmp_path):
     assert "total_us_med" in rec
 
 
-def test_bench_compare_backends_on_frames(synth_dir, tmp_path):
+def test_bench_times_every_frame(synth_dir, tmp_path):
     # `bench --input` times every frame of the directory once
     report = tmp_path / "bench.txt"
     assert main(["bench", "--input", str(synth_dir), "--reps", "1",

@@ -13,7 +13,6 @@ from ringseg import (
     SizePrior,
     adaptive_threshold,
     enlarge_and_merge,
-    enlarge_bbox,
     filter_proposals,
     fit_boxes,
     load_config,
@@ -423,7 +422,10 @@ def test_enlarge_margins_applied():
     params = RefineParams()
     pts = np.array([[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 1]])
     box = min_oriented_bbox(pts, UP)
-    grown = enlarge_bbox(box, params)
+    cloud = PointCloud(xyz=pts, intensity=np.zeros(4))
+    [out] = enlarge_and_merge([Proposal(1, np.arange(4), box, 2.0)], cloud,
+                              np.zeros(4, dtype=bool), params)
+    grown = out.bbox
     np.testing.assert_allclose(grown.half_extents - box.half_extents,
                                [0.1, 0.1, 0.4])
     np.testing.assert_allclose(grown.center, box.center - 0.4 * box.normal)
@@ -445,7 +447,7 @@ def test_enlarge_and_merge_recovers_feet(rng):
     bbox = min_oriented_bbox(pts[members], UP)
     prop = Proposal(cluster_id=1, member_indices=members, bbox=bbox,
                     distance=5.0)
-    out = enlarge_and_merge(prop, cloud, ground, RefineParams())
+    [out] = enlarge_and_merge([prop], cloud, ground, RefineParams())
     grown = out.bbox
     oracle = points_in_oriented_box(pts[ground], grown.center, grown.axes(),
                                     grown.half_extents)
@@ -460,7 +462,7 @@ def test_enlarge_and_merge_no_candidates(rng):
     ground = np.zeros(50, dtype=bool)
     bbox = min_oriented_bbox(pts, UP)
     prop = Proposal(1, np.arange(50), bbox, 10.0)
-    out = enlarge_and_merge(prop, cloud, ground, RefineParams())
+    [out] = enlarge_and_merge([prop], cloud, ground, RefineParams())
     np.testing.assert_array_equal(out.member_indices, prop.member_indices)
     assert out.bbox.half_extents[2] == bbox.half_extents[2] + 0.4
 
@@ -470,16 +472,18 @@ def test_enlarge_exclude_prevents_double_claims(rng):
                      rng.normal(0, 0.5, (30, 3)) + [5.5, 0, 0]])
     cloud = PointCloud(xyz=np.clip(pts, -50, 50), intensity=np.zeros(60))
     ground = np.ones(60, dtype=bool)
-    ground[:5] = False
-    bbox = min_oriented_bbox(cloud.xyz[:30], UP)
-    prop = Proposal(1, np.arange(5), bbox, 5.0)
-    first = enlarge_and_merge(prop, cloud, ground, RefineParams())
-    claimed = np.zeros(60, dtype=bool)
-    claimed[first.member_indices] = True
-    second = enlarge_and_merge(prop, cloud, ground & ~claimed, RefineParams())
-    overlap = set(first.member_indices.tolist()) & set(
-        second.member_indices.tolist()) - set(range(5))
-    assert not overlap
+    ground[:5] = ground[30:35] = False
+    # two blobs half a meter apart: their grown boxes share ground points
+    first, second = enlarge_and_merge(
+        [Proposal(1, np.arange(5), min_oriented_bbox(cloud.xyz[:30], UP), 5.0),
+         Proposal(2, np.arange(30, 35), min_oriented_bbox(cloud.xyz[30:], UP), 5.5)],
+        cloud, ground, RefineParams())
+    contested = np.flatnonzero(ground & first.bbox.contains(cloud.xyz)
+                               & second.bbox.contains(cloud.xyz))
+    assert contested.size
+    assert set(contested.tolist()) <= set(first.member_indices.tolist())
+    assert not set(first.member_indices.tolist()) & set(second.member_indices.tolist())
+    assert second.member_indices.size > 5  # it still takes the points it alone holds
 
 
 def test_enlarge_and_merge_rejects_mask_that_is_not_bool_per_point(rng):
@@ -492,12 +496,12 @@ def test_enlarge_and_merge_rejects_mask_that_is_not_bool_per_point(rng):
     ground = pts[:, 2] < -1.5
     members = np.flatnonzero(~ground)
     prop = Proposal(1, members, min_oriented_bbox(pts[members], UP), 5.0)
-    out = enlarge_and_merge(prop, cloud, ground, RefineParams())
+    [out] = enlarge_and_merge([prop], cloud, ground, RefineParams())
     assert np.unique(out.member_indices).size == out.member_indices.size == n
     for bad in (ground.astype(np.uint8), ground[:-1], np.append(ground, True),
                 ground.tolist(), ground[None, :]):
         with pytest.raises(ValueError, match="ground_mask"):
-            enlarge_and_merge(prop, cloud, bad, RefineParams())
+            enlarge_and_merge([prop], cloud, bad, RefineParams())
 
 
 @st.composite
@@ -560,10 +564,9 @@ def _merge_queries(draw):
 def test_merge_candidates_matches_xcut_oracle(query):
     bbox, xyz, eligible = query
     want = xcut_merge_candidates(bbox, xyz, eligible)
-    for got in (refine.merge_candidates(bbox, xyz, eligible),
-                refine.merge_candidates(bbox, xyz, eligible, refine.block_index(xyz))):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    got = refine.merge_candidates(bbox, xyz, eligible, refine.block_index(xyz))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_merge_candidates_need_no_scan_order():
