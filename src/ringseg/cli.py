@@ -219,7 +219,7 @@ def _read_cluster_ids(seg_dir: str, stem: str, n: int) -> np.ndarray:
     # checked in bytes: np.fromfile drops a trailing partial id
     size = path.stat().st_size
     if size != 4 * n:
-        raise AlignmentError(f"cluster file has {size} bytes, not 4 x {n} points")
+        raise AlignmentError(f"{path}: cluster file has {size} bytes, not 4 x {n} points")
     return np.fromfile(path, dtype="<u4")
 
 
@@ -260,16 +260,10 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 
 def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
                  cfg: PipelineConfig) -> np.ndarray:
-    """The frame's samples as archive records (`samples.record_dtype`)."""
+    """The frame's samples as archive records (`samples.frame_records`)."""
     from .boxes import Proposal
     from .cloud import load_labels, load_point_cloud
-    from .samples import (
-        BG_KEEP_STREAM,
-        canonical_transform,
-        record_dtype,
-        sample_rng,
-        write_variants,
-    )
+    from .samples import frame_records
 
     bin_path = Path(in_dir) / f"{stem}.bin"
     cloud, kept = load_point_cloud(bin_path)
@@ -281,8 +275,7 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
     cloud = cloud.with_labels(labels)
     manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
 
-    prep = cfg.prep
-    seed, kept_samples = cfg.rng_seed, []
+    proposals = []
     for cid, count, distance, bbox in sorted(manifest, key=lambda e: e[0]):
         members = np.flatnonzero(cluster_ids == cid)
         if not members.size:  # every proposal has members: the files disagree
@@ -291,39 +284,18 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
         if members.size != count:
             raise AlignmentError(f"{stem}{_MANIFEST_SUFFIX} gives cluster {cid} count={count}, "
                                  f"but {stem}{_CLUSTER_SUFFIX} has {members.size} of its points")
-        prop = Proposal(cluster_id=cid, member_indices=members, bbox=bbox,
-                        distance=distance)
-        rng0 = sample_rng(seed, frame_id, cid, 0)
-        sample = canonical_transform(prop, cloud, rng0, frame_id=frame_id)
-        if sample.class_label == 0:
-            keep = sample_rng(seed, frame_id, cid, BG_KEEP_STREAM).random()
-            if keep >= prep.background_keep_prob:
-                continue
-            variants = 1
-        else:
-            variants = 8 if prep.augment else 1
-        kept_samples.append((sample, rng0, variants))
+        proposals.append(Proposal(cid, members, bbox, distance))
     # with every count right, the counts fall short of the labelled points
     # only when a labelled id has no manifest line
     labelled, counted = np.count_nonzero(cluster_ids), sum(e[1] for e in manifest)
     if counted != labelled:
         raise AlignmentError(f"{stem}{_MANIFEST_SUFFIX} counts {counted} proposal points, "
                              f"but {stem}{_CLUSTER_SUFFIX} labels {labelled}")
-    records = np.empty(sum(v for _, _, v in kept_samples), dtype=record_dtype(prep.n_points))
-    row = 0
-    for sample, rng0, variants in kept_samples:
-        # variant 0 resamples with the stream that chose the origin vertex
-        rngs = [rng0, *(sample_rng(seed, frame_id, sample.cluster_id, k)
-                        for k in range(1, variants))]
-        write_variants(records[row:row + variants], sample, rngs)
-        row += variants
-    return records
+    return frame_records(proposals, cloud, frame_id, cfg.rng_seed, cfg.prep)
 
 
 def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
-    import numpy.random  # noqa: F401  numpy 2 loads it on first use, in sample_rng
-    from . import boxes, cloud  # noqa: F401  the workers' modules
-    from .samples import export_samples, record_dtype
+    from .samples import export_samples  # loads the workers' boxes, cloud, numpy.random
 
     if not cfg.input or not cfg.output:
         raise ConfigError("input/output", "prepare needs --input and --output")
@@ -335,11 +307,18 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     if not frames:
         log.warning("no .bin frames under %s; nothing to do", cfg.input)
         return 0
+    stem_of = {}  # two stems with one id would mix their samples in the archive
+    for stem, frame_id in frames:
+        if stem_of.setdefault(frame_id, stem) != stem:
+            raise ConfigError("input", f"frames {stem_of[frame_id]} and {stem} both take "
+                                       f"frame id {frame_id}")
     worker = functools.partial(_prepare_one, in_dir=cfg.input,
                                seg_dir=seg_dir or cfg.input, cfg=cfg)
     per_frame, failed = _run_frames(worker, frames, cfg.jobs)
-    records = (np.concatenate(per_frame) if per_frame
-               else np.empty(0, dtype=record_dtype(cfg.prep.n_points)))
+    if not per_frame:  # an empty archive would pass for a run without proposals
+        log.error("all %d frame(s) failed; wrote no archive", failed)
+        return 1
+    records = np.concatenate(per_frame)
     export_samples(records, cfg.output, n_points=cfg.prep.n_points)
     log.info("wrote %d sample(s) from %d frame(s) to %s, %d failed",
              len(records), len(per_frame), cfg.output, failed)

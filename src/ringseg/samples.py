@@ -12,15 +12,17 @@ preparation parameters, is declared in `config` and resolves here too.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  at import: numpy 2 loads it on first use, in a worker
 
 from .boxes import OrientedBBox, Proposal
 from .cloud import ClassId, PointCloud
-from .config import SamplePrepParams  # noqa: F401
+from .config import SamplePrepParams
 from .errors import FileFormatError
 
 ARCHIVE_MAGIC = b"PS3D"
@@ -270,6 +272,32 @@ def write_variants(records: np.ndarray, sample: Sample, rngs) -> None:
     for name in ("class_label", "frame_id", "cluster_id"):
         records[name] = getattr(sample, name)
     records["num_original"] = num
+
+
+def frame_records(proposals, cloud: PointCloud, frame_id: int, seed: int,
+                  prep: SamplePrepParams) -> np.ndarray:
+    """A frame's kept samples as archive records (`record_dtype`), in proposal order.
+
+    Stream k of `sample_rng(seed, frame_id, cluster id, k)` resamples variant k
+    (stream 0 first picks the origin vertex): 8 variants of a foreground sample
+    under `prep.augment`, else 1. A background sample is one variant, kept when
+    stream `BG_KEEP_STREAM` draws below `prep.background_keep_prob`."""
+    kept = []
+    for prop in proposals:
+        rng = functools.partial(sample_rng, seed, frame_id, prop.cluster_id)  # rng(stream)
+        rngs = [rng(0)]
+        sample = canonical_transform(prop, cloud, rngs[0], frame_id=frame_id)
+        if sample.class_label != ClassId.BACKGROUND:
+            rngs += map(rng, range(1, 8 if prep.augment else 1))
+        elif rng(BG_KEEP_STREAM).random() >= prep.background_keep_prob:
+            continue
+        kept.append((sample, rngs))
+    records = np.empty(sum(len(rngs) for _, rngs in kept), dtype=record_dtype(prep.n_points))
+    row = 0
+    for sample, rngs in kept:
+        write_variants(records[row:row + len(rngs)], sample, rngs)
+        row += len(rngs)
+    return records
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ labels, ring ids and ground mask, plus the files `synth` writes for the
 README walkthrough scene), the in-process stage-1 integer outputs (labels, ground
 mask, proposal members) and float outputs (boxes, distances, ground
 planes), the `.cluster` files and proposal manifests `segment` writes, the
-`.ps3d` archive `prepare --augment` writes, and the `eval --clusters`
-report. Two source trees produce the same outputs iff they print the same
-lines: point PYTHONPATH at each tree's `src` and diff the output.
+`.ps3d` archives `prepare` writes with `--augment` and, at another seed,
+without it, and the `eval --clusters` report. Two source trees produce
+the same outputs iff they print the same lines: point PYTHONPATH at each
+tree's `src` and diff the output.
 
 `--against REV` does that diff: it unpacks the git revision REV into a
 temporary directory (`git archive`, which leaves the repository as it
@@ -118,7 +119,7 @@ def compute_digests() -> dict[str, str] | None:
     logging.disable(logging.INFO)
     cfg = load_config()
     keys = ("synth.frames", "stage1.ints", "stage1.floats", "segment.cluster",
-            "segment.manifest", "prepare.ps3d", "eval.report")
+            "segment.manifest", "prepare.ps3d", "prepare.plain", "eval.report")
     digests = {key: hashlib.sha256() for key in keys}
     with tempfile.TemporaryDirectory() as tmp:
         frames, seg = Path(tmp, "frames"), Path(tmp, "seg")
@@ -130,7 +131,8 @@ def compute_digests() -> dict[str, str] | None:
             _stage1(digests, cloud, cfg)
             save_point_cloud(cloud, frames / f"{stem}.bin")
             save_labels(cloud.labels, frames / f"{stem}.label")
-        archive, report = Path(tmp, "samples.ps3d"), Path(tmp, "eval.txt")
+        archive, plain = Path(tmp, "samples.ps3d"), Path(tmp, "plain.ps3d")
+        report = Path(tmp, "eval.txt")
         scene_file, synth = Path(tmp, "scene.cfg"), Path(tmp, "synth")
         scene_file.write_text(WALKTHROUGH_SCENE)
         for argv in (["synth", "--scene", str(scene_file), "--output", str(synth),
@@ -138,6 +140,8 @@ def compute_digests() -> dict[str, str] | None:
                      ["segment", "--input", str(frames), "--output", str(seg)],
                      ["prepare", "--input", str(frames), "--segments", str(seg),
                       "--output", str(archive), "--augment", "--seed", "7"],
+                     ["prepare", "--input", str(frames), "--segments", str(seg),
+                      "--output", str(plain), "--seed", "11"],
                      ["eval", "--gt", str(frames), "--clusters", str(seg),
                       "--output", str(report)]):
             if cli_main(argv) != 0:
@@ -147,6 +151,7 @@ def compute_digests() -> dict[str, str] | None:
         _files(digests, "segment.cluster", sorted(seg.glob("*.cluster")))
         _files(digests, "segment.manifest", sorted(seg.glob("*.proposals.txt")))
         _files(digests, "prepare.ps3d", [archive])
+        _files(digests, "prepare.plain", [plain])
         _files(digests, "eval.report", [report])
     return {key: digests[key].hexdigest() for key in keys}
 

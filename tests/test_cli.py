@@ -167,10 +167,13 @@ def test_prepare_missing_labels_names_frame(synth_dir, tmp_path, caplog):
     broken.mkdir()
     for p in synth_dir.glob("*.bin"):
         (broken / p.name).write_bytes(p.read_bytes())
+    archive = tmp_path / "x.ps3d"
     code = main(["prepare", "--input", str(broken), "--segments", str(seg),
-                 "--output", str(tmp_path / "x.ps3d")])
+                 "--output", str(archive)])
     assert code == 1
     assert "000000" in caplog.text
+    # every frame failed: an empty archive would pass for a run without proposals
+    assert not archive.exists()
 
 
 def _records(path: Path) -> list[dict[str, str]]:
@@ -336,6 +339,36 @@ def test_prepare_timestamp_stems_take_their_position(synth_dir, tmp_path, caplog
     assert {r.frame_id for r in samples} == {0, 4294967295, 2}
 
 
+@pytest.mark.parametrize("stems", [("000001", "1"), ("000001", "a")],
+                         ids=["number", "position"])
+def test_prepare_refuses_two_frames_with_one_id(stems, synth_dir, tmp_path, caplog):
+    # "1" is frame 1 by its number; "a", at position 1 of the sorted list, by its place
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for stem in stems:
+        for ext in (".bin", ".label"):
+            shutil.copy(synth_dir / f"000000{ext}", frames / f"{stem}{ext}")
+    archive = tmp_path / "s.ps3d"
+    caplog.clear()
+    assert main(["prepare", "--input", str(frames), "--output", str(archive)]) == 2
+    assert (f"config key 'input': frames {stems[0]} and {stems[1]} both take frame id 1"
+            in caplog.text)
+    assert "skipped" not in caplog.text  # refused before any frame is read
+    assert not archive.exists()
+
+
+def test_unwritable_output_exits_1_with_one_error(synth_dir, tmp_path, caplog, capsys):
+    seg = tmp_path / "seg"
+    assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+    archive = tmp_path / "missing" / "s.ps3d"
+    caplog.clear()
+    assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
+                 "--output", str(archive), "--n-points", "64"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(archive) in errors[0]
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["eval", "prepare"])
 def test_cluster_file_with_trailing_bytes_fails_the_frame(command, synth_dir, tmp_path,
                                                          caplog):
@@ -354,8 +387,8 @@ def test_cluster_file_with_trailing_bytes_fails_the_frame(command, synth_dir, tm
     }[command]
     caplog.clear()
     assert main(argv) == 1
-    assert (f"frame 000000 skipped: AlignmentError: cluster file has {size} bytes"
-            in caplog.text)
+    assert (f"frame 000000 skipped: AlignmentError: {cluster}: cluster file has {size} "
+            "bytes" in caplog.text)
     if command == "eval":
         assert [r["frame"] for r in _records(out)] == ["000001", "000002", "all"]
     else:

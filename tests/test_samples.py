@@ -1,7 +1,11 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from ringseg import (
+    ClassId,
     FileFormatError,
     OrientedBBox,
     PointCloud,
@@ -11,13 +15,25 @@ from ringseg import (
     build_feature_matrix,
     canonical_transform,
     export_samples,
+    generate_synthetic_scene,
+    load_config,
     load_samples,
     min_oriented_bbox,
     resample_points,
+    run_stage1,
     sample_rng,
 )
-from ringseg.samples import DIHEDRAL_LINEAR, pack_samples, record_dtype, write_variants
+from ringseg.config import SamplePrepParams
+from ringseg.samples import (
+    BG_KEEP_STREAM,
+    DIHEDRAL_LINEAR,
+    frame_records,
+    pack_samples,
+    record_dtype,
+    write_variants,
+)
 
+from conftest import clutter_scene
 from oracles import pairwise_distance_multiset
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -259,13 +275,19 @@ def test_archive_empty(tmp_path):
     assert n == 128 and records == []
 
 
-def test_archive_bad_magic(tmp_path):
+# header `<4sIIQ`: magic, version, N, count
+@pytest.mark.parametrize("edit, reason", [
+    (lambda data: b"NOPE" + data[4:], "bad magic b'NOPE'"),
+    (lambda data: data[:19], "truncated header"),
+    (lambda data: data[:4] + struct.pack("<I", 2) + data[8:], "unsupported version 2"),
+    (lambda data: data[:8] + struct.pack("<I", 2**32 - 1) + data[12:],
+     "N=4294967295 rows per sample is too large"),
+], ids=["magic", "truncated", "version", "n_points"])
+def test_archive_bad_header(tmp_path, edit, reason):
     path = tmp_path / "bad.ps3d"
     export_samples([], path, n_points=8)
-    data = bytearray(path.read_bytes())
-    data[:4] = b"NOPE"
-    path.write_bytes(bytes(data))
-    with pytest.raises(FileFormatError):
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {reason}")):
         load_samples(path)
 
 
@@ -289,6 +311,64 @@ def test_write_variants_is_pack_of_resampled_variants(rng, num, variants):
     got = np.zeros(variants, dtype=record_dtype(64))
     write_variants(got, sample, [sample_rng(9, 4, 1, k) for k in range(variants)])
     assert got.tobytes() == want.tobytes()
+
+
+SEED, FRAME = 0, 3
+
+
+@pytest.fixture(scope="module")
+def clutter_frame():
+    """The clutter frame's cloud, its 7 stage-1 proposals and their classes."""
+    cfg = load_config()
+    cloud = generate_synthetic_scene(clutter_scene()).cloud
+    proposals = run_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings).proposals
+    classes = {p.cluster_id: canonical_transform(p, cloud, np.random.default_rng(0)).class_label
+               for p in proposals}
+    assert len(proposals) == 7
+    assert list(classes.values()).count(ClassId.BACKGROUND) == 3
+    return cloud, proposals, classes
+
+
+def _kept_background(classes, keep_prob):
+    return {cid for cid, label in classes.items() if label == ClassId.BACKGROUND
+            and sample_rng(SEED, FRAME, cid, BG_KEEP_STREAM).random() < keep_prob}
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_frame_records_variants_and_background_keep(clutter_frame, augment):
+    cloud, proposals, classes = clutter_frame
+    prep = SamplePrepParams(n_points=64, augment=augment)
+    kept = _kept_background(classes, prep.background_keep_prob)
+    assert 0 < len(kept) < 3  # the frame draws both sides of the keep decision
+    variants = {cid: 1 if label == ClassId.BACKGROUND else 8 if augment else 1
+                for cid, label in classes.items()
+                if label != ClassId.BACKGROUND or cid in kept}
+    records = frame_records(proposals, cloud, FRAME, SEED, prep)
+    assert records.dtype == record_dtype(64)
+    # in proposal order, variants 0..k-1 of each kept proposal
+    heads = [(p.cluster_id, k, classes[p.cluster_id]) for p in proposals
+             for k in range(variants.get(p.cluster_id, 0))]
+    assert list(zip(*(records[name].tolist() for name in
+                      ("cluster_id", "variant_id", "class_label")))) == heads
+    assert set(records["frame_id"].tolist()) == {FRAME}
+
+
+def test_frame_records_is_the_object_path(clutter_frame):
+    # canonical_transform on stream 0, augment_eightfold, resample_points on
+    # streams 0..k-1, pack_samples: one foreground and one kept background proposal
+    cloud, proposals, classes = clutter_frame
+    prep = SamplePrepParams(n_points=64, augment=True)
+    records = frame_records(proposals, cloud, FRAME, SEED, prep)
+    foreground = next(cid for cid, label in classes.items() if label != ClassId.BACKGROUND)
+    background = min(_kept_background(classes, prep.background_keep_prob))
+    for cid, count in ((foreground, 8), (background, 1)):
+        prop = next(p for p in proposals if p.cluster_id == cid)
+        rng0 = sample_rng(SEED, FRAME, cid, 0)
+        sample = canonical_transform(prop, cloud, rng0, frame_id=FRAME)
+        rngs = [rng0, *(sample_rng(SEED, FRAME, cid, k) for k in range(1, count))]
+        want = pack_samples([resample_points(v, 64, rng) for v, rng in
+                             zip(augment_eightfold(sample)[:count], rngs)], 64)
+        assert records[records["cluster_id"] == cid].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("key", [(0, 0, 0, 0), (2**32 - 1, 7, 0, 3), (7, 2**32, 1, 8),
