@@ -275,10 +275,19 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
     cloud = cloud.with_labels(labels)
     manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
 
+    # the labelled points grouped by id in one stable sort, so that each
+    # group lists its points in ascending order (np.flatnonzero scans a
+    # bool array several times faster than an integer one)
+    labelled = np.flatnonzero(cluster_ids != 0)
+    labelled = labelled[np.argsort(cluster_ids[labelled], kind="stable")]
+    ids = cluster_ids[labelled]
+    starts = np.flatnonzero(np.diff(ids, prepend=0) != 0)  # ids start at 1
+    ends = [*starts[1:].tolist(), ids.size]
+    group = {cid: labelled[a:b] for cid, a, b in zip(ids[starts].tolist(), starts.tolist(), ends)}
     proposals = []
     for cid, count, distance, bbox in sorted(manifest, key=lambda e: e[0]):
-        members = np.flatnonzero(cluster_ids == cid)
-        if not members.size:  # every proposal has members: the files disagree
+        members = group.get(cid)
+        if members is None:  # every proposal has members: the files disagree
             raise AlignmentError(f"{stem}{_CLUSTER_SUFFIX} has no point of manifest "
                                  f"cluster {cid}")
         if members.size != count:
@@ -287,10 +296,10 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
         proposals.append(Proposal(cid, members, bbox, distance))
     # with every count right, the counts fall short of the labelled points
     # only when a labelled id has no manifest line
-    labelled, counted = np.count_nonzero(cluster_ids), sum(e[1] for e in manifest)
-    if counted != labelled:
+    counted = sum(e[1] for e in manifest)
+    if counted != labelled.size:
         raise AlignmentError(f"{stem}{_MANIFEST_SUFFIX} counts {counted} proposal points, "
-                             f"but {stem}{_CLUSTER_SUFFIX} labels {labelled}")
+                             f"but {stem}{_CLUSTER_SUFFIX} labels {labelled.size}")
     return frame_records(proposals, cloud, frame_id, cfg.rng_seed, cfg.prep)
 
 

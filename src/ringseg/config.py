@@ -147,7 +147,11 @@ DEFAULT_SIZE_PRIORS: dict[int, SizePrior] = {
 
 @dataclass(frozen=True)
 class GroundParams(_Checked):
-    """Segmented ground fit (Zermas et al., ICRA 2017)."""
+    """Segmented ground fit (Zermas et al., ICRA 2017).
+
+    A segment takes at most `n_iter` fit / re-select rounds: it stops
+    early at the first round that re-selects the points it was fitted on.
+    """
 
     n_seg: int = _integer(3)
     n_iter: int = _integer(3)

@@ -81,11 +81,22 @@ def extract_initial_seeds(points: np.ndarray, n_lpr: int, th_seeds: float) -> np
     return np.flatnonzero(_seed_mask(np.asarray(points)[:, 2], n_lpr, th_seeds))
 
 
-def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of p and sum of p p^T over the columns of a (3, n) x, y, z matrix."""
-    x, y, z = rows
-    xy, xz, yz = x @ y, x @ z, y @ z
-    return rows.sum(axis=1), np.array([[x @ x, xy, xz], [xy, y @ y, yz], [xz, yz, z @ z]])
+def _moments(rows: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of p and sum of p p^T over the columns of a (3, n) x, y, z
+    matrix, each column taken about `shift`.
+
+    Two centered rows are held at a time, never a centered copy of the
+    matrix: on a frame's largest segment that copy was 2.3 MB, which a
+    process under glibc's default allocator settings faulted in again on
+    every frame. The sums equal those over the rows of the copy.
+    """
+    a, b = rows[0] - shift[0], rows[1] - shift[1]
+    sx, sy, xx, xy, yy = a.sum(), b.sum(), a @ a, a @ b, b @ b
+    np.subtract(rows[2], shift[2], out=b)  # z
+    sz, xz, zz = b.sum(), a @ b, b @ b
+    np.subtract(rows[1], shift[1], out=a)  # y again
+    yz = a @ b
+    return np.array([sx, sy, sz]), np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
 def _plane_from_moments(count: int, first: np.ndarray, second: np.ndarray,
@@ -95,7 +106,7 @@ def _plane_from_moments(count: int, first: np.ndarray, second: np.ndarray,
     if count < 3:
         raise DegenerateGeometryError(f"{count} point(s), need >= 3")
     mean = first / count
-    cov = second / count - np.outer(mean, mean)
+    cov = second / count - mean[:, None] * mean
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[1] - eigvals[0] <= _EIG_DEGENERACY_TOL:
         raise DegenerateGeometryError("covariance has no unique smallest eigenvalue")
@@ -115,8 +126,7 @@ def fit_plane(points: np.ndarray) -> PlaneModel:
     """
     rows = np.array(np.asarray(points, dtype=np.float64).T, order="C")
     shift = rows.mean(axis=1) if rows.shape[1] else np.zeros(3)
-    rows -= shift[:, None]
-    return _plane_from_moments(rows.shape[1], *_moments(rows), shift)
+    return _plane_from_moments(rows.shape[1], *_moments(rows, shift), shift)
 
 
 def ground_plane_fit(
@@ -126,8 +136,11 @@ def ground_plane_fit(
 ) -> tuple[np.ndarray, list[PlaneModel | None]]:
     """Iterative per-segment ground extraction.
 
-    Per segment: seed from the low-height band, then n_iter rounds of
-    fit-plane / re-select points within th_dist perpendicular distance.
+    Per segment: seed from the low-height band, then at most n_iter rounds
+    of fit-plane / re-select points within th_dist perpendicular distance.
+    The rounds end early once a round re-selects the points it was fitted
+    on: every later round would fit the same plane to the same points, so
+    the mask and planes are those of all n_iter rounds, bit for bit.
     A segment whose fit degenerates (or that is empty) contributes no
     ground points and a warning; the frame is never aborted.
 
@@ -147,22 +160,26 @@ def ground_plane_fit(
         # of whichever side of the selection is smaller, and most points
         # stay selected from round to round
         shift = pts_t.mean(axis=1)
-        centered = pts_t - shift[:, None]
-        total = _moments(centered)
+        total = _moments(pts_t, shift)
         dist = np.empty(pts_t.shape[1])
         model = None
+        count = int(np.count_nonzero(ground_sel))
         try:
             for _ in range(params.n_iter):
-                count = int(np.count_nonzero(ground_sel))
                 if 2 * count >= ground_sel.size:
-                    first, second = _moments(np.compress(~ground_sel, centered, axis=1))
+                    first, second = _moments(np.compress(~ground_sel, pts_t, axis=1), shift)
                     first, second = total[0] - first, total[1] - second
                 else:
-                    first, second = _moments(np.compress(ground_sel, centered, axis=1))
+                    first, second = _moments(np.compress(ground_sel, pts_t, axis=1), shift)
                 model = _plane_from_moments(count, first, second, shift)
                 np.matmul(model.normal, pts_t, out=dist)
                 dist += model.offset
+                fitted, fitted_count = ground_sel, count
                 ground_sel = np.abs(dist, out=dist) < params.th_dist
+                count = int(np.count_nonzero(ground_sel))
+                # a fixed point: the counts differ on most rounds that move
+                if count == fitted_count and not np.count_nonzero(ground_sel ^ fitted):
+                    break
         except DegenerateGeometryError as exc:
             log.warning("segment %d: degenerate ground fit (%s), skipped", seg, exc)
             continue

@@ -63,28 +63,35 @@ def _hull_candidates(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> np.nda
     polygon's edges stay and the hull sees every point that could matter.
     A cluster with fewer than three distinct extremes keeps every point.
     """
-    sizes = np.diff(np.append(starts, u.size))
-    ext = np.empty((8, starts.size), dtype=np.int64)
-    # per cluster, the first point to reach each extreme, counter-clockwise
-    for j, score in enumerate((u, u + v, v, v - u, -u, -(u + v), -v, u - v)):
-        at_best = np.flatnonzero(score == np.repeat(np.maximum.reduceat(score, starts), sizes))
-        ext[j] = at_best[np.searchsorted(at_best, starts)]
-    kept = ext != np.roll(ext, 1, axis=0)  # a repeat of the previous extreme is no corner
+    n = u.size
+    sizes = np.diff(starts, append=n)
+    # per cluster, the first point to reach each extreme, counter-clockwise:
+    # the maxima of u, u + v, v and v - u, then their minima; row j's first
+    # hit in cluster i is the first at or after flat index j * n + starts[i]
+    scores = np.stack([u, u + v, v, v - u])
+    hit = np.empty((8, n), dtype=bool)
+    for rows, extreme in ((hit[:4], np.maximum), (hit[4:], np.minimum)):
+        np.equal(scores, extreme.reduceat(scores, starts, axis=1).repeat(sizes, axis=1),
+                 out=rows)
+    at_best = np.flatnonzero(hit)
+    row = np.arange(8)[:, None] * n
+    ext = at_best[at_best.searchsorted(row + starts)] - row
+    kept = ext != ext[np.arange(-1, 7)]  # a repeat of the previous extreme is no corner
     # each corner's edge runs to the next kept extreme, cyclically
     ahead = (np.arange(8)[:, None] + np.arange(1, 9)) % 8
     nxt = (np.arange(1, 9)[:, None] + kept[ahead].argmax(axis=1)) % 8
     cu, cv = u[ext], v[ext]
-    eu = np.take_along_axis(cu, nxt, axis=0) - cu
-    ev = np.take_along_axis(cv, nxt, axis=0) - cv
+    to = ext[nxt, np.arange(starts.size)]
+    eu, ev = u[to] - cu, v[to] - cv
     # the extremes hold both coordinate ranges
     span = (cu.max(axis=0) - cu.min(axis=0)) + (cv.max(axis=0) - cv.min(axis=0))
     margin = 1e-9 * span * (np.abs(eu) + np.abs(ev))
     margin[~kept] = -np.inf
-    candidate = np.repeat(kept.sum(axis=0) < 3, sizes)
+    candidate = (kept.sum(axis=0) < 3).repeat(sizes)
     for j in range(8):
-        cross = np.repeat(eu[j], sizes) * (v - np.repeat(cv[j], sizes))
-        cross -= np.repeat(ev[j], sizes) * (u - np.repeat(cu[j], sizes))
-        candidate |= cross <= np.repeat(margin[j], sizes)
+        cross = eu[j].repeat(sizes) * (v - cv[j].repeat(sizes))
+        cross -= ev[j].repeat(sizes) * (u - cu[j].repeat(sizes))
+        candidate |= cross <= margin[j].repeat(sizes)
     return candidate
 
 
@@ -146,8 +153,8 @@ def _hull_vertices(u: np.ndarray, v: np.ndarray, cluster: np.ndarray) -> np.ndar
         t2 = (hv[1:-1] - hv[:-2]) * (hu[2:] - hu[:-2])
         turn = t1 - t2
         left = turn > 0
-        unsure = np.flatnonzero((np.abs(turn) < _TURN_ERRBOUND * (np.abs(t1) + np.abs(t2)))
-                                & ~end[1:-1])
+        unsure = ((np.abs(turn) < _TURN_ERRBOUND * (np.abs(t1) + np.abs(t2)))
+                  & ~end[1:-1]).nonzero()[0]
         if unsure.size:
             at = unsure + 1
             left[unsure] = _exact_left(hu[at - 1], hv[at - 1], hu[at], hv[at],

@@ -9,8 +9,11 @@ and fits each cluster alone with the scalar hull prefilter and monotone
 chain below; `min_merge_labels`, which runs the library's union-find
 over label ids so the tests can check it against `naive_min_merge`;
 `xcut_merge_candidates`, which shares the library's box containment test;
-and `all_rays_scene`, which casts every ray of a frame against every object
-with the generator's own ray tests, so only the azimuth windows differ.
+`all_rays_scene`, which casts every ray of a frame against every object
+with the generator's own ray tests, so only the azimuth windows differ;
+and `full_round_ground_fit`, which runs the library's seed and plane
+steps for every one of `n_iter` rounds, with the moments taken over a
+centered copy of each segment as the library took them before.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ringseg import kernels, refine, synth
+from ringseg import ground, kernels, refine, synth
+from ringseg.errors import DegenerateGeometryError
 
 
 def canonical_partition(labels) -> np.ndarray:
@@ -588,3 +592,48 @@ def all_rays_scene(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     class_of = np.array([0] + [obj.class_id for obj in spec.objects], dtype=np.uint8)
     ring_ids = np.repeat(np.arange(spec.num_rings, dtype=np.int32), a)
     return ring_ids, owner, class_of[owner + 1], dirs * t_all[:, None]
+
+
+def _row_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of p and sum of p p^T over the columns of a (3, n) x, y, z matrix."""
+    x, y, z = rows
+    xy, xz, yz = x @ y, x @ z, y @ z
+    return rows.sum(axis=1), np.array([[x @ x, xy, xz], [xy, y @ y, yz], [xz, yz, z @ z]])
+
+
+def full_round_ground_fit(cloud, segment_idx: np.ndarray, params):
+    """`ground.ground_plane_fit` with every segment taking all `n_iter` rounds.
+
+    This is the fit from before the fixed-point stop: each round selects
+    the points within th_dist of the plane fitted to the previous
+    selection, whether or not the selection moved, and the moments come
+    from a centered copy of the segment's points. A segment that is empty
+    or whose fit degenerates on any round gets no plane and no ground
+    points. Returns (ground mask, plane per segment).
+    """
+    mask = np.zeros(len(cloud), dtype=bool)
+    planes = [None] * params.n_seg
+    for seg in range(params.n_seg):
+        members = segment_idx == seg
+        pts_t = np.compress(members, cloud.xyz.T, axis=1)
+        if pts_t.shape[1] == 0:
+            continue
+        selected = ground._seed_mask(pts_t[2], params.n_lpr, params.th_seeds)
+        shift = pts_t.mean(axis=1)
+        centered = pts_t - shift[:, None]
+        total = _row_moments(centered)
+        try:
+            for _ in range(params.n_iter):
+                count = int(np.count_nonzero(selected))
+                if 2 * count >= selected.size:
+                    first, second = _row_moments(np.compress(~selected, centered, axis=1))
+                    first, second = total[0] - first, total[1] - second
+                else:
+                    first, second = _row_moments(np.compress(selected, centered, axis=1))
+                model = ground._plane_from_moments(count, first, second, shift)
+                selected = np.abs(model.normal @ pts_t + model.offset) < params.th_dist
+        except DegenerateGeometryError:
+            continue
+        planes[seg] = model
+        mask[members] = selected
+    return mask, planes

@@ -10,10 +10,12 @@ from ringseg import (
     generate_synthetic_scene,
     ground_plane_fit,
 )
+from ringseg import ground
 from ringseg.ground import segment_bounds, segment_of
-from ringseg.synth import ObjectSpec, SceneSpec
+from ringseg.synth import ObjectSpec, SceneSpec, sample_traffic_scene
 
-from conftest import x_segments
+from conftest import clutter_scene, x_segments
+from oracles import full_round_ground_fit
 
 
 def _cloud(xyz):
@@ -220,3 +222,58 @@ def test_params_validated():
         GroundParams(n_lpr=2)
     with pytest.raises(ValueError):
         GroundParams(th_dist=0.0)
+
+
+def _fixed_point_clouds():
+    """Traffic seeds 0-11 flat and tilted, the clutter frame, and a frame
+    of three crafted segments. The first degenerates on its second round:
+    the first round drops the two points off its line. In the middle one,
+    the first round swaps a seed 0.36 m above the sloped ground for a
+    non-seed 0.25 m above it, so the count stays and the plane still
+    moves. The last holds two points, too few."""
+    for seed in range(12):
+        for tilt in (0.0, 3.0, 8.0):
+            yield f"traffic {seed} tilt {tilt}", generate_synthetic_scene(
+                sample_traffic_scene(seed, ground_tilt_deg=tilt)).cloud
+    yield "clutter", generate_synthetic_scene(clutter_scene()).cloud
+    line = np.column_stack([np.linspace(0.0, 9.0, 40), np.zeros(40), np.zeros(40)])
+    line = np.vstack([line, [[4.5, 3.0, 0.35], [4.5, -3.0, 0.35]]])
+    x = np.linspace(10.5, 19.5, 100)
+    slope = np.column_stack([x, np.tile([-3.0, -1.0, 1.0, 3.0], 25), 0.02 * (x - 10.5)])
+    slope = np.vstack([slope, [[10.5, 0.0, 0.36], [19.5, 0.0, 0.45]]])
+    yield "crafted", _cloud(np.vstack([line, slope, [[29.0, 0, 0], [30.0, 1, 0]]]))
+
+
+def test_ground_fit_stops_at_fixed_point_bit_for_bit(monkeypatch):
+    # the stop must leave every mask and plane as all n_iter rounds give them,
+    # while taking fewer plane solves where a selection stops moving
+    solves = []
+    solve = ground._plane_from_moments
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ground, "_plane_from_moments", counted)
+    fewer = 0
+    clouds = list(_fixed_point_clouds())
+    for name, cloud in clouds:
+        for n_iter in (1, 3, 10):
+            params = GroundParams(n_iter=n_iter)
+            seg = x_segments(cloud, params.n_seg)
+            solves.clear()
+            mask, planes = ground_plane_fit(cloud, seg, params)
+            stopped = len(solves)
+            solves.clear()
+            want_mask, want_planes = full_round_ground_fit(cloud, seg, params)
+            fewer += stopped < len(solves)
+            assert np.array_equal(mask, want_mask), (name, n_iter)
+            assert [p is None for p in planes] == [p is None for p in want_planes], (name, n_iter)
+            for got, want in zip(planes, want_planes):
+                if got is not None:
+                    assert np.array_equal(got.normal, want.normal), (name, n_iter)
+                    assert got.offset == want.offset, (name, n_iter)
+            if name == "crafted":
+                assert [p is None for p in planes] == [n_iter > 1, False, True], n_iter
+    # at n_iter 3 and 10 every frame takes fewer solves; at 1 none can
+    assert fewer == 2 * len(clouds), fewer

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringseg import (
@@ -269,8 +269,34 @@ def _projected_batches(draw):
     return us, vs
 
 
+def _batch(*clusters):
+    """(us, vs) of clusters given as (m, 2) arrays, as `_projected_batches` draws them."""
+    return [c[:, 0].copy() for c in clusters], [c[:, 1].copy() for c in clusters]
+
+
+_BLOB = np.random.default_rng(23).normal(0.0, 1.0, (70, 2))
+# the points of largest u and of least v also come first and last: the
+# first copy of each is its extreme
+_SHARED = _BLOB[[_BLOB[:, 0].argmax(), _BLOB[:, 1].argmin()]]
+_DUPLICATE_EXTREMES = np.vstack([_SHARED, _BLOB, _SHARED[::-1]])
+# (1, 0) and (1, 1) share the largest u, and only the first one is a
+# corner from which (0.9, 0.1) lies inside
+_TIED = np.vstack([[(1.0, 0.0), (0.9, 0.1), (1.0, 1.0), (0.5, -1.0), (0.0, 2.5)],
+                   0.6 + 0.05 * _BLOB[:64]])
+# a 9 x 8 grid: u ties along two sides and v along the other two, and each
+# corner is the extreme of u + v or of u - v too
+_SQUARE = np.array([(i, j) for j in range(8) for i in range(9)], dtype=float)
+# a diagonal starting at its low end: u, u + v and v peak at one point,
+# and v - u ties everywhere, so its first point is every other extreme
+_DIAGONAL = np.repeat(np.linspace(0.0, 5.0, 66)[:, None], 2, axis=1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_projected_batches())
+@example(_batch(_DUPLICATE_EXTREMES, _TIED))
+@example(_batch(_SQUARE, _SQUARE[::-1]))
+@example(_batch(_BLOB[:1], _BLOB[1:3], _BLOB[:64], _BLOB[3:4]))
+@example(_batch(_DIAGONAL, _BLOB[:64]))
 def test_batched_hull_matches_scalar_oracles(batch):
     us, vs = batch
     sizes = np.array([u.size for u in us])
