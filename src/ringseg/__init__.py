@@ -20,11 +20,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("TimingReport", "benchmark_stage1"), "bench"),
     **dict.fromkeys(("OrientedBBox", "Proposal"), "boxes"),
-    **dict.fromkeys(("CLASS_NAMES", "FOREGROUND_CLASSES", "ClassId", "PointCloud",
-                     "assign_rings", "load_labels", "load_point_cloud", "save_labels",
-                     "save_point_cloud"), "cloud"),
-    **dict.fromkeys(("ClusterLabeling", "cluster_ring_based", "resolve_labels"),
-                    "clustering"),
+    **dict.fromkeys(("CLASS_NAMES", "FOREGROUND_CLASSES", "ClassId", "ClusterLabeling",
+                     "PointCloud", "assign_rings", "load_labels", "load_point_cloud",
+                     "save_labels", "save_point_cloud"), "cloud"),
+    **dict.fromkeys(("cluster_ring_based", "resolve_labels"), "clustering"),
     **dict.fromkeys(("ClusterParams", "DEFAULT_SIZE_PRIORS", "GroundParams", "PipelineConfig",
                      "RefineParams", "SamplePrepParams", "SizePrior", "build_config",
                      "load_config", "read_kv_file"), "config"),

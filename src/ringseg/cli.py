@@ -68,8 +68,13 @@ def _emit(records: list[str], output: str | None) -> None:
 _FRAME_ERRORS = (RingSegError, OSError, ValueError)
 
 
-def _list_frames(directory: str, suffix: str = ".bin") -> list[tuple[str, Path]]:
-    return [(p.stem, p) for p in sorted(Path(directory).glob(f"*{suffix}"))]
+def _list_frames(directory: str, flag: str, suffix: str = ".bin") -> list[tuple[str, Path]]:
+    if not Path(directory).is_dir():
+        raise ConfigError(flag, f"{directory} is not a directory")
+    frames = [(p.stem, p) for p in sorted(Path(directory).glob(f"*{suffix}"))]
+    if not frames:
+        log.warning("no %s frames under %s; nothing to do", suffix, directory)
+    return frames
 
 
 def _attempt(worker, frame: tuple[str, object]):
@@ -175,9 +180,11 @@ def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
     `prepare` writes samples from these boxes as they are.
     """
     from .boxes import OrientedBBox
+    from .config import read_text
 
+    text = read_text(path, lambda where, reason: FileFormatError(f"{where}: {reason}"))
     entries, line_of = [], {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -213,9 +220,8 @@ def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
     return entries
 
 
-def _read_cluster_ids(seg_dir: str, stem: str, n: int) -> np.ndarray:
+def _read_cluster_ids(path: Path, n: int) -> np.ndarray:
     """A frame's proposal id per point, 0 for none, as `segment` writes it."""
-    path = Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}"
     # checked in bytes: np.fromfile drops a trailing partial id
     size = path.stat().st_size
     if size != 4 * n:
@@ -243,9 +249,8 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 
     if not cfg.input or not cfg.output:
         raise ConfigError("input/output", "segment needs --input and --output")
-    frames = _list_frames(cfg.input)
+    frames = _list_frames(cfg.input, "--input")
     if not frames:
-        log.warning("no .bin frames under %s; nothing to do", cfg.input)
         return 0
     Path(cfg.output).mkdir(parents=True, exist_ok=True)
     worker = functools.partial(_segment_one, out_dir=cfg.output, cfg=cfg)
@@ -262,44 +267,37 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
                  cfg: PipelineConfig) -> np.ndarray:
     """The frame's samples as archive records (`samples.frame_records`)."""
     from .boxes import Proposal
-    from .cloud import load_labels, load_point_cloud
+    from .cloud import ClusterLabeling, load_labels, load_point_cloud
     from .samples import frame_records
 
     bin_path = Path(in_dir) / f"{stem}.bin"
+    cluster_path = Path(seg_dir) / f"{stem}{_CLUSTER_SUFFIX}"
+    manifest_path = Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}"
     cloud, kept = load_point_cloud(bin_path)
     records = len(cloud) if kept is None else kept.size
     labels = load_labels(bin_path.with_suffix(".label"), records)
-    cluster_ids = _read_cluster_ids(seg_dir, stem, records)
+    cluster_ids = _read_cluster_ids(cluster_path, records)
     if kept is not None:  # both files hold one entry per input record
         labels, cluster_ids = labels[kept], cluster_ids[kept]
     cloud = cloud.with_labels(labels)
-    manifest = _read_manifest(Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}")
+    manifest = sorted(_read_manifest(manifest_path), key=lambda e: e[0])
 
-    # the labelled points grouped by id in one stable sort, so that each
-    # group lists its points in ascending order (np.flatnonzero scans a
-    # bool array several times faster than an integer one)
+    # np.flatnonzero scans a bool array several times faster than an integer one
     labelled = np.flatnonzero(cluster_ids != 0)
-    labelled = labelled[np.argsort(cluster_ids[labelled], kind="stable")]
-    ids = cluster_ids[labelled]
-    starts = np.flatnonzero(np.diff(ids, prepend=0) != 0)  # ids start at 1
-    ends = [*starts[1:].tolist(), ids.size]
-    group = {cid: labelled[a:b] for cid, a, b in zip(ids[starts].tolist(), starts.tolist(), ends)}
-    proposals = []
-    for cid, count, distance, bbox in sorted(manifest, key=lambda e: e[0]):
-        members = group.get(cid)
-        if members is None:  # every proposal has members: the files disagree
-            raise AlignmentError(f"{stem}{_CLUSTER_SUFFIX} has no point of manifest "
-                                 f"cluster {cid}")
-        if members.size != count:
-            raise AlignmentError(f"{stem}{_MANIFEST_SUFFIX} gives cluster {cid} count={count}, "
-                                 f"but {stem}{_CLUSTER_SUFFIX} has {members.size} of its points")
-        proposals.append(Proposal(cid, members, bbox, distance))
-    # with every count right, the counts fall short of the labelled points
-    # only when a labelled id has no manifest line
-    counted = sum(e[1] for e in manifest)
-    if counted != labelled.size:
-        raise AlignmentError(f"{stem}{_MANIFEST_SUFFIX} counts {counted} proposal points, "
-                             f"but {stem}{_CLUSTER_SUFFIX} labels {labelled.size}")
+    groups = ClusterLabeling.from_labels(cluster_ids[labelled])
+    # the one agreement rule: every labelled id has a line that counts its points
+    counts = {cid: count for cid, count, _, _ in manifest}
+    sizes = dict(zip(groups.ids.tolist(), np.diff(groups.offsets).tolist()))
+    if counts != sizes:
+        cid = min(c for c in counts.keys() | sizes.keys() if counts.get(c) != sizes.get(c))
+        said = f"count={counts[cid]}" if cid in counts else "no line"
+        raise AlignmentError(f"{manifest_path} and {cluster_path} disagree on cluster {cid}: "
+                             f"the manifest has {said}, the .cluster file "
+                             f"{sizes.get(cid, 0)} points")
+    # the ids agree, so the sorted manifest and the groups pair up in order
+    members, starts = labelled[groups.order], groups.offsets.tolist()
+    proposals = [Proposal(cid, members[a:b], bbox, distance)
+                 for (cid, _, distance, bbox), a, b in zip(manifest, starts, starts[1:])]
     return frame_records(proposals, cloud, frame_id, cfg.rng_seed, cfg.prep)
 
 
@@ -312,9 +310,8 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     # uint32, is the id; any other, such as a microsecond timestamp, takes
     # its position in the list
     frames = [(stem, int(stem) if stem.isdecimal() and int(stem) < 2**32 else i)
-              for i, (stem, _) in enumerate(_list_frames(cfg.input))]
+              for i, (stem, _) in enumerate(_list_frames(cfg.input, "--input"))]
     if not frames:
-        log.warning("no .bin frames under %s; nothing to do", cfg.input)
         return 0
     stem_of = {}  # two stems with one id would mix their samples in the archive
     for stem, frame_id in frames:
@@ -349,7 +346,8 @@ def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str 
         metrics = pointwise_metrics(load_labels(Path(pred_dir) / gt_path.name, len(gt)), gt)
         fields.update(metrics.to_record())
     if clusters_dir:
-        coverage = proposal_recall(_read_cluster_ids(clusters_dir, stem, gt.size), gt)
+        ids = _read_cluster_ids(Path(clusters_dir) / f"{stem}{_CLUSTER_SUFFIX}", gt.size)
+        coverage = proposal_recall(ids, gt)
         fields.update(coverage.to_record())
     return format_record(fields), metrics, coverage
 
@@ -360,9 +358,8 @@ def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
 
     if not pred_dir and not clusters_dir:
         raise ConfigError("pred/clusters", "eval needs --pred and/or --clusters")
-    frames = _list_frames(gt_dir, ".label")
+    frames = _list_frames(gt_dir, "--gt", ".label")
     if not frames:
-        log.warning("no .label files under %s", gt_dir)
         return 0
     worker = functools.partial(_eval_one, pred_dir=pred_dir, clusters_dir=clusters_dir)
     results, failed = _run_frames(worker, frames)
@@ -393,9 +390,8 @@ def _bench_one(stem: str, path: Path | None, cfg: PipelineConfig, reps: int) -> 
 
 
 def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
-    frames = _list_frames(cfg.input) if cfg.input else [("synthetic", None)]
+    frames = _list_frames(cfg.input, "--input") if cfg.input else [("synthetic", None)]
     if not frames:
-        log.warning("no .bin frames under %s", cfg.input)
         return 0
     # in this process, so timings do not compete for cores
     records, failed = _run_frames(functools.partial(_bench_one, cfg=cfg, reps=reps), frames)

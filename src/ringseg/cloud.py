@@ -1,4 +1,4 @@
-"""Point-cloud data model, binary file I/O, and ring-index assignment.
+"""Point-cloud data model, cluster grouping, file I/O, ring-index assignment.
 
 A cloud is stored columnar (coordinate matrix plus parallel attribute
 arrays) because the pipeline streams over single attributes: heights for
@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import InitVar, dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,39 @@ class PointCloud:
             labels=None if self.labels is None else self.labels[index],
             validate=False,
         )
+
+
+@dataclass(frozen=True)
+class ClusterLabeling:
+    """Per-point cluster ids and their members, in CSR form.
+
+    ids holds the distinct labels ascending; the members of ids[j] are
+    order[offsets[j]:offsets[j + 1]], ascending, and partition the input.
+    """
+
+    labels: np.ndarray
+    ids: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray) -> ClusterLabeling:
+        """Group the points by label value."""
+        # a stable sort keeps each group's members ascending
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        first = np.ones(labels.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(first)
+        return cls(labels=labels, ids=ordered[starts], order=order,
+                   offsets=np.append(starts, labels.size))
+
+    # read by the tests and by perfbench's `clusters` and `candidates`
+    # counters; the pipeline and `prepare` slice `order` by `offsets` instead
+    @cached_property
+    def clusters(self) -> dict[int, np.ndarray]:
+        """Each id's members, keyed in ascending id order."""
+        return dict(zip(self.ids.tolist(), np.split(self.order, self.offsets[1:-1])))
 
 
 def load_point_cloud(path) -> tuple[PointCloud, np.ndarray | None]:

@@ -11,50 +11,12 @@ merge to the smallest id; `kernels.cluster_scan` computes them in bulk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from . import kernels
-from .cloud import PointCloud
+from .cloud import ClusterLabeling, PointCloud
 from .config import ClusterParams  # noqa: F401
 from .errors import ScanFormatError
-
-
-@dataclass(frozen=True)
-class ClusterLabeling:
-    """Canonical per-point cluster ids (>= 1) and their members, in CSR form.
-
-    labels[i] is the minimal id of point i's merge class. ids holds the
-    cluster ids ascending, and the members of ids[j] are
-    order[offsets[j]:offsets[j + 1]], ascending; together they partition
-    the input.
-    """
-
-    labels: np.ndarray
-    ids: np.ndarray
-    order: np.ndarray
-    offsets: np.ndarray
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray) -> ClusterLabeling:
-        """Group the points by label value."""
-        # a stable sort keeps each group's members ascending
-        order = np.argsort(labels, kind="stable")
-        ordered = labels[order]
-        first = np.ones(labels.size, dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        starts = np.flatnonzero(first)
-        return cls(labels=labels, ids=ordered[starts], order=order,
-                   offsets=np.append(starts, labels.size))
-
-    # read by the tests and by perfbench's `clusters` and `candidates`
-    # counters; the pipeline slices `order` by `offsets` instead
-    @cached_property
-    def clusters(self) -> dict[int, np.ndarray]:
-        """Each id's members, keyed in ascending id order."""
-        return dict(zip(self.ids.tolist(), np.split(self.order, self.offsets[1:-1])))
 
 
 def resolve_labels(raw_labels: np.ndarray) -> ClusterLabeling:

@@ -13,6 +13,7 @@ alone.
 """
 
 # no `from __future__ import annotations`: `build_config` casts by field type
+import io
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -21,18 +22,29 @@ from .cloud import CLASS_NAMES, ClassId
 from .errors import ConfigError
 
 
+def read_text(path, error=ConfigError) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 raises `error("<path>:<line>", why)`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}", f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
+
+
 def read_kv_file(path) -> dict[str, str]:
     """Read `key = value` lines; '#' starts a comment, blanks are skipped."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}", "expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    # newline=None splits lines as a text-mode file does
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}", "expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -20,16 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .boxes import OrientedBBox, Proposal, plane_basis
-from .cloud import PointCloud
+from .cloud import ClusterLabeling, PointCloud
 from .config import DEFAULT_SIZE_PRIORS, RefineParams, SizePrior, _admitted  # noqa: F401
-
-if TYPE_CHECKING:
-    from .clustering import ClusterLabeling
 
 # degenerate clusters (single point, collinear, flat) get this half extent
 EPS_HALF_EXTENT = 0.01

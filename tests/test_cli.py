@@ -231,6 +231,10 @@ def test_eval_summary_without_good_frames_has_no_pooled_fields(synth_dir, tmp_pa
 @pytest.mark.parametrize("bad_line, reason", [
     ("garbage here", "expected key=value tokens"),
     ("cluster=1", "no count, d, cx, cy, cz, yaw, hx, hy, hz, nx, ny, nz field"),
+    # blank and comment lines are skipped, but they count for the line number
+    ("\n# a comment\ngarbage here", "expected key=value tokens"),
+    ("cluster=1 count=x d=1 cx=0 cy=0 cz=0 yaw=0 hx=1 hy=1 hz=1 nx=0 ny=0 nz=1",
+     "invalid literal for int() with base 10: 'x'"),
 ])
 def test_prepare_bad_manifest_line_names_file_and_line(synth_dir, tmp_path, caplog,
                                                        bad_line, reason):
@@ -242,7 +246,8 @@ def test_prepare_bad_manifest_line_names_file_and_line(synth_dir, tmp_path, capl
     caplog.clear()
     assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
                  "--output", str(tmp_path / "s.ps3d")]) == 1
-    assert f"FileFormatError: {manifest}:{n_lines + 1}: {reason}" in caplog.text
+    assert (f"FileFormatError: {manifest}:{n_lines + bad_line.count(chr(10)) + 1}: {reason}"
+            in caplog.text)
     _, samples = load_samples(tmp_path / "s.ps3d")
     assert {r.frame_id for r in samples} == {1, 2}
 
@@ -268,14 +273,14 @@ def _field(line: str, key: str) -> str:
     (lambda lines: [_with_fields(lines[0], cluster="0"), *lines[1:]],
      "FileFormatError: {manifest}:1: cluster=0 is no proposal id: ids start at 1"),
     (lambda lines: [_with_fields(lines[0], count="5"), *lines[1:]],
-     "AlignmentError: 000000.proposals.txt gives cluster {cluster} count=5, "
-     "but 000000.cluster has {count} of its points"),
+     "AlignmentError: {manifest} and {cluster_file} disagree on cluster {cluster}: "
+     "the manifest has count=5, the .cluster file {count} points"),
     (lambda lines: lines[1:],
-     "AlignmentError: 000000.proposals.txt counts {rest} proposal points, "
-     "but 000000.cluster labels {total}"),
+     "AlignmentError: {manifest} and {cluster_file} disagree on cluster {cluster}: "
+     "the manifest has no line, the .cluster file {count} points"),
     (lambda lines: [],
-     "AlignmentError: 000000.proposals.txt counts 0 proposal points, "
-     "but 000000.cluster labels {total}"),
+     "AlignmentError: {manifest} and {cluster_file} disagree on cluster {smallest}: "
+     "the manifest has no line, the .cluster file {smallest_count} points"),
 ], ids=["non-finite", "negative-half-extent", "zero-normal", "repeated-cluster", "cluster-0",
         "wrong-count", "first-line-removed", "emptied"])
 def test_prepare_rejects_manifest_values_it_cannot_use(synth_dir, tmp_path, caplog,
@@ -289,15 +294,17 @@ def test_prepare_rejects_manifest_values_it_cannot_use(synth_dir, tmp_path, capl
     assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
     manifest = seg / "000000.proposals.txt"
     lines = manifest.read_text().splitlines()
-    counts = [int(_field(line, "count")) for line in lines]
+    counts = {int(_field(line, "cluster")): int(_field(line, "count")) for line in lines}
+    smallest = min(counts)
     edited = edit(lines)
     manifest.write_text("".join(line + "\n" for line in edited))
     caplog.clear()
     assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
                  "--output", str(tmp_path / "s.ps3d"), "--augment"]) == 1
-    assert message.format(manifest=manifest, last=len(edited),
-                          cluster=_field(lines[0], "cluster"), count=counts[0],
-                          rest=sum(counts[1:]), total=sum(counts)) in caplog.text
+    cluster = int(_field(lines[0], "cluster"))
+    assert message.format(manifest=manifest, cluster_file=seg / "000000.cluster",
+                          last=len(edited), cluster=cluster, count=counts[cluster],
+                          smallest=smallest, smallest_count=counts[smallest]) in caplog.text
     _, samples = load_samples(tmp_path / "s.ps3d")
     assert {r.frame_id for r in samples} == {1, 2}
 
@@ -313,8 +320,9 @@ def test_prepare_manifest_id_without_points_fails_the_frame(synth_dir, tmp_path,
     caplog.clear()
     assert main(["prepare", "--input", str(synth_dir), "--segments", str(seg),
                  "--output", str(tmp_path / "s.ps3d")]) == 1
-    assert ("frame 000000 skipped: AlignmentError: 000000.cluster has no point of "
-            "manifest cluster 999999") in caplog.text
+    assert (f"frame 000000 skipped: AlignmentError: {manifest} and {seg / '000000.cluster'} "
+            f"disagree on cluster 999999: the manifest has count={_field(first, 'count')}, "
+            "the .cluster file 0 points") in caplog.text
     _, samples = load_samples(tmp_path / "s.ps3d")
     assert {r.frame_id for r in samples} == {1, 2}
 
@@ -522,6 +530,79 @@ def test_dead_worker_costs_only_its_unfinished_frames(synth_dir, tmp_path, monke
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+@pytest.mark.parametrize("command", ["segment", "prepare", "bench", "eval"])
+def test_input_that_is_no_directory_exits_2(command, kind, tmp_path, caplog):
+    # each used to log "no .bin frames" (or ".label" files) and exit 0
+    path = tmp_path / "frames"
+    if kind == "file":
+        path.write_bytes(b"")
+    out = tmp_path / "out"
+    argv, flag = {
+        "segment": (["segment", "--input", str(path)], "--input"),
+        "prepare": (["prepare", "--input", str(path)], "--input"),
+        "bench": (["bench", "--input", str(path), "--reps", "1"], "--input"),
+        "eval": (["eval", "--gt", str(path), "--clusters", str(tmp_path)], "--gt"),
+    }[command]
+    caplog.clear()
+    assert main(argv + ["--output", str(out)]) == 2
+    assert f"config key '{flag}': {path} is not a directory" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_empty_dir_writes_no_report(command, tmp_path, caplog):
+    empty = tmp_path / "none"
+    empty.mkdir()
+    report = tmp_path / "report.txt"
+    argv = {"eval": ["eval", "--gt", str(empty), "--clusters", str(empty)],
+            "bench": ["bench", "--input", str(empty), "--reps", "1"]}[command]
+    assert main(argv + ["--output", str(report)]) == 0
+    assert not report.exists()
+    suffix = ".label" if command == "eval" else ".bin"
+    assert f"no {suffix} frames under {empty}; nothing to do" in caplog.text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["segment", "--input", "i"],
+     "config key 'input/output': segment needs --input and --output"),
+    (["prepare", "--output", "o"],
+     "config key 'input/output': prepare needs --input and --output"),
+    (["eval", "--gt", "g"], "config key 'pred/clusters': eval needs --pred and/or --clusters"),
+    (["synth", "--scene", "s.cfg"], "config key 'output': synth needs --output"),
+], ids=["segment", "prepare", "eval", "synth"])
+def test_command_without_a_required_flag_exits_2(argv, message, caplog):
+    caplog.clear()
+    assert main(argv) == 2
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("case", ["config", "scene", "manifest"])
+def test_text_file_that_is_not_utf8_is_named(case, synth_dir, tmp_path, caplog, capsys):
+    # a config or scene file ended in a UnicodeDecodeError traceback; a
+    # manifest skipped its frame with an error that named no file
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"# written in latin-1\nname = caf\xe9\n")
+    out = tmp_path / "out"
+    if case == "manifest":
+        seg = tmp_path / "seg"
+        assert main(["segment", "--input", str(synth_dir), "--output", str(seg)]) == 0
+        bad = seg / "000000.proposals.txt"
+        bad.write_bytes(b"# caf\xe9\n" + bad.read_bytes())
+        argv = ["prepare", "--input", str(synth_dir), "--segments", str(seg)]
+        code, message = 1, f"frame 000000 skipped: FileFormatError: {bad}:1: byte 0xe9"
+    else:
+        argv = {"config": ["segment", "--config", str(bad), "--input", str(synth_dir)],
+                "scene": ["synth", "--scene", str(bad)]}[case]
+        code, message = 2, f"config key '{bad}:2': byte 0xe9"
+    caplog.clear()
+    assert main(argv + ["--output", str(out)]) == code
+    assert f"{message} is not UTF-8 text" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    if case != "manifest":
+        assert not out.exists()
+
+
 def test_empty_input_dir_ok(tmp_path, caplog):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -568,12 +649,16 @@ def test_invalid_config_names_key(tmp_path, caplog):
     cfg.write_text("ground.n_seg = -2\n")
     below_floor = tmp_path / "floor.cfg"
     below_floor.write_text("refine.th_num_base = 3\n")  # under the default floor, 5
+    no_equals = tmp_path / "words.cfg"
+    no_equals.write_text("# a comment\nground n_seg 2\n")
     scene = tmp_path / "scene.cfg"
     scene.write_text(SCENE_TEXT)
     io = ["--output", str(tmp_path / "o")]
     src = ["--input", str(tmp_path)]
     cases = [(["segment", "--config", str(cfg), *src], "ground.n_seg"),
              (["segment", "--config", str(below_floor), *src], "refine.th_num_base"),
+             (["segment", "--config", str(no_equals), *src],
+              f"config key '{no_equals}:2': expected 'key = value'"),
              (["bench", "--reps", "1", "--seed", "-1", *src], "rng_seed"),
              (["segment", "--jobs", "0", *src], "jobs"),
              (["prepare", "--n-points", "0", *src], "prep.n_points"),
@@ -761,10 +846,14 @@ def test_clockwise_frame_fails_by_name(tmp_path, caplog, capsys):
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
-def test_bench_synthetic_record(tmp_path):
+def test_bench_synthetic_record(tmp_path, capsys):
     report = tmp_path / "bench.txt"
-    assert main(["bench", "--reps", "1", "--seed", "3",
-                 "--output", str(report)]) == 0
+    argv = ["bench", "--reps", "1", "--seed", "3"]
+    assert main(argv + ["--output", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    # without --output the records go to stdout
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split()[:1] == report.read_text().split()[:1]
     line = report.read_text().strip().splitlines()[0]
     rec = dict(tok.split("=", 1) for tok in line.split())
     assert rec["frame"] == "synthetic"

@@ -94,6 +94,17 @@ def test_nonfinite_coordinates_rejected():
         PointCloud(xyz=np.array([[np.inf, 0, 0]]), intensity=np.array([0.5]))
 
 
+@pytest.mark.parametrize("arrays, error, message", [
+    ({"xyz": np.zeros((2, 2))}, ValueError, r"xyz must be \(n, 3\), got \(2, 2\)"),
+    ({"intensity": np.zeros(3)}, AlignmentError, "intensity length 3 != cloud length 2"),
+    ({"ring_ids": np.zeros(1)}, AlignmentError, "ring_ids length 1 != cloud length 2"),
+    ({"labels": np.zeros(3)}, AlignmentError, "labels length 3 != cloud length 2"),
+], ids=["xyz", "intensity", "ring_ids", "labels"])
+def test_misshapen_arrays_rejected(arrays, error, message):
+    with pytest.raises(error, match=message):
+        PointCloud(**{"xyz": np.zeros((2, 3)), "intensity": np.zeros(2), **arrays})
+
+
 def test_class_ids_scanned_only_when_validating():
     xyz, intensity, labels = np.zeros((2, 3)), np.full(2, 0.5), np.array([0, 9])
     with pytest.raises(InvalidClassError):
@@ -127,6 +138,8 @@ def test_assign_rings_too_many_revolutions():
     cloud = PointCloud(xyz=xyz, intensity=np.zeros(36))
     with pytest.raises(ScanFormatError):
         assign_rings(cloud, num_rings=2)
+    with pytest.raises(ValueError, match="num_rings must be >= 1"):
+        assign_rings(cloud, num_rings=0)
 
 
 def test_on_axis_points_inherit_quadrant():

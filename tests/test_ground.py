@@ -222,6 +222,11 @@ def test_params_validated():
         GroundParams(n_lpr=2)
     with pytest.raises(ValueError):
         GroundParams(th_dist=0.0)
+    # the functions check the arguments that no GroundParams carries
+    with pytest.raises(ValueError, match="n_seg must be >= 1"):
+        segment_bounds(np.zeros(3), 0)
+    with pytest.raises(ValueError, match="segment must be non-empty"):
+        extract_initial_seeds(np.empty((0, 3)), 20, 0.4)
 
 
 def _fixed_point_clouds():

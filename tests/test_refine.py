@@ -370,10 +370,12 @@ def _distances_and_boxes(xyz: np.ndarray, clusters: dict[int, np.ndarray]):
 def test_filter_rejects_small_cluster():
     xyz = np.tile([[10.0, 0.0, 0.0]], (5, 1)) + np.random.default_rng(0).normal(0, 0.2, (5, 3))
     labeling = _labeling_with_clusters({1: np.arange(5)}, 5)
-    kept, rows = filter_proposals(labeling, *_distances_and_boxes(xyz, labeling.clusters),
-                                  RefineParams())
+    distances, table = _distances_and_boxes(xyz, labeling.clusters)
+    kept, rows = filter_proposals(labeling, distances, table, RefineParams())
     assert kept == []
     assert rows.size == 0
+    with pytest.raises(ValueError, match="one distance and one box per cluster"):
+        filter_proposals(labeling, distances[:0], table, RefineParams())
 
 
 def test_filter_rejects_oversized_box():

@@ -263,6 +263,8 @@ def test_archive_from_records_is_the_samples_archive(tmp_path, rng):
     assert from_records.read_bytes() == from_samples.read_bytes()
     with pytest.raises(ValueError):
         export_samples(records, from_records, n_points=8)
+    with pytest.raises(ValueError, match="sample has 16 rows, archive N=8"):
+        pack_samples(samples, 8)
     from_records.write_bytes(from_samples.read_bytes() + b"\0")
     with pytest.raises(FileFormatError, match="1 trailing bytes"):
         load_samples(from_records)

@@ -166,6 +166,32 @@ def test_object_below_ground_rejected():
                                            points_per_ring=32))
 
 
+def test_explicit_z_base_is_the_object_bottom():
+    # 0.5 m above the ground, which lies at z = -1.73 under the sensor
+    obj = ObjectSpec(class_id=1, shape="box", x=10.0, y=0.0, length=4, width=2,
+                     height=1.5, z_base=-1.23)
+    scene = generate_synthetic_scene(SceneSpec(objects=(obj,), num_rings=16,
+                                               points_per_ring=256))
+    z = scene.cloud.xyz[scene.owner == 0, 2]
+    assert z.size and z.min() >= -1.23 - 0.1  # within the 0.02 m noise
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: SceneSpec(objects=(ObjectSpec(class_id=1, shape="box", x=10.0, y=0.0,
+                                           length=0.0),)),
+     "a box needs positive length"),
+    (lambda: SceneSpec(objects=(ObjectSpec(class_id=2, shape="cylinder", x=0.3, y=0.0,
+                                           radius=0.3, height=1.7),)),
+     "object footprint overlaps the sensor origin"),
+    (lambda: SceneSpec(elevation_min_deg=-1.0, elevation_max_deg=-2.0),
+     "elevation_min_deg > elevation_max_deg"),
+    (lambda: sample_traffic_scene(0, n_objects=40), "could not place objects without overlap"),
+], ids=["zero-size", "at-origin", "elevations", "crowded"])
+def test_impossible_scene_rejected(make, reason):
+    with pytest.raises(SceneValidationError, match=reason):
+        generate_synthetic_scene(make())
+
+
 def test_interpenetration_rejected():
     a = ObjectSpec(class_id=1, shape="box", x=10.0, y=0.0, length=4, width=2,
                    height=1.5)
