@@ -68,9 +68,13 @@ def _emit(records: list[str], output: str | None) -> None:
 _FRAME_ERRORS = (RingSegError, OSError, ValueError)
 
 
-def _list_frames(directory: str, flag: str, suffix: str = ".bin") -> list[tuple[str, Path]]:
+def _check_directory(directory: str, flag: str) -> None:
     if not Path(directory).is_dir():
         raise ConfigError(flag, f"{directory} is not a directory")
+
+
+def _list_frames(directory: str, flag: str, suffix: str = ".bin") -> list[tuple[str, Path]]:
+    _check_directory(directory, flag)
     frames = [(p.stem, p) for p in sorted(Path(directory).glob(f"*{suffix}"))]
     if not frames:
         log.warning("no %s frames under %s; nothing to do", suffix, directory)
@@ -220,27 +224,14 @@ def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
     return entries
 
 
-def _read_cluster_ids(path: Path, n: int) -> np.ndarray:
-    """A frame's proposal id per point, 0 for none, as `segment` writes it."""
-    # checked in bytes: np.fromfile drops a trailing partial id
-    size = path.stat().st_size
-    if size != 4 * n:
-        raise AlignmentError(f"{path}: cluster file has {size} bytes, not 4 x {n} points")
-    return np.fromfile(path, dtype="<u4")
-
-
 def _segment_one(stem: str, bin_path: Path, out_dir: str, cfg: PipelineConfig) -> None:
-    from .cloud import load_point_cloud
+    from .cloud import load_point_cloud, save_point_values
     from .pipeline import run_stage1
 
     cloud, kept = load_point_cloud(bin_path)
     result = run_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings)
-    ids = result.cluster_labels
-    if kept is not None:  # one id per input record, 0 (no proposal) for a dropped one
-        ids = np.zeros(kept.size, dtype=ids.dtype)
-        ids[kept] = result.cluster_labels
     out = Path(out_dir)
-    ids.astype("<u4").tofile(out / f"{stem}{_CLUSTER_SUFFIX}")
+    save_point_values(out / f"{stem}{_CLUSTER_SUFFIX}", result.cluster_labels, "<u4", kept)
     _write_manifest(out / f"{stem}{_MANIFEST_SUFFIX}", result.proposals)
 
 
@@ -267,7 +258,7 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
                  cfg: PipelineConfig) -> np.ndarray:
     """The frame's samples as archive records (`samples.frame_records`)."""
     from .boxes import Proposal
-    from .cloud import ClusterLabeling, load_labels, load_point_cloud
+    from .cloud import ClusterLabeling, load_labels, load_point_cloud, load_point_values
     from .samples import frame_records
 
     bin_path = Path(in_dir) / f"{stem}.bin"
@@ -275,11 +266,8 @@ def _prepare_one(stem: str, frame_id: int, in_dir: str, seg_dir: str,
     manifest_path = Path(seg_dir) / f"{stem}{_MANIFEST_SUFFIX}"
     cloud, kept = load_point_cloud(bin_path)
     records = len(cloud) if kept is None else kept.size
-    labels = load_labels(bin_path.with_suffix(".label"), records)
-    cluster_ids = _read_cluster_ids(cluster_path, records)
-    if kept is not None:  # both files hold one entry per input record
-        labels, cluster_ids = labels[kept], cluster_ids[kept]
-    cloud = cloud.with_labels(labels)
+    cloud = cloud.with_labels(load_labels(bin_path.with_suffix(".label"), records, kept))
+    cluster_ids = load_point_values(cluster_path, "<u4", records, kept)
     manifest = sorted(_read_manifest(manifest_path), key=lambda e: e[0])
 
     # np.flatnonzero scans a bool array several times faster than an integer one
@@ -311,6 +299,8 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
     # its position in the list
     frames = [(stem, int(stem) if stem.isdecimal() and int(stem) < 2**32 else i)
               for i, (stem, _) in enumerate(_list_frames(cfg.input, "--input"))]
+    if seg_dir:
+        _check_directory(seg_dir, "--segments")
     if not frames:
         return 0
     stem_of = {}  # two stems with one id would mix their samples in the archive
@@ -336,7 +326,7 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
 
 
 def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str | None):
-    from .cloud import load_labels
+    from .cloud import load_labels, load_point_values
     from .metrics import pointwise_metrics, proposal_recall
 
     gt = load_labels(gt_path, os.path.getsize(gt_path))
@@ -346,7 +336,7 @@ def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str 
         metrics = pointwise_metrics(load_labels(Path(pred_dir) / gt_path.name, len(gt)), gt)
         fields.update(metrics.to_record())
     if clusters_dir:
-        ids = _read_cluster_ids(Path(clusters_dir) / f"{stem}{_CLUSTER_SUFFIX}", gt.size)
+        ids = load_point_values(Path(clusters_dir) / f"{stem}{_CLUSTER_SUFFIX}", "<u4", gt.size)
         coverage = proposal_recall(ids, gt)
         fields.update(coverage.to_record())
     return format_record(fields), metrics, coverage
@@ -359,6 +349,9 @@ def cmd_eval(gt_dir: str, pred_dir: str | None, clusters_dir: str | None,
     if not pred_dir and not clusters_dir:
         raise ConfigError("pred/clusters", "eval needs --pred and/or --clusters")
     frames = _list_frames(gt_dir, "--gt", ".label")
+    for flag, directory in (("--pred", pred_dir), ("--clusters", clusters_dir)):
+        if directory:
+            _check_directory(directory, flag)
     if not frames:
         return 0
     worker = functools.partial(_eval_one, pred_dir=pred_dir, clusters_dir=clusters_dir)
@@ -400,7 +393,7 @@ def cmd_bench(cfg: PipelineConfig, reps: int, output: str | None) -> int:
 
 
 def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> int:
-    from .cloud import save_labels, save_point_cloud
+    from .cloud import save_labels, save_point_cloud, save_point_values
     from .synth import generate_synthetic_scene, scene_from_file
 
     spec = scene_from_file(scene_path)
@@ -412,8 +405,8 @@ def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> i
         stem = out / f"{i:06d}"
         save_point_cloud(scene.cloud, f"{stem}.bin")
         save_labels(scene.cloud.labels, f"{stem}.label")
-        scene.ground_mask.astype(np.uint8).tofile(f"{stem}.ground")
-        scene.ring_ids.astype("<u4").tofile(f"{stem}.rings")
+        save_point_values(f"{stem}.ground", scene.ground_mask, np.uint8)
+        save_point_values(f"{stem}.rings", scene.ring_ids, "<u4")
     log.info("wrote %d synthetic frame(s) to %s", frames, out_dir)
     return 0
 

@@ -9,6 +9,7 @@ source file and is load-bearing for ring assignment and clustering.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import InitVar, dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -188,21 +189,36 @@ def save_point_cloud(cloud: PointCloud, path) -> None:
     rec.tofile(path)
 
 
-def load_labels(path, expected_len: int) -> np.ndarray:
-    """Read per-point class labels (one unsigned byte per point)."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size != expected_len:
-        raise AlignmentError(
-            f"{path}: {raw.size} labels for a cloud of {expected_len} points"
-        )
-    if raw.size and raw.max() > max(ClassId):
-        bad = int(np.flatnonzero(raw > max(ClassId))[0])
-        raise InvalidClassError(f"{path}: class {raw[bad]} at index {bad}")
-    return raw
+def load_point_values(path, dtype, records: int, kept: np.ndarray | None = None) -> np.ndarray:
+    """The kept points' values from a file of one `dtype` value per `.bin` record."""
+    itemsize = np.dtype(dtype).itemsize
+    # checked in bytes: np.fromfile drops a trailing partial value
+    size = os.path.getsize(path)
+    if size != itemsize * records:
+        raise AlignmentError(f"{path}: {size} bytes, not {itemsize} x {records} records")
+    values = np.fromfile(path, dtype=dtype)
+    return values if kept is None else values[kept]
+
+
+def save_point_values(path, values: np.ndarray, dtype, kept: np.ndarray | None = None) -> None:
+    """Write one `dtype` value per record, 0 for each record `kept` dropped."""
+    full = np.asarray(values, dtype=dtype) if kept is None else np.zeros(kept.size, dtype=dtype)
+    if kept is not None:
+        full[kept] = values
+    full.tofile(path)
+
+
+def load_labels(path, records: int, kept: np.ndarray | None = None) -> np.ndarray:
+    """Read per-point class labels (one unsigned byte per record)."""
+    labels = load_point_values(path, np.uint8, records)
+    if labels.size and labels.max() > max(ClassId):
+        bad = int(np.flatnonzero(labels > max(ClassId))[0])
+        raise InvalidClassError(f"{path}: class {labels[bad]} at index {bad}")
+    return labels if kept is None else labels[kept]
 
 
 def save_labels(labels: np.ndarray, path) -> None:
-    np.asarray(labels, dtype=np.uint8).tofile(path)
+    save_point_values(path, labels, np.uint8)
 
 
 def assign_rings(cloud: PointCloud, num_rings: int) -> PointCloud:

@@ -14,6 +14,7 @@ alone.
 
 # no `from __future__ import annotations`: `build_config` casts by field type
 import io
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -74,8 +75,12 @@ def _integer(default: int, minimum: int = 1):
 
 def _meters(default: float, zero_ok: bool = False):
     if zero_ok:
-        return _param(default, lambda v: v >= 0.0, "meters >= 0")
-    return _param(default, lambda v: v > 0, "positive meters")
+        return _param(default, lambda v: 0.0 <= v < math.inf, "finite meters >= 0")
+    return _param(default, lambda v: 0.0 < v < math.inf, "finite positive meters")
+
+
+def _finite(default, unit: str = "meters"):
+    return _param(default, math.isfinite, f"finite {unit}")
 
 
 def _expected(f, shown) -> str:

@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .cloud import CLASS_NAMES, FOREGROUND_CLASSES, ClassId, PointCloud
-from .config import _integer, _param, check_fields, field_value, read_kv_file
+from .config import _finite, _integer, _meters, _param, check_fields, field_value, read_kv_file
 from .errors import ConfigError, SceneValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -41,14 +41,6 @@ def _class_id(value: str) -> int:
     """A class name (any case) or its integer id."""
     name = value.lower()
     return _CLASS_BY_NAME[name] if name in _CLASS_BY_NAME else int(value)
-
-
-def _finite(default, unit: str = "meters"):
-    return _param(default, math.isfinite, f"finite {unit}")
-
-
-def _size(default: float = 0.0):
-    return _param(default, lambda v: 0.0 <= v < math.inf, "finite meters >= 0")
 
 
 _ELEVATION = (lambda v: -90.0 <= v <= 90.0, "degrees in [-90, 90]")
@@ -70,12 +62,12 @@ class ObjectSpec:
     x: float = _finite(MISSING)
     y: float = _finite(MISSING)
     yaw_deg: float = _finite(0.0, "degrees")
-    length: float = _size()
-    width: float = _size()
-    height: float = _size()
-    radius: float = _size()
-    rider_height: float = _size()
-    clearance: float = _size()
+    length: float = _meters(0.0, zero_ok=True)
+    width: float = _meters(0.0, zero_ok=True)
+    height: float = _meters(0.0, zero_ok=True)
+    radius: float = _meters(0.0, zero_ok=True)
+    rider_height: float = _meters(0.0, zero_ok=True)
+    clearance: float = _meters(0.0, zero_ok=True)
     z_base: float | None = _param(None, lambda v: v is None or math.isfinite(v),
                                   "finite meters", parse=float)
 
@@ -100,9 +92,9 @@ class SceneSpec:
     points_per_ring: int = _integer(1600, minimum=8)
     elevation_min_deg: float = _param(-24.8, *_ELEVATION)
     elevation_max_deg: float = _param(-0.4, *_ELEVATION)
-    sensor_height: float = _param(1.73, lambda v: 0.0 < v < math.inf, "finite positive meters")
+    sensor_height: float = _meters(1.73)
     ground_tilt_deg: float = _param(0.0, lambda v: -90.0 < v < 90.0, "degrees in (-90, 90)")
-    noise_sigma: float = _size()
+    noise_sigma: float = _meters(0.0, zero_ok=True)
     rng_seed: int = _integer(0, minimum=0)
     objects: tuple[ObjectSpec, ...] = field(default_factory=tuple)
 

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,10 @@ from ringseg import (
     save_point_cloud,
 )
 from ringseg.cli import _run_frames, main
+from ringseg.cloud import load_labels, load_point_cloud, load_point_values
 from ringseg.config import _KEYS
 from ringseg.samples import record_dtype
+from ringseg.synth import scene_from_file
 
 SCENE_TEXT = """
 seed = 20
@@ -81,10 +84,22 @@ def synth_dir(tmp_path_factory):
     return out
 
 
-def test_synth_outputs_exist(synth_dir):
+def test_synth_outputs_exist(synth_dir, tmp_path):
+    # each per-record file holds its seed's truth, one value per .bin record
+    scene_file = tmp_path / "scene.cfg"
+    scene_file.write_text(SCENE_TEXT)
+    spec = scene_from_file(scene_file)
     for i in range(3):
-        for ext in (".bin", ".label", ".ground", ".rings"):
-            assert (synth_dir / f"{i:06d}{ext}").exists()
+        scene = generate_synthetic_scene(replace(spec, rng_seed=spec.rng_seed + i))
+        stem = synth_dir / f"{i:06d}"
+        cloud, kept = load_point_cloud(f"{stem}.bin")
+        assert kept is None and len(cloud) == len(scene.cloud)
+        np.testing.assert_array_equal(load_labels(f"{stem}.label", len(cloud)),
+                                      scene.cloud.labels)
+        np.testing.assert_array_equal(load_point_values(f"{stem}.ground", np.uint8, len(cloud)),
+                                      scene.ground_mask)
+        np.testing.assert_array_equal(load_point_values(f"{stem}.rings", "<u4", len(cloud)),
+                                      scene.ring_ids)
 
 
 def test_synth_deterministic(synth_dir, tmp_path):
@@ -223,8 +238,10 @@ def test_one_bad_frame_costs_only_that_frame(command, synth_dir, tmp_path, caplo
 
 def test_eval_summary_without_good_frames_has_no_pooled_fields(synth_dir, tmp_path):
     report = tmp_path / "eval.txt"
-    assert main(["eval", "--gt", str(synth_dir), "--pred", str(tmp_path / "none"),
-                 "--clusters", str(tmp_path / "none"), "--output", str(report)]) == 1
+    empty = tmp_path / "none"  # a directory without the frames' files fails each frame
+    empty.mkdir()
+    assert main(["eval", "--gt", str(synth_dir), "--pred", str(empty),
+                 "--clusters", str(empty), "--output", str(report)]) == 1
     assert report.read_text() == "frame=all frames=0\n"
 
 
@@ -395,8 +412,8 @@ def test_cluster_file_with_trailing_bytes_fails_the_frame(command, synth_dir, tm
     }[command]
     caplog.clear()
     assert main(argv) == 1
-    assert (f"frame 000000 skipped: AlignmentError: {cluster}: cluster file has {size} "
-            "bytes" in caplog.text)
+    assert (f"frame 000000 skipped: AlignmentError: {cluster}: {size} bytes, "
+            f"not 4 x {size // 4} records\n" in caplog.text)
     if command == "eval":
         assert [r["frame"] for r in _records(out)] == ["000001", "000002", "all"]
     else:
@@ -550,6 +567,27 @@ def test_input_that_is_no_directory_exits_2(command, kind, tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+@pytest.mark.parametrize("flag", ["--segments", "--pred", "--clusters"])
+def test_directory_flag_that_is_no_directory_exits_2(flag, kind, synth_dir, tmp_path,
+                                                     caplog):
+    # each used to fail every frame and exit 1; eval still wrote its report
+    path = tmp_path / "dir"
+    if kind == "file":
+        path.write_bytes(b"")
+    out = tmp_path / "out"
+    argv = {
+        "--segments": ["prepare", "--input", str(synth_dir), "--n-points", "64"],
+        "--pred": ["eval", "--gt", str(synth_dir)],
+        "--clusters": ["eval", "--gt", str(synth_dir)],
+    }[flag]
+    caplog.clear()
+    assert main(argv + [flag, str(path), "--output", str(out)]) == 2
+    assert f"config key '{flag}': {path} is not a directory" in caplog.text
+    assert "skipped" not in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "bench"])
 def test_empty_dir_writes_no_report(command, tmp_path, caplog):
     empty = tmp_path / "none"
@@ -683,15 +721,15 @@ REJECTED = {
     "ground.n_seg": ("0", "integer >= 1"),
     "ground.n_iter": ("-2", "integer >= 1"),
     "ground.n_lpr": ("2", "integer >= 3"),
-    "ground.th_seeds": ("0", "positive meters"),
-    "ground.th_dist": ("nan", "positive meters"),
-    "cluster.th_ring": ("-0.5", "positive meters"),
-    "cluster.th_prop": ("0.0", "positive meters"),
+    "ground.th_seeds": ("0", "finite positive meters"),
+    "ground.th_dist": ("nan", "finite positive meters"),
+    "cluster.th_ring": ("-0.5", "finite positive meters"),
+    "cluster.th_prop": ("0.0", "finite positive meters"),
     "refine.th_num_base": ("0", "integer >= 1"),
-    "refine.d_ref": ("0", "positive meters"),
+    "refine.d_ref": ("0", "finite positive meters"),
     "refine.th_num_floor": ("0", "integer >= 1"),
-    "refine.enlarge_xy": ("-0.1", "meters >= 0"),
-    "refine.enlarge_z": ("-1", "meters >= 0"),
+    "refine.enlarge_xy": ("-0.1", "finite meters >= 0"),
+    "refine.enlarge_z": ("-1", "finite meters >= 0"),
     "prep.n_points": ("0", "integer >= 1"),
     "prep.background_keep_prob": ("1.5", "probability in [0, 1]"),
     "prep.augment": ("maybe", "boolean"),
@@ -721,6 +759,29 @@ def test_each_key_checked(key):
         build_config({key: bad})
     assert (exc.value.key, exc.value.reason) == (key, f"expected {requirement}, got {bad!r}")
     assert build_config({key: str(_KEYS[key].default)}) == PipelineConfig()
+
+
+METER_KEYS = sorted(key for key, rule in REJECTED.items()
+                    if rule and rule[1].startswith("finite"))
+
+
+@pytest.mark.parametrize("key", METER_KEYS)
+def test_meter_key_rejects_infinity(key, synth_dir, tmp_path, caplog):
+    # inf used to pass: enlarge_z = inf wrote manifests of infinite boxes
+    # and th_dist = inf made every point ground, both with exit 0
+    config = tmp_path / "inf.cfg"
+    config.write_text(f"{key} = inf\n")
+    out = tmp_path / "out"
+    caplog.clear()
+    assert main(["segment", "--config", str(config), "--input", str(synth_dir),
+                 "--output", str(out)]) == 2
+    assert f"config key '{key}': expected {REJECTED[key][1]}, got 'inf'" in caplog.text
+    assert not out.exists()
+
+
+def test_size_prior_bound_accepts_infinity():
+    cfg = build_config({"refine.size_priors.car.max.x": "inf"})
+    assert cfg.refine.size_priors[int(ClassId.CAR)].maxes[0] == np.inf
 
 
 # scene files that ended in a traceback, or were written unchecked with exit 0

@@ -18,6 +18,7 @@ from ringseg import (
     save_labels,
     save_point_cloud,
 )
+from ringseg.cloud import load_point_values, save_point_values
 from ringseg.synth import SceneSpec
 
 from conftest import random_cloud
@@ -82,6 +83,40 @@ def test_labels_roundtrip_and_errors(tmp_path):
     path.write_bytes(bytes([7]))
     with pytest.raises(InvalidClassError):
         load_labels(path, 1)
+
+
+@pytest.mark.parametrize("suffix, size", [
+    (".label", 3), (".label", 5), (".label", 0),
+    # 18 bytes: four ids and half of a fifth, which np.fromfile would drop
+    (".cluster", 18), (".cluster", 12), (".cluster", 0),
+])
+def test_wrong_size_per_record_file_names_path_and_sizes(tmp_path, suffix, size):
+    path = tmp_path / f"000000{suffix}"
+    path.write_bytes(bytes(size))
+    itemsize = 1 if suffix == ".label" else 4
+    with pytest.raises(AlignmentError) as exc:
+        if suffix == ".label":
+            load_labels(path, 4)
+        else:
+            load_point_values(path, "<u4", 4)
+    assert str(exc.value) == f"{path}: {size} bytes, not {itemsize} x 4 records"
+
+
+def test_per_record_values_follow_the_kept_records(tmp_path):
+    # records 1 and 3 were dropped: the writer stores 0 there, the reader skips them
+    kept = np.array([True, False, True, False, True])
+    path = tmp_path / "000000.cluster"
+    save_point_values(path, np.array([7, 8, 9], dtype=np.int32), "<u4", kept)
+    assert path.read_bytes() == np.array([7, 0, 8, 0, 9], dtype="<u4").tobytes()
+    np.testing.assert_array_equal(load_point_values(path, "<u4", 5, kept), [7, 8, 9])
+    labels = tmp_path / "000000.label"
+    save_labels(np.array([1, 7, 2, 0, 3], dtype=np.uint8), labels)
+    # a bad class on a dropped record still fails the file, at its record index
+    with pytest.raises(InvalidClassError) as exc:
+        load_labels(labels, 5, kept)
+    assert str(exc.value) == f"{labels}: class 7 at index 1"
+    save_labels(np.array([1, 0, 2, 0, 3], dtype=np.uint8), labels)
+    np.testing.assert_array_equal(load_labels(labels, 5, kept), [1, 2, 3])
 
 
 def test_intensity_invariant_rejected():

@@ -182,6 +182,34 @@ def test_kernel_ids_match_scalar_scan_on_traffic_frames(seed, n_objects):
     np.testing.assert_array_equal(kernels.cluster_scan(*args), _scalar_ids(*args))
 
 
+@pytest.mark.parametrize("chunk", [1, 37])
+def test_previous_ring_pairs_in_many_chunks(chunk, rng, monkeypatch):
+    # one chunk holds every pair of these frames at the default size
+    scene = generate_synthetic_scene(sample_traffic_scene(seed=0))
+    cloud = assign_rings(scene.cloud, 64)
+    mask, _ = ground_plane_fit(cloud, x_segments(cloud, 3), GroundParams())
+    cases = [_scan_args(cloud.select(np.flatnonzero(~mask)), ClusterParams())]
+    for _ in range(40):
+        cases.append(_scan_args(random_ring_scene(rng), ClusterParams(
+            th_ring=float(rng.uniform(0.2, 2.0)), th_prop=float(rng.uniform(0.3, 3.0)))))
+    whole = [kernels.cluster_scan(*args) for args in cases]
+    sq_dist, calls = kernels._sq_dist, []
+
+    def counted(*args):
+        calls.append(None)
+        return sq_dist(*args)
+
+    monkeypatch.setattr(kernels, "_sq_dist", counted)
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", chunk)
+    for args, ids in zip(cases, whole):
+        x, y, z, rings, th_ring, th_prop = args
+        np.testing.assert_array_equal(kernels.cluster_scan(*args), ids)
+        oracle = brute_force_clusters(np.column_stack([x, y, z]), rings, th_ring, th_prop)
+        np.testing.assert_array_equal(canonical_partition(ids), canonical_partition(oracle))
+    # besides one call per chunk, a scan makes two: intra-ring and wraparound links
+    assert len(calls) - 2 * len(cases) > 10 * len(cases)
+
+
 def test_labels_partition_and_min_ids(rng):
     cloud = random_ring_scene(rng)
     lab = cluster_ring_based(cloud, ClusterParams())
