@@ -326,10 +326,17 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
 
 
 def _eval_one(stem: str, gt_path: Path, pred_dir: str | None, clusters_dir: str | None):
-    from .cloud import load_labels, load_point_values
+    from .cloud import load_labels, load_point_values, point_records
     from .metrics import pointwise_metrics, proposal_recall
 
-    gt = load_labels(gt_path, os.path.getsize(gt_path))
+    # the frame's record count comes from its .bin when there is one, so a
+    # cut .label fails by name; a --gt directory of only .label files still evaluates
+    bin_path = gt_path.with_suffix(".bin")
+    try:
+        records = point_records(bin_path, os.path.getsize(bin_path))
+    except FileNotFoundError:
+        records = os.path.getsize(gt_path)
+    gt = load_labels(gt_path, records)
     fields: dict = {"frame": stem}
     metrics = coverage = None
     if pred_dir:

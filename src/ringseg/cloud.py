@@ -151,6 +151,13 @@ class ClusterLabeling:
         return dict(zip(self.ids.tolist(), np.split(self.order, self.offsets[1:-1])))
 
 
+def point_records(path, size: int) -> int:
+    """The record count of a point-cloud file of `size` bytes."""
+    if size % POINT_RECORD_BYTES != 0:
+        raise FileFormatError(f"{path}: size {size} is not a multiple of {POINT_RECORD_BYTES}")
+    return size // POINT_RECORD_BYTES
+
+
 def load_point_cloud(path) -> tuple[PointCloud, np.ndarray | None]:
     """Read a binary point-cloud file (packed x, y, z, intensity float32 LE).
 
@@ -160,10 +167,7 @@ def load_point_cloud(path) -> tuple[PointCloud, np.ndarray | None]:
     their indices; intensity is clamped into [0, 1].
     """
     raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size % POINT_RECORD_BYTES != 0:
-        raise FileFormatError(
-            f"{path}: size {raw.size} is not a multiple of {POINT_RECORD_BYTES}"
-        )
+    point_records(path, raw.size)
     rec = raw.view("<f4").reshape(-1, 4)
     kept = None
     if not np.isfinite(rec).all():

@@ -19,10 +19,11 @@ revolution and makes quadrant-traced ring ids exactly reproducible.
 # no `from __future__ import annotations`: `scene_from_file` casts by field type
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
-from .cloud import CLASS_NAMES, FOREGROUND_CLASSES, ClassId, PointCloud
+from .cloud import CLASS_NAMES, FOREGROUND_CLASSES, ClassId, PointCloud, _readonly
 from .config import _finite, _integer, _meters, _param, check_fields, field_value, read_kv_file
 from .errors import ConfigError, SceneValidationError
 
@@ -111,7 +112,11 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """Generated cloud plus full ground truth."""
+    """Generated cloud plus full ground truth.
+
+    ring_ids is the sensor fan's read-only array, shared by every scene
+    generated for the same sensor.
+    """
 
     cloud: PointCloud  # labels attached
     ring_ids: np.ndarray
@@ -246,13 +251,46 @@ def _reachable_columns(obj: ObjectSpec, points_per_ring: int) -> np.ndarray:
     return np.arange(lo, hi + 1) % points_per_ring
 
 
+# the SceneSpec fields a scene's rays depend on, in `_sensor_fan`'s order
+_SENSOR_FIELDS = ("num_rings", "points_per_ring", "elevation_min_deg", "elevation_max_deg",
+                  "sensor_height", "ground_tilt_deg")
+
+
+# one sensor at a time: a 64 x 1600 fan is ~3.7 MB
+@lru_cache(maxsize=1)
+def _sensor_fan(*sensor) -> tuple[np.ndarray, ...]:
+    """The sensor's ring elevations (radians), its rays in scan order, each
+    ray's distance to the ground plane (inf where it misses) and its ring id,
+    all read-only: every scene of the sensor shares them."""
+    spec = SceneSpec(**dict(zip(_SENSOR_FIELDS, sensor)))
+    normal, offset = spec.ground_plane()
+    elevations = np.radians(
+        np.linspace(spec.elevation_min_deg, spec.elevation_max_deg, spec.num_rings)
+    )
+    a = spec.points_per_ring
+    step = TWO_PI / a
+    azimuths = step / 2.0 + step * np.arange(a)  # stays off the axes
+    cos_az, sin_az = np.cos(azimuths), np.sin(azimuths)
+    # every ray in scan order, ring-major
+    cos_el = np.array([math.cos(el) for el in elevations])[:, None]
+    sin_el = np.array([math.sin(el) for el in elevations])[:, None]
+    dirs = np.stack(np.broadcast_arrays(cos_el * cos_az, cos_el * sin_az, sin_el),
+                    axis=-1).reshape(-1, 3)
+    nd = dirs @ normal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ground_t = np.where(nd < -1e-12, -offset / nd, np.inf)
+    ring_ids = np.repeat(np.arange(spec.num_rings, dtype=np.int32), a)
+    return tuple(_readonly(v) for v in (elevations, dirs, ground_t, ring_ids))
+
+
 def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     """Cast all rays in scan order (ring-major, azimuth ascending).
 
     The ground takes every ray; each object takes only the rays of the
     azimuth columns its footprint can reach, on every ring, so a frame
     costs rings x (columns + the objects' window columns), not
-    rings x columns x objects.
+    rings x columns x objects. The rays, their ground returns and the
+    ring ids come from the sensor's cached fan.
 
     Raises SceneValidationError for physically inconsistent specs or when
     some ray would not return (incomplete rings would make ring ids
@@ -265,29 +303,19 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
 
     normal, offset = spec.ground_plane()
     z_bases = [_object_z_base(obj, normal, offset) for obj in spec.objects]
-
-    elevations = np.radians(
-        np.linspace(spec.elevation_min_deg, spec.elevation_max_deg, spec.num_rings)
-    )
+    elevations, dirs, ground_t, ring_ids = _sensor_fan(
+        *(getattr(spec, name) for name in _SENSOR_FIELDS))
     a = spec.points_per_ring
-    step = TWO_PI / a
-    azimuths = step / 2.0 + step * np.arange(a)  # stays off the axes
-    cos_az, sin_az = np.cos(azimuths), np.sin(azimuths)
+    n = ground_t.size
 
-    # every ray in scan order, ring-major
-    cos_el = np.array([math.cos(el) for el in elevations])[:, None]
-    sin_el = np.array([math.sin(el) for el in elevations])[:, None]
-    all_dirs = np.stack(np.broadcast_arrays(cos_el * cos_az, cos_el * sin_az, sin_el),
-                        axis=-1).reshape(-1, 3)
-    nd = all_dirs @ normal
-    with np.errstate(divide="ignore", invalid="ignore"):
-        all_t = np.where(nd < -1e-12, -offset / nd, np.inf)
-    # the nearest return per ray, the first in (ground, objects...) on ties
-    owner = np.full(all_t.shape[0], -1, dtype=np.int64)  # -1 = ground
-    ring_starts = np.arange(0, all_t.shape[0], a)[:, None]
+    # the nearest return per ray, the first in (ground, objects...) on ties;
+    # the fan's distances are copied only when an object overwrites some
+    all_t = ground_t.copy() if spec.objects else ground_t
+    owner = np.full(n, -1, dtype=np.int64)  # -1 = ground
+    ring_starts = np.arange(0, n, a)[:, None]
     for k, (obj, zb) in enumerate(zip(spec.objects, z_bases)):
         rays = (ring_starts + _reachable_columns(obj, a)).ravel()
-        t = _object_distances(obj, zb, all_dirs[rays])
+        t = _object_distances(obj, zb, dirs[rays])
         nearer = t < all_t[rays]
         hit = rays[nearer]
         all_t[hit] = t[nearer]
@@ -302,17 +330,16 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
 
     rng = np.random.default_rng(spec.rng_seed)
     if spec.noise_sigma > 0:
-        all_t = all_t + rng.normal(0.0, spec.noise_sigma, all_t.shape[0])
-        all_t = np.maximum(all_t, 1e-3)
-    intensity = rng.uniform(0.0, 1.0, all_t.shape[0])
+        all_t = np.maximum(all_t + rng.normal(0.0, spec.noise_sigma, n), 1e-3)
+    intensity = rng.uniform(0.0, 1.0, n)
 
-    xyz = all_dirs * all_t[:, None]
-    labels = np.zeros(xyz.shape[0], dtype=np.uint8)
+    # column-major, the layout PointCloud keeps, so it is not copied again
+    xyz = np.multiply(dirs, all_t[:, None], out=np.empty((n, 3), order="F"))
+    labels = np.zeros(n, dtype=np.uint8)
     hit_obj = owner >= 0
     if hit_obj.any():
         class_of = np.array([obj.class_id for obj in spec.objects], dtype=np.uint8)
         labels[hit_obj] = class_of[owner[hit_obj]]
-    ring_ids = np.repeat(np.arange(spec.num_rings, dtype=np.int32), a)
 
     cloud = PointCloud(xyz=xyz, intensity=intensity, labels=labels)
     return SyntheticScene(
@@ -392,7 +419,7 @@ def sample_traffic_scene(
     attempts = 0
     while len(placed) < n_objects and attempts < 200 * n_objects:
         attempts += 1
-        cls = int(rng.choice([int(c) for c in FOREGROUND_CLASSES]))
+        cls = int(FOREGROUND_CLASSES[rng.integers(len(FOREGROUND_CLASSES))])
         # pedestrians stay nearer: a thin cylinder's visible depth shrinks
         # below the size priors once azimuth sampling gets too coarse
         dist = rng.uniform(8.0, 20.0 if cls == int(ClassId.PEDESTRIAN) else 35.0)

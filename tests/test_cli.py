@@ -421,6 +421,85 @@ def test_cluster_file_with_trailing_bytes_fails_the_frame(command, synth_dir, tm
         assert {r.frame_id for r in samples} == {1, 2}
 
 
+# the scene of the CI workflow's installed-entry-point step: 16 x 400 = 6,400 records
+CI_SCENE_TEXT = """
+num_rings = 16
+points_per_ring = 400
+elevation_min_deg = -14
+elevation_max_deg = -1.2
+objects.0.class = car
+objects.0.shape = box
+objects.0.x = 8
+objects.0.y = 2
+objects.0.length = 4.2
+objects.0.width = 1.8
+objects.0.height = 1.5
+"""
+
+
+@pytest.fixture(scope="module")
+def ci_frame(tmp_path_factory):
+    """Frame 0 of the CI scene and its segments."""
+    root = tmp_path_factory.mktemp("ci")
+    (root / "scene.cfg").write_text(CI_SCENE_TEXT)
+    assert main(["synth", "--scene", str(root / "scene.cfg"), "--output", str(root / "frames"),
+                 "--frames", "1"]) == 0
+    assert main(["segment", "--input", str(root / "frames"), "--output", str(root / "seg")]) == 0
+    assert len(load_point_cloud(root / "frames" / "000000.bin")[0]) == 6400
+    return root
+
+
+def _gt_dir(ci_frame, tmp_path, label_bytes: int | None = None, bin_tail: bytes | None = b"",
+            name: str = "gt") -> Path:
+    """A --gt directory holding frame 0's .label, cut to `label_bytes`, and its
+    .bin with `bin_tail` appended, or no .bin when `bin_tail` is None."""
+    gt = tmp_path / name
+    gt.mkdir()
+    frames = ci_frame / "frames"
+    (gt / "000000.label").write_bytes((frames / "000000.label").read_bytes()[:label_bytes])
+    if bin_tail is not None:
+        (gt / "000000.bin").write_bytes((frames / "000000.bin").read_bytes() + bin_tail)
+    return gt
+
+
+def test_eval_cut_label_fails_by_its_own_name(ci_frame, tmp_path, caplog):
+    gt = _gt_dir(ci_frame, tmp_path, label_bytes=1000)
+    out = tmp_path / "out"
+    caplog.clear()
+    assert main(["eval", "--gt", str(gt), "--clusters", str(ci_frame / "seg"),
+                 "--output", str(out)]) == 1
+    assert (f"frame 000000 skipped: AlignmentError: {gt / '000000.label'}: 1000 bytes, "
+            "not 1 x 6400 records\n" in caplog.text)
+    assert "Traceback" not in caplog.text
+
+
+def test_eval_cut_label_and_prediction_score_nothing(ci_frame, tmp_path):
+    gt = _gt_dir(ci_frame, tmp_path, label_bytes=1000)
+    pred = _gt_dir(ci_frame, tmp_path, label_bytes=1000, bin_tail=None, name="pred")
+    out = tmp_path / "out"
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--output", str(out)]) == 1
+    assert out.read_text() == "frame=all frames=0\n"
+
+
+def test_eval_bin_of_partial_records_fails_the_frame(ci_frame, tmp_path, caplog):
+    gt = _gt_dir(ci_frame, tmp_path, bin_tail=b"\x00" * 3)
+    caplog.clear()
+    assert main(["eval", "--gt", str(gt), "--pred", str(gt), "--output",
+                 str(tmp_path / "out")]) == 1
+    assert (f"frame 000000 skipped: FileFormatError: {gt / '000000.bin'}: size 102403 "
+            "is not a multiple of 16\n" in caplog.text)
+
+
+def test_eval_labels_without_bin_still_evaluate(ci_frame, tmp_path):
+    gt = _gt_dir(ci_frame, tmp_path, bin_tail=None)
+    out = tmp_path / "out"
+    assert main(["eval", "--gt", str(gt), "--pred", str(gt), "--clusters",
+                 str(ci_frame / "seg"), "--output", str(out)]) == 0
+    frame, summary = _records(out)
+    assert frame["frame"] == "000000" and summary["frames"] == "1"
+    assert float(summary["avg_iou"]) == 1.0
+
+
 _FAULT_PROBE = """
 import resource, sys
 from ringseg.cli import main

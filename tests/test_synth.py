@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import MISSING, replace
 from itertools import combinations
@@ -134,6 +135,50 @@ def test_windowed_cast_matches_all_rays(spec):
     np.testing.assert_array_equal(scene.owner, owner)
     np.testing.assert_array_equal(scene.cloud.labels, labels)
     assert scene.cloud.xyz.tobytes() == np.asfortranarray(xyz).tobytes()
+
+
+def test_each_sensor_field_gets_its_own_fan():
+    # generated in this order, each scene differs from the one before in
+    # one sensor field, so a fan cached under a key that missed it would be reused
+    flat = replace(sample_traffic_scene(11, n_objects=3), elevation_max_deg=-3.6)
+    tilted = replace(flat, ground_tilt_deg=3.0)
+    higher = replace(tilted, sensor_height=2.1)
+    lower_fan = replace(higher, elevation_min_deg=-14.0)
+    upper_fan = replace(lower_fan, elevation_max_deg=-4.0)
+    fewer_rings = replace(upper_fan, num_rings=16)
+    coarse = replace(fewer_rings, points_per_ring=400)
+    for spec in (flat, tilted, higher, lower_fan, upper_fan, fewer_rings, coarse):
+        scene = generate_synthetic_scene(spec)
+        ring_ids, owner, labels, xyz = all_rays_scene(spec)
+        np.testing.assert_array_equal(scene.ring_ids, ring_ids)
+        np.testing.assert_array_equal(scene.owner, owner)
+        np.testing.assert_array_equal(scene.cloud.labels, labels)
+        assert scene.cloud.xyz.tobytes() == np.asfortranarray(xyz).tobytes()
+
+
+def test_scenes_of_one_sensor_share_read_only_ring_ids():
+    a = generate_synthetic_scene(sample_traffic_scene(1, n_objects=2))
+    b = generate_synthetic_scene(sample_traffic_scene(2, n_objects=4))
+    assert np.shares_memory(a.ring_ids, b.ring_ids)
+    assert not a.ring_ids.flags.writeable
+    with pytest.raises(ValueError):
+        a.ring_ids[0] = 1
+
+
+def test_cloud_keeps_the_cast_column_major_xyz():
+    xyz = generate_synthetic_scene(sample_traffic_scene(3, n_objects=2)).cloud.xyz
+    assert xyz.flags.f_contiguous and xyz.flags.owndata
+
+
+def test_traffic_sampler_draws_pinned():
+    # recorded before the sampler drew its class with `integers`
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update(repr(sample_traffic_scene(seed)).encode())
+        digest.update(repr(sample_traffic_scene(seed, n_objects=1)).encode())
+    digest.update(repr(sample_traffic_scene(7, n_objects=4, ground_tilt_deg=3.0)).encode())
+    assert digest.hexdigest() == (
+        "5897e2af38784c7f06ce2feb8fcb208f04cbe9af8a4fc8475d140613910d592c")
 
 
 def test_each_object_casts_only_its_azimuth_window(monkeypatch):
