@@ -30,16 +30,14 @@ _EXPORTS = {
     **dict.fromkeys(("AlignmentError", "ConfigError", "DegenerateGeometryError",
                      "FileFormatError", "InvalidClassError", "RingSegError",
                      "ScanFormatError", "SceneValidationError"), "errors"),
-    **dict.fromkeys(("PlaneModel", "extract_initial_seeds", "fit_plane", "ground_plane_fit"),
-                    "ground"),
+    **dict.fromkeys(("PlaneModel", "ground_plane_fit"), "ground"),
     **dict.fromkeys(("MetricsReport", "RecallReport", "pointwise_metrics",
                      "proposal_recall"), "metrics"),
     **dict.fromkeys(("Stage1Result", "run_stage1"), "pipeline"),
     **dict.fromkeys(("BoxTable", "adaptive_threshold", "enlarge_and_merge", "filter_proposals",
-                     "fit_boxes", "min_oriented_bbox"), "refine"),
-    **dict.fromkeys(("ArchiveRecord", "FeatureMatrix", "Sample", "augment_eightfold",
-                     "build_feature_matrix", "canonical_transform", "export_samples",
-                     "load_samples", "resample_points", "sample_rng"), "samples"),
+                     "fit_boxes"), "refine"),
+    **dict.fromkeys(("ArchiveRecord", "Sample", "canonical_transform", "export_samples",
+                     "load_samples", "sample_rng"), "samples"),
     **dict.fromkeys(("ObjectSpec", "SceneSpec", "SyntheticScene",
                      "generate_synthetic_scene", "sample_traffic_scene", "scene_from_file"),
                     "synth"),

@@ -315,7 +315,7 @@ def cmd_prepare(cfg: PipelineConfig, seg_dir: str | None) -> int:
         log.error("all %d frame(s) failed; wrote no archive", failed)
         return 1
     records = np.concatenate(per_frame)
-    export_samples(records, cfg.output, n_points=cfg.prep.n_points)
+    export_samples(records, cfg.output)
     log.info("wrote %d sample(s) from %d frame(s) to %s, %d failed",
              len(records), len(per_frame), cfg.output, failed)
     return 1 if failed else 0

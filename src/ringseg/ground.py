@@ -64,21 +64,18 @@ def segment_of(x, lo: float, width: float, n_seg: int):
 
 
 def _seed_mask(z: np.ndarray, n_lpr: int, th_seeds: float) -> np.ndarray:
-    if z.size == 0:
-        raise ValueError("segment must be non-empty")
-    k = min(n_lpr, z.size)
-    lowest = np.partition(z, k - 1)[:k]
-    return z < lowest.mean() + th_seeds
-
-
-def extract_initial_seeds(points: np.ndarray, n_lpr: int, th_seeds: float) -> np.ndarray:
-    """Seed indices: every point lower than (mean of n_lpr lowest) + th_seeds.
+    """Seeds of a segment with heights z: every point lower than (mean of
+    the n_lpr lowest) + th_seeds.
 
     The mean of the lowest points is a robust stand-in for the ground level;
     the band above it collects the seed set. Never empty: the lowest point
     always qualifies.
     """
-    return np.flatnonzero(_seed_mask(np.asarray(points)[:, 2], n_lpr, th_seeds))
+    if z.size == 0:
+        raise ValueError("segment must be non-empty")
+    k = min(n_lpr, z.size)
+    lowest = np.partition(z, k - 1)[:k]
+    return z < lowest.mean() + th_seeds
 
 
 def _moments(rows: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,19 +111,6 @@ def _plane_from_moments(count: int, first: np.ndarray, second: np.ndarray,
     if normal[2] < 0:
         normal = -normal
     return PlaneModel(normal=normal, offset=float(-normal @ (shift + mean)))
-
-
-def fit_plane(points: np.ndarray) -> PlaneModel:
-    """Total least-squares plane through the centroid.
-
-    The normal is the smallest-eigenvalue eigenvector of the covariance
-    matrix, oriented to positive z. Raises DegenerateGeometryError when
-    fewer than 3 points are given or the two smallest eigenvalues coincide
-    (collinear or otherwise direction-free geometry).
-    """
-    rows = np.array(np.asarray(points, dtype=np.float64).T, order="C")
-    shift = rows.mean(axis=1) if rows.shape[1] else np.zeros(3)
-    return _plane_from_moments(rows.shape[1], *_moments(rows, shift), shift)
 
 
 def ground_plane_fit(

@@ -303,12 +303,6 @@ def fit_boxes(points: np.ndarray, offsets: np.ndarray, normals: np.ndarray) -> B
     return BoxTable(yaw=theta, center=center, half_extents=half, normal=n)
 
 
-def min_oriented_bbox(points: np.ndarray, normal: np.ndarray) -> OrientedBBox:
-    """Minimal-area ground-aligned box around one cluster (see `fit_boxes`)."""
-    points = np.atleast_2d(points)
-    return fit_boxes(points, [0, points.shape[0]], normal).box(0)
-
-
 def adaptive_threshold(d: float | np.ndarray, params: RefineParams) -> int | np.ndarray:
     """Minimum member count for a cluster at centroid distance d.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  at import: numpy 2 loads it on first use, in a worker
@@ -43,8 +43,6 @@ _ROT = [
 ]
 _MIRROR = np.array([[1.0, 0.0], [0.0, -1.0]])
 DIHEDRAL_LINEAR = np.stack(_ROT + [_MIRROR @ r for r in _ROT])
-# per variant, 1 where its odd quarter-turn swaps the box extents
-_SWAPS = (0, 1, 0, 1, 0, 1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,6 @@ class Sample:
         inten.setflags(write=False)
         object.__setattr__(self, "local_points", pts)
         object.__setattr__(self, "intensities", inten)
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Fixed-size per-point feature rows (x, y, z, intensity, n)."""
-
-    rows: np.ndarray
-    n_points: int
-    num_original: int
 
 
 def sample_rng(seed: int, frame_id: int, cluster_id: int, stream: int) -> np.random.Generator:
@@ -154,120 +143,49 @@ def canonical_transform(
     )
 
 
-def _moved_xy(x: np.ndarray, y: np.ndarray, half_extents) -> np.ndarray:
-    """(x, y) of point block k moved by isometry k, as one (2, k, r) array.
-
-    x and y are (k, r), k <= 8: block j holds the coordinates of r points
-    in the canonical frame of a box with these half extents. Isometry j
-    turns a block about the box center and re-translates it into the first
-    octant of its own box; block 0, the identity, is copied as it is. The
-    others are (p - c) @ m.T + c' per matrix m, c' the variant's box
-    center, with the product written out per coordinate: entries of m are
-    0 and +-1 and c' is positive, so every coordinate is exact and equal
-    to a matrix product's, and a row's image does not depend on the rows
-    it is computed with.
-    """
-    k = x.shape[0]
-    hx, hy, _ = half_extents
-    m = DIHEDRAL_LINEAR[1:k, :, :, None]
-    c = np.array([[hx, hy], [hy, hx]])[list(_SWAPS[1:k]), :, None]  # unswapped, swapped
-    dx, dy = x[1:] - hx, y[1:] - hy
-    out = np.empty((2, *x.shape))
-    out[0, 0], out[1, 0] = x[0], y[0]
-    for i in (0, 1):
-        out[i, 1:] = m[:, i, 0] * dx + m[:, i, 1] * dy + c[:, i]
-    return out
-
-
-def _resample_into(index: np.ndarray, num: int, rng: np.random.Generator) -> None:
-    """Fill `index` (n_points,) with the rows of a resample of num points.
-
-    More points than needed: a uniform draw of distinct indices. Fewer:
-    every original point is kept once and the remainder is drawn uniformly
-    with replacement. Equal: identity, drawing nothing.
-    """
-    n_points = index.size
-    if num == 0:
-        raise ValueError("cannot resample an empty sample")
-    if num > n_points:
-        index[:] = rng.choice(num, size=n_points, replace=False)
-        return
-    index[:num] = np.arange(num)
-    if num < n_points:
-        index[num:] = rng.integers(0, num, size=n_points - num)
-
-
-def _fill_features(rows: np.ndarray, columns, intensities: np.ndarray,
-                   num_original: int) -> None:
-    """Write (x, y, z, intensity, n) into `rows` (..., N, 5) from the
-    resampled x, y and z `columns` and intensities, each (..., N), of a
-    sample of num_original points."""
-    n_points = rows.shape[-2]
-    for j, column in enumerate(columns):
-        rows[..., j] = column
-    rows[..., 3] = intensities
-    rows[..., 4] = (num_original - n_points) / n_points
-
-
-def augment_eightfold(sample: Sample) -> list[Sample]:
-    """All eight planar isometry variants of a canonical sample.
-
-    Variant 0 is the input itself; variants with an odd quarter-turn swap
-    the box extents. Every variant is re-translated into the first octant
-    and keeps the class label.
-    """
-    hx, hy, hz = sample.bbox_local.half_extents
-    boxes = [OrientedBBox(center=e, yaw=0.0, half_extents=e, normal=np.array([0.0, 0.0, 1.0]))
-             for e in np.array([[hx, hy, hz], [hy, hx, hz]])]  # unswapped, swapped
-    x, y, z = (np.broadcast_to(column, (8, column.size)) for column in sample.local_points.T)
-    pts = np.stack([*_moved_xy(x, y, sample.bbox_local.half_extents), z], axis=-1)
-    return [replace(sample, variant_id=0)] + [
-        replace(sample, local_points=p, variant_id=k, bbox_local=boxes[_SWAPS[k]])
-        for k, p in enumerate(pts[1:], 1)]
-
-
-def resample_points(sample: Sample, n_points: int, rng: np.random.Generator) -> Sample:
-    """Fix the sample to exactly n_points rows, recording the original count
-    (`_resample_into` draws the rows)."""
-    num = sample.local_points.shape[0]
-    idx = np.empty(n_points, dtype=np.int64)
-    _resample_into(idx, num, rng)
-    return replace(
-        sample,
-        local_points=sample.local_points[idx],
-        intensities=sample.intensities[idx],
-        num_original=num,
-    )
-
-
-def build_feature_matrix(sample: Sample) -> FeatureMatrix:
-    """Assemble (x, y, z, intensity, n) rows in resampled order.
-
-    n = (NUM - N) / N compensates for the information lost (or duplicated)
-    by forcing NUM original points into N rows; it is constant per sample.
-    """
-    n_points = sample.local_points.shape[0]
-    rows = np.empty((n_points, 5), dtype=np.float32)
-    _fill_features(rows, sample.local_points.T, sample.intensities, sample.num_original)
-    return FeatureMatrix(rows=rows, n_points=n_points, num_original=sample.num_original)
-
-
 def write_variants(records: np.ndarray, sample: Sample, rngs) -> None:
     """Variants 0..k-1 of a canonical sample, resampled, as the k archive
     `records` (`record_dtype`); variant j draws its rows from rngs[j].
 
-    The records `pack_samples` makes of `resample_points` over
-    `augment_eightfold`, bit for bit, built without per-variant objects:
-    the rows are drawn first and only they are moved.
+    Resampling fixes a variant to N rows. From more points than N it draws
+    N distinct indices uniformly; from fewer it keeps every point once and
+    draws the rest uniformly with replacement; from exactly N it keeps all
+    of them, drawing nothing. The rows are drawn first and only they are
+    moved. Variant 0 is the sample as it is. Variant j > 0 is turned by
+    isometry j about the box center and re-translated into the first
+    octant of its own box: (p - c) @ m.T + c' per matrix m, c' the
+    variant's box center, with the product written out per coordinate.
+    Entries of m are 0 and +-1 and c' is positive, so every coordinate is
+    exact and equal to a matrix product's, and a row's image does not
+    depend on the rows it is computed with. Each row is (x, y, z,
+    intensity, n), where n = (NUM - N) / N compensates for the information
+    lost (or duplicated) by forcing NUM original points into N rows.
     """
     count, n_points = records.shape[0], records.dtype["features"].shape[0]
     num = sample.local_points.shape[0]
+    if num == 0:
+        raise ValueError("cannot resample an empty sample")
     idx = np.empty((count, n_points), dtype=np.int64)
     for row, rng in zip(idx, rngs, strict=True):
-        _resample_into(row, num, rng)
+        if num > n_points:
+            row[:] = rng.choice(num, size=n_points, replace=False)
+            continue
+        row[:num] = np.arange(num)
+        if num < n_points:
+            row[num:] = rng.integers(0, num, size=n_points - num)
     x, y, z = np.take(sample.local_points.T, idx, axis=1)
-    xy = _moved_xy(x, y, sample.bbox_local.half_extents)
-    _fill_features(records["features"], (*xy, z), sample.intensities[idx], num)
+    hx, hy, _ = sample.bbox_local.half_extents
+    m = DIHEDRAL_LINEAR[1:count, :, :, None]
+    # the odd variants turn by an odd quarter-turn, which swaps the box extents
+    c = np.array([[hx, hy], [hy, hx]])[np.arange(1, count) % 2, :, None]
+    dx, dy = x[1:] - hx, y[1:] - hy
+    features = records["features"]
+    for i, column in enumerate((x, y)):
+        features[0, :, i] = column[0]
+        features[1:, :, i] = m[:, i, 0] * dx + m[:, i, 1] * dy + c[:, i]
+    features[..., 2] = z
+    features[..., 3] = sample.intensities[idx]
+    features[..., 4] = (num - n_points) / n_points
     records["variant_id"] = np.arange(count)
     for name in ("class_label", "frame_id", "cluster_id"):
         records[name] = getattr(sample, name)
@@ -318,42 +236,20 @@ _HEAD = (("class_label", "u1"), ("variant_id", "u1"), ("frame_id", "<u4"),
 
 def record_dtype(n_points: int) -> np.dtype:
     """One archive sample as it lies on disk: its head, then n_points x 5
-    `<f4` feature rows (`build_feature_matrix`), unpadded."""
+    `<f4` feature rows (`write_variants`), unpadded."""
     return np.dtype([*_HEAD, ("features", "<f4", (n_points, 5))])
 
 
-def pack_samples(samples, n_points: int | None = None) -> np.ndarray:
-    """Resampled samples as archive records (`record_dtype`), in order.
+def export_samples(records: np.ndarray, path) -> None:
+    """Write archive records (`record_dtype(N)`, as `frame_records` makes
+    them) to a flat binary archive (little-endian).
 
-    n_points defaults to the first sample's row count; a sample with any
-    other count raises ValueError.
+    Layout: magic, version, N, count; then the records as they lie in
+    memory, per sample class, variant id, frame id, cluster id, original
+    point count, and N x 5 float32 feature rows. N is the one the records'
+    dtype carries. Reload is bit-exact.
     """
-    samples = list(samples)
-    if n_points is None:
-        n_points = samples[0].local_points.shape[0] if samples else 0
-    records = np.empty(len(samples), dtype=record_dtype(n_points))
-    features = records["features"]
-    for i, s in enumerate(samples):
-        if s.local_points.shape[0] != n_points:
-            raise ValueError(f"sample has {s.local_points.shape[0]} rows, archive N={n_points}")
-        _fill_features(features[i], s.local_points.T, s.intensities, s.num_original)
-    for name, _ in _HEAD:
-        records[name] = [getattr(s, name) for s in samples]
-    return records
-
-
-def export_samples(samples, path, n_points: int | None = None) -> None:
-    """Write resampled samples to a flat binary archive (little-endian).
-
-    `samples` are `Sample`s or their records from `pack_samples`. Layout:
-    magic, version, N, count; then per sample class, variant id, frame id,
-    cluster id, original point count, and N x 5 float32 feature rows
-    (`record_dtype(N)`). Reload is bit-exact.
-    """
-    records = samples if isinstance(samples, np.ndarray) else pack_samples(samples, n_points)
     n = records.dtype["features"].shape[0]
-    if n_points is not None and n != n_points:
-        raise ValueError(f"records have {n} rows, archive N={n_points}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n, len(records)))
         fh.write(np.ascontiguousarray(records).data)

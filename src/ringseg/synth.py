@@ -311,7 +311,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     # the nearest return per ray, the first in (ground, objects...) on ties;
     # the fan's distances are copied only when an object overwrites some
     all_t = ground_t.copy() if spec.objects else ground_t
-    owner = np.full(n, -1, dtype=np.int64)  # -1 = ground
+    owner = np.full(n, -1, dtype=np.int32)  # -1 = ground
     ring_starts = np.arange(0, n, a)[:, None]
     for k, (obj, zb) in enumerate(zip(spec.objects, z_bases)):
         rays = (ring_starts + _reachable_columns(obj, a)).ravel()
@@ -341,7 +341,9 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
         class_of = np.array([obj.class_id for obj in spec.objects], dtype=np.uint8)
         labels[hit_obj] = class_of[owner[hit_obj]]
 
-    cloud = PointCloud(xyz=xyz, intensity=intensity, labels=labels)
+    # every return is finite, intensities are drawn in [0, 1) and each
+    # label is a checked spec's class, so the cloud skips its content scans
+    cloud = PointCloud(xyz=xyz, intensity=intensity, labels=labels, validate=False)
     return SyntheticScene(
         cloud=cloud,
         ring_ids=ring_ids,

@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ringseg import PointCloud
+from ringseg import PointCloud, fit_boxes
 from ringseg.cloud import ClassId
 from ringseg.ground import segment_bounds, segment_of
+from ringseg.samples import record_dtype, write_variants
 from ringseg.synth import ObjectSpec, SceneSpec, sample_traffic_scene
+
+from oracles import archive_records, resampled_variants
 
 
 @pytest.fixture
@@ -19,6 +22,25 @@ def x_segments(cloud: PointCloud, n_seg: int) -> np.ndarray:
     """Each point's ground segment, binned as `run_stage1` bins a frame."""
     x = cloud.xyz[:, 0]
     return segment_of(x, *segment_bounds(x, n_seg), n_seg)
+
+
+def fit_box(points: np.ndarray, normal):
+    """The box `fit_boxes` fits to `points` as a cluster of its own."""
+    return fit_boxes(points, [0, len(points)], normal).box(0)
+
+
+def written_variants(sample, n_points: int, keys):
+    """`write_variants`' records of a sample's variants 0..k-1, variant j
+    resampled with `default_rng(keys[j])`, checked bit for bit against the
+    oracle chain (per-matrix isometries, per-sample resampling and feature
+    rows); with the oracle's float64 resampled variants."""
+    keys = list(keys)
+    records = np.zeros(len(keys), dtype=record_dtype(n_points))
+    write_variants(records, sample, [np.random.default_rng(key) for key in keys])
+    want = resampled_variants(sample, n_points, [np.random.default_rng(key) for key in keys])
+    assert records.tobytes() == archive_records(sample, want).tobytes(), \
+        "write_variants diverged from the per-object oracle chain"
+    return records, want
 
 
 def random_ring_scene(rng, max_points: int = 300, min_rings: int = 4,

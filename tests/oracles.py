@@ -9,6 +9,8 @@ and fits each cluster alone with the scalar hull prefilter and monotone
 chain below; `min_merge_labels`, which runs the library's union-find
 over label ids so the tests can check it against `naive_min_merge`;
 `xcut_merge_candidates`, which shares the library's box containment test;
+`dihedral_variants`, which takes the library's isometry matrices;
+`archive_records`, which lays its rows out in the archive's record type;
 `all_rays_scene`, which casts every ray of a frame against every object
 with the generator's own ray tests, so only the azimuth windows differ;
 and `full_round_ground_fit`, which runs the library's seed and plane
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ringseg import ground, kernels, refine, synth
+from ringseg import ground, kernels, refine, samples, synth
 from ringseg.errors import DegenerateGeometryError
 
 
@@ -307,6 +309,69 @@ def pairwise_distance_multiset(points: np.ndarray, decimals: int = 9) -> np.ndar
     d = np.sqrt((diff ** 2).sum(axis=2))
     iu = np.triu_indices(points.shape[0], k=1)
     return np.sort(np.round(d[iu], decimals))
+
+
+def dihedral_variants(sample) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(points, half extents) of the eight planar-isometry variants of a
+    canonical sample, one matrix product per variant.
+
+    Variant 0 is the sample's points as they are. Variant k > 0 is
+    (p - c) @ DIHEDRAL_LINEAR[k].T + c', c the center of the sample's box
+    and c' the center of the variant's own box, whose x and y extents
+    swap when k is an odd quarter-turn; z is kept.
+    """
+    h = sample.bbox_local.half_extents
+    out = [(sample.local_points.copy(), h.copy())]
+    for k in range(1, 8):
+        new_h = h[[1, 0, 2]] if k % 2 else h.copy()
+        moved = sample.local_points.copy()
+        moved[:, :2] = (moved[:, :2] - h[:2]) @ samples.DIHEDRAL_LINEAR[k].T + new_h[:2]
+        out.append((moved, new_h))
+    return out
+
+
+def resample(points: np.ndarray, intensities: np.ndarray, n_points: int, rng):
+    """(points, intensities) of one sample fixed to n_points rows.
+
+    More points than rows: n_points distinct indices, `rng.choice` without
+    replacement. Fewer: every point once, in order, then the rest drawn
+    with `rng.integers`. As many: every point in order, drawing nothing.
+    """
+    num = len(points)
+    if num == 0:
+        raise ValueError("cannot resample an empty sample")
+    if num > n_points:
+        rows = rng.choice(num, size=n_points, replace=False).tolist()
+    else:
+        rows = list(range(num))
+        if num < n_points:
+            rows += rng.integers(0, num, size=n_points - num).tolist()
+    return points[rows], intensities[rows]
+
+
+def resampled_variants(sample, n_points: int, rngs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(points, intensities) of variants 0..k-1 of `dihedral_variants`,
+    variant j resampled to n_points rows with rngs[j]."""
+    return [resample(points, sample.intensities, n_points, rng)
+            for (points, _), rng in zip(dihedral_variants(sample), rngs)]
+
+
+def archive_records(sample, resampled) -> np.ndarray:
+    """The archive records of a sample's resampled variants, record j
+    variant j: its head, then one (x, y, z, intensity, (NUM - N) / N)
+    float32 row per point."""
+    num = len(sample.local_points)
+    n_points = len(resampled[0][0])
+    records = np.zeros(len(resampled), dtype=samples.record_dtype(n_points))
+    for j, (points, intensities) in enumerate(resampled):
+        rows = records["features"][j]
+        for i, ((x, y, z), value) in enumerate(zip(points.tolist(), intensities.tolist())):
+            rows[i] = (x, y, z, value, (num - n_points) / n_points)
+        for name, value in (("class_label", sample.class_label), ("variant_id", j),
+                            ("frame_id", sample.frame_id), ("cluster_id", sample.cluster_id),
+                            ("num_original", num)):
+            records[name][j] = value
+    return records
 
 
 def xcut_merge_candidates(bbox: refine.OrientedBBox, xyz: np.ndarray,

@@ -15,9 +15,8 @@ from ringseg import (
     GroundParams,
     PointCloud,
     Proposal,
-    augment_eightfold,
+    Sample,
     benchmark_stage1,
-    build_feature_matrix,
     canonical_transform,
     cluster_ring_based,
     export_samples,
@@ -26,25 +25,24 @@ from ringseg import (
     load_labels,
     load_point_cloud,
     load_samples,
-    min_oriented_bbox,
     pointwise_metrics,
     proposal_recall,
-    resample_points,
     run_stage1,
     save_labels,
     save_point_cloud,
 )
 from ringseg.cli import main
 from ringseg.refine import plane_basis
-from ringseg.samples import DIHEDRAL_LINEAR
+from ringseg.samples import DIHEDRAL_LINEAR, record_dtype
 from ringseg.synth import ObjectSpec, SceneSpec, generate_synthetic_scene, \
     sample_traffic_scene
 
-from conftest import random_cloud, random_ring_scene, x_segments
+from conftest import fit_box, random_cloud, random_ring_scene, written_variants, x_segments
 from oracles import (
     brute_force_clusters,
     canonical_partition,
     counting_metrics,
+    dihedral_variants,
     pairwise_distance_multiset,
     sweep_min_rect_area,
 )
@@ -162,7 +160,7 @@ def test_05_min_area_box_vs_sweep():
             rng.normal(0, rng.uniform(0.5, 4.0), n),
             rng.uniform(0.0, 2.0, n),
         ])
-        box = min_oriented_bbox(pts, UP)
+        box = fit_box(pts, UP)
         uv = np.column_stack([pts @ e1, pts @ e2])
         oracle = sweep_min_rect_area(uv, step_deg=0.05)
         rel = abs(box.area - oracle) / oracle
@@ -184,17 +182,20 @@ def test_06_augmentation_properties():
         n = int(rng.integers(3, 50))
         pts = rng.uniform(-2, 2, (n, 3)) * [2.0, 0.9, 0.6] + [9, -3, -1]
         cloud = PointCloud(xyz=pts, intensity=rng.random(n))
-        bbox = min_oriented_bbox(pts, UP)
+        bbox = fit_box(pts, UP)
         prop = Proposal(1, np.arange(n), bbox,
                         float(np.linalg.norm(pts.mean(axis=0))))
         sample = canonical_transform(prop, cloud, np.random.default_rng(1))
-        variants = augment_eightfold(sample)
+        # N = 24: fewer, as many and more points than rows all occur
+        records, _ = written_variants(sample, 24, [[n, k] for k in range(8)])
+        assert records["variant_id"].tolist() == list(range(8))
+        variants = dihedral_variants(sample)
         assert len(variants) == 8
-        assert variants[0].local_points.tobytes() == sample.local_points.tobytes()
+        assert variants[0][0].tobytes() == sample.local_points.tobytes()
         ref = pairwise_distance_multiset(sample.local_points)
-        for v in variants:
-            assert v.local_points.min() >= -1e-9
-            np.testing.assert_allclose(pairwise_distance_multiset(v.local_points),
+        for points, _ in variants:
+            assert points.min() >= -1e-9
+            np.testing.assert_allclose(pairwise_distance_multiset(points),
                                        ref, atol=1e-9)
     print("ACCEPTANCE 6 augmentation-properties (100 samples x 8 variants): PASS")
 
@@ -205,21 +206,21 @@ def test_07_feature_and_resampling_rules():
     for num, expected in ((256, -0.5), (512, 0.0), (1024, 1.0), (1536, 2.0)):
         pts = rng.uniform(0, 2, (num, 3))
         cloud = PointCloud(xyz=pts + [8, 0, 0], intensity=rng.random(num))
-        bbox = min_oriented_bbox(cloud.xyz, UP)
+        bbox = fit_box(cloud.xyz, UP)
         prop = Proposal(1, np.arange(num), bbox, 8.0)
         sample = canonical_transform(prop, cloud, np.random.default_rng(2))
-        out = resample_points(sample, n_points, np.random.default_rng(3))
-        assert out.local_points.shape[0] == n_points
-        assert out.num_original == num
-        fm = build_feature_matrix(out)
-        assert (fm.rows[:, 4] == np.float32(expected)).all()
+        records, [(out, _)] = written_variants(sample, n_points, [3])
+        assert records["features"].shape == (1, n_points, 5)
+        assert out.shape[0] == n_points
+        assert records["num_original"][0] == num
+        assert (records["features"][0, :, 4] == np.float32(expected)).all()
         if num > n_points:
             # distinct selection: no original row reused
-            assert len(np.unique(out.local_points, axis=0)) == n_points
+            assert len(np.unique(out, axis=0)) == n_points
         elif num < n_points:
             # full coverage: every original point appears at least once
             src = {tuple(np.round(p, 12)) for p in sample.local_points}
-            got = {tuple(np.round(p, 12)) for p in out.local_points}
+            got = {tuple(np.round(p, 12)) for p in out}
             assert src == got
     print("ACCEPTANCE 7 feature-and-resampling (NUM in {N/2, N, 2N, 3N}): PASS")
 
@@ -311,25 +312,26 @@ def test_10_format_roundtrips(tmp_path):
         save_labels(labels, lpath)
         assert load_labels(lpath, len(cloud)).tobytes() == labels.tobytes()
 
-    from ringseg import Sample
     for trial in range(100):
         n_points = int(rng.integers(2, 48))
-        samples = []
+        chunks = [np.zeros(0, dtype=record_dtype(n_points))]
         for k in range(int(rng.integers(0, 5))):
             num = int(rng.integers(1, 3 * n_points))
             pts = rng.uniform(0, 3, (num, 3))
             s = Sample(local_points=pts, intensities=rng.random(num),
                        class_label=int(rng.integers(0, 4)), frame_id=trial,
-                       cluster_id=k + 1, variant_id=int(rng.integers(0, 8)),
-                       origin_vertex=0,
-                       bbox_local=min_oriented_bbox(pts, UP), num_original=num)
-            samples.append(resample_points(s, n_points,
-                                           np.random.default_rng(trial + k)))
+                       cluster_id=k + 1, variant_id=0, origin_vertex=0,
+                       bbox_local=fit_box(pts, UP), num_original=num)
+            keys = [[trial, k, j] for j in range(int(rng.integers(1, 9)))]
+            chunks.append(written_variants(s, n_points, keys)[0])
+        written = np.concatenate(chunks)  # each sample's checked against the oracle chain
         apath = tmp_path / "a.ps3d"
-        export_samples(samples, apath, n_points=n_points)
+        export_samples(written, apath)
         n_back, records = load_samples(apath)
-        assert n_back == n_points and len(records) == len(samples)
-        for s, r in zip(samples, records):
-            assert r.features.tobytes() == build_feature_matrix(s).rows.tobytes()
-            assert r.num_original == s.num_original
+        assert n_back == n_points and len(records) == len(written)
+        for w, r in zip(written, records):
+            assert r.features.tobytes() == w["features"].tobytes()
+            assert (r.class_label, r.variant_id, r.frame_id, r.cluster_id,
+                    r.num_original) == w[["class_label", "variant_id", "frame_id",
+                                          "cluster_id", "num_original"]].item()
     print("ACCEPTANCE 10 format-roundtrips (bin/label/archive x100): PASS")

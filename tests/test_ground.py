@@ -5,8 +5,6 @@ from ringseg import (
     DegenerateGeometryError,
     GroundParams,
     PointCloud,
-    extract_initial_seeds,
-    fit_plane,
     generate_synthetic_scene,
     ground_plane_fit,
 )
@@ -16,6 +14,19 @@ from ringseg.synth import ObjectSpec, SceneSpec, sample_traffic_scene
 
 from conftest import clutter_scene, x_segments
 from oracles import full_round_ground_fit
+
+
+def _seeds(points, n_lpr, th_seeds):
+    """Indices of the seeds `ground_plane_fit` starts a segment from."""
+    return np.flatnonzero(ground._seed_mask(np.asarray(points)[:, 2], n_lpr, th_seeds))
+
+
+def _fit_plane(points):
+    """The plane `ground_plane_fit` fits to a selection: its moments about
+    their mean, then the total least-squares solve."""
+    rows = np.array(np.asarray(points, dtype=np.float64).T, order="C")
+    shift = rows.mean(axis=1)
+    return ground._plane_from_moments(rows.shape[1], *ground._moments(rows, shift), shift)
 
 
 def _cloud(xyz):
@@ -55,7 +66,7 @@ def test_split_segments_matches_recomputation(rng):
 def test_seeds_low_band():
     z = np.random.default_rng(1).uniform(-1.7, -1.5, 100)
     pts = np.column_stack([np.zeros(100), np.zeros(100), z])
-    seeds = extract_initial_seeds(pts, n_lpr=20, th_seeds=0.4)
+    seeds = _seeds(pts, n_lpr=20, th_seeds=0.4)
     assert seeds.size == 100
 
 
@@ -65,7 +76,7 @@ def test_seeds_exclude_objects():
     object_z = rng.uniform(0.0, 1.5, 50)
     z = np.concatenate([ground_z, object_z])
     pts = np.column_stack([np.zeros(250), np.zeros(250), z])
-    seeds = extract_initial_seeds(pts, n_lpr=20, th_seeds=0.4)
+    seeds = _seeds(pts, n_lpr=20, th_seeds=0.4)
     assert seeds.max() < 200
 
 
@@ -75,7 +86,7 @@ def test_seeds_match_bruteforce(rng):
         pts = rng.normal(0, 2, (n, 3))
         n_lpr = int(rng.integers(3, 40))
         th = float(rng.uniform(0.05, 1.0))
-        seeds = extract_initial_seeds(pts, n_lpr, th)
+        seeds = _seeds(pts, n_lpr, th)
         z = pts[:, 2]
         h = np.sort(z)[: min(n_lpr, n)].mean()
         np.testing.assert_array_equal(seeds, np.flatnonzero(z < h + th))
@@ -83,7 +94,7 @@ def test_seeds_match_bruteforce(rng):
 
 
 def test_fit_plane_exact():
-    model = fit_plane(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+    model = _fit_plane(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
     np.testing.assert_allclose(model.normal, [0, 0, 1], atol=1e-12)
     assert abs(model.offset) < 1e-12
 
@@ -91,7 +102,7 @@ def test_fit_plane_exact():
 def test_fit_plane_offset_plane(rng):
     pts = np.column_stack([rng.uniform(-5, 5, 50), rng.uniform(-5, 5, 50),
                            np.full(50, 0.5)])
-    model = fit_plane(pts)
+    model = _fit_plane(pts)
     np.testing.assert_allclose(model.normal, [0, 0, 1], atol=1e-9)
     assert abs(model.offset + 0.5) < 1e-9
 
@@ -102,7 +113,7 @@ def test_fit_plane_matches_svd_oracle(rng):
     pts = rng.uniform(-10, 10, (500, 3))
     pts[:, 2] = (-true_n[0] * pts[:, 0] - true_n[1] * pts[:, 1]) / true_n[2]
     pts += rng.normal(0, 0.01, pts.shape)
-    model = fit_plane(pts)
+    model = _fit_plane(pts)
     centered = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     oracle = vt[2] if vt[2][2] > 0 else -vt[2]
@@ -112,10 +123,10 @@ def test_fit_plane_matches_svd_oracle(rng):
 
 def test_fit_plane_degenerate_cases():
     with pytest.raises(DegenerateGeometryError):
-        fit_plane(np.array([[0.0, 0, 0], [1, 1, 1]]))
+        _fit_plane(np.array([[0.0, 0, 0], [1, 1, 1]]))
     line = np.outer(np.linspace(0, 1, 30), [1.0, 2.0, 0.5])
     with pytest.raises(DegenerateGeometryError):
-        fit_plane(line)
+        _fit_plane(line)
 
 
 def _scene(tilt=0.0, clearance=0.5, seed=0):
@@ -226,7 +237,7 @@ def test_params_validated():
     with pytest.raises(ValueError, match="n_seg must be >= 1"):
         segment_bounds(np.zeros(3), 0)
     with pytest.raises(ValueError, match="segment must be non-empty"):
-        extract_initial_seeds(np.empty((0, 3)), 20, 0.4)
+        _seeds(np.empty((0, 3)), 20, 0.4)
 
 
 def _fixed_point_clouds():

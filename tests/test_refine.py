@@ -16,13 +16,13 @@ from ringseg import (
     filter_proposals,
     fit_boxes,
     load_config,
-    min_oriented_bbox,
     run_stage1,
 )
 from ringseg import pipeline, refine
 from ringseg.refine import plane_basis
 from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 
+from conftest import fit_box
 from oracles import (
     brute_force_hull,
     per_cluster_box,
@@ -38,7 +38,7 @@ UP = np.array([0.0, 0.0, 1.0])
 
 def test_unit_square_axis_aligned():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    box = min_oriented_bbox(pts, UP)
+    box = fit_box(pts, UP)
     assert abs(box.area - 1.0) < 1e-9
     assert min(box.yaw % (np.pi / 2), np.pi / 2 - box.yaw % (np.pi / 2)) < 1e-9
 
@@ -47,20 +47,20 @@ def test_unit_square_rotated_45():
     base = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     rot = base @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
-    box = min_oriented_bbox(rot, UP)
+    box = fit_box(rot, UP)
     assert abs(box.area - 1.0) < 1e-9
     assert abs(box.yaw % (np.pi / 2) - np.pi / 4) < 1e-9
 
 
 def test_single_point_epsilon_box():
-    box = min_oriented_bbox(np.array([[3.0, 4.0, 5.0]]), UP)
+    box = fit_box(np.array([[3.0, 4.0, 5.0]]), UP)
     np.testing.assert_allclose(box.half_extents, 0.01)
     np.testing.assert_allclose(box.center, [3, 4, 5])
 
 
 def test_collinear_points_get_valid_box():
     pts = np.outer(np.linspace(0, 2, 9), [1.0, 1.0, 0.0])
-    box = min_oriented_bbox(pts, UP)
+    box = fit_box(pts, UP)
     assert (box.half_extents > 0).all()
     assert abs(2 * box.half_extents[0] - np.sqrt(8)) < 1e-6
 
@@ -71,7 +71,7 @@ def test_calipers_vs_angle_sweep(rng):
         n = int(rng.integers(4, 60))
         pts = np.column_stack([rng.normal(0, 3, n), rng.normal(0, 1.5, n),
                                rng.uniform(0, 2, n)])
-        box = min_oriented_bbox(pts, UP)
+        box = fit_box(pts, UP)
         uv = np.column_stack([pts @ e1, pts @ e2])
         oracle = sweep_min_rect_area(uv)
         assert box.area <= oracle * 1.005 + 1e-12
@@ -80,7 +80,7 @@ def test_calipers_vs_angle_sweep(rng):
 def test_bbox_area_le_axis_aligned(rng):
     for _ in range(30):
         pts = rng.normal(0, 2, (int(rng.integers(3, 40)), 3))
-        box = min_oriented_bbox(pts, UP)
+        box = fit_box(pts, UP)
         aabb = ((pts[:, 0].max() - pts[:, 0].min())
                 * (pts[:, 1].max() - pts[:, 1].min()))
         assert box.area <= aabb + 1e-9
@@ -88,11 +88,11 @@ def test_bbox_area_le_axis_aligned(rng):
 
 def test_bbox_rotation_equivariance(rng):
     pts = rng.normal(0, 2, (30, 3))
-    base = min_oriented_bbox(pts, UP)
+    base = fit_box(pts, UP)
     ang = 0.7
     c, s = np.cos(ang), np.sin(ang)
     rot = pts @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
-    turned = min_oriented_bbox(rot, UP)
+    turned = fit_box(rot, UP)
     assert abs(turned.area - base.area) < 1e-9
     dyaw = (turned.yaw - base.yaw - ang) % (np.pi / 2)
     assert min(dyaw, np.pi / 2 - dyaw) < 1e-7
@@ -101,7 +101,7 @@ def test_bbox_rotation_equivariance(rng):
 def test_bbox_contains_members(rng):
     for _ in range(20):
         pts = rng.normal(0, 2, (25, 3))
-        box = min_oriented_bbox(pts, UP)
+        box = fit_box(pts, UP)
         local = np.abs(box.to_local(pts))
         assert (local <= box.half_extents + 1e-9).all()
 
@@ -109,7 +109,7 @@ def test_bbox_contains_members(rng):
 def test_hull_prefilter_leaves_box_unchanged(rng, monkeypatch):
     def fit(pts, normal, filter_from):
         monkeypatch.setattr(refine, "_HULL_FILTER_MIN", filter_from)
-        return min_oriented_bbox(pts, normal)
+        return fit_box(pts, normal)
 
     for k in range(60):
         n = int(rng.integers(3, 3000))
@@ -158,7 +158,7 @@ def test_hull_vertices_match_brute_force_oracle(rng):
         else:  # collinear: the box fit falls back to the PCA direction
             assert len(got) < 3 and set(got) == set(want)
             pts = np.column_stack([uv, np.zeros(len(uv))])
-            assert min_oriented_bbox(pts, UP).yaw == refine._pca_direction(uv) % np.pi
+            assert fit_box(pts, UP).yaw == refine._pca_direction(uv) % np.pi
 
 
 def _fit(clusters, normals) -> BoxTable:
@@ -331,7 +331,7 @@ def test_bbox_tilted_normal_alignment(rng):
     n = np.array([0.1, -0.05, 1.0])
     n /= np.linalg.norm(n)
     pts = rng.normal(0, 2, (40, 3))
-    box = min_oriented_bbox(pts, n)
+    box = fit_box(pts, n)
     np.testing.assert_allclose(box.axes()[:, 2], n, atol=1e-12)
     np.testing.assert_allclose(box.axes().T @ box.axes(), np.eye(3), atol=1e-12)
 
@@ -449,7 +449,7 @@ def test_filter_order_independent(rng):
 def test_enlarge_margins_applied():
     params = RefineParams()
     pts = np.array([[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 1]])
-    box = min_oriented_bbox(pts, UP)
+    box = fit_box(pts, UP)
     cloud = PointCloud(xyz=pts, intensity=np.zeros(4))
     [out] = enlarge_and_merge([Proposal(1, np.arange(4), box, 2.0)], cloud,
                               np.zeros(4, dtype=bool), params)
@@ -472,7 +472,7 @@ def test_enlarge_and_merge_recovers_feet(rng):
     cloud = PointCloud(xyz=pts, intensity=np.zeros(n))
     ground = pts[:, 2] < -1.5
     members = np.flatnonzero(~ground)
-    bbox = min_oriented_bbox(pts[members], UP)
+    bbox = fit_box(pts[members], UP)
     prop = Proposal(cluster_id=1, member_indices=members, bbox=bbox,
                     distance=5.0)
     [out] = enlarge_and_merge([prop], cloud, ground, RefineParams())
@@ -488,7 +488,7 @@ def test_enlarge_and_merge_no_candidates(rng):
     pts = rng.normal(0, 1, (50, 3)) + [10, 0, 0]
     cloud = PointCloud(xyz=pts, intensity=np.zeros(50))
     ground = np.zeros(50, dtype=bool)
-    bbox = min_oriented_bbox(pts, UP)
+    bbox = fit_box(pts, UP)
     prop = Proposal(1, np.arange(50), bbox, 10.0)
     [out] = enlarge_and_merge([prop], cloud, ground, RefineParams())
     np.testing.assert_array_equal(out.member_indices, prop.member_indices)
@@ -503,8 +503,8 @@ def test_enlarge_exclude_prevents_double_claims(rng):
     ground[:5] = ground[30:35] = False
     # two blobs half a meter apart: their grown boxes share ground points
     first, second = enlarge_and_merge(
-        [Proposal(1, np.arange(5), min_oriented_bbox(cloud.xyz[:30], UP), 5.0),
-         Proposal(2, np.arange(30, 35), min_oriented_bbox(cloud.xyz[30:], UP), 5.5)],
+        [Proposal(1, np.arange(5), fit_box(cloud.xyz[:30], UP), 5.0),
+         Proposal(2, np.arange(30, 35), fit_box(cloud.xyz[30:], UP), 5.5)],
         cloud, ground, RefineParams())
     contested = np.flatnonzero(ground & first.bbox.contains(cloud.xyz)
                                & second.bbox.contains(cloud.xyz))
@@ -523,7 +523,7 @@ def test_enlarge_and_merge_rejects_mask_that_is_not_bool_per_point(rng):
     cloud = PointCloud(xyz=pts, intensity=np.zeros(n))
     ground = pts[:, 2] < -1.5
     members = np.flatnonzero(~ground)
-    prop = Proposal(1, members, min_oriented_bbox(pts[members], UP), 5.0)
+    prop = Proposal(1, members, fit_box(pts[members], UP), 5.0)
     [out] = enlarge_and_merge([prop], cloud, ground, RefineParams())
     assert np.unique(out.member_indices).size == out.member_indices.size == n
     for bad in (ground.astype(np.uint8), ground[:-1], np.append(ground, True),

@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,11 @@ from ringseg import (
     PointCloud,
     Proposal,
     Sample,
-    augment_eightfold,
-    build_feature_matrix,
     canonical_transform,
     export_samples,
     generate_synthetic_scene,
     load_config,
     load_samples,
-    min_oriented_bbox,
-    resample_points,
     run_stage1,
     sample_rng,
 )
@@ -28,13 +25,17 @@ from ringseg.samples import (
     BG_KEEP_STREAM,
     DIHEDRAL_LINEAR,
     frame_records,
-    pack_samples,
     record_dtype,
     write_variants,
 )
 
-from conftest import clutter_scene
-from oracles import pairwise_distance_multiset
+from conftest import clutter_scene, fit_box, written_variants
+from oracles import (
+    archive_records,
+    dihedral_variants,
+    pairwise_distance_multiset,
+    resampled_variants,
+)
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -43,7 +44,7 @@ def _proposal(rng, n=40, center=(8.0, 2.0, -1.0), labels=None):
     pts = np.asarray(center) + rng.uniform(-1, 1, (n, 3)) * [2.0, 0.8, 0.7]
     cloud = PointCloud(xyz=pts, intensity=rng.random(n),
                        labels=labels)
-    bbox = min_oriented_bbox(pts, UP)
+    bbox = fit_box(pts, UP)
     prop = Proposal(cluster_id=1, member_indices=np.arange(n), bbox=bbox,
                     distance=float(np.linalg.norm(pts.mean(axis=0))))
     return prop, cloud
@@ -92,26 +93,31 @@ def test_canonical_vertex_choices_cover_four(rng):
 
 
 def _augmented(rng, n=12):
+    """A canonical sample, its eight variants' records at N = n (every
+    point, in order) and the oracle's eight float64 variants."""
     prop, cloud = _proposal(rng, n=n)
     sample = canonical_transform(prop, cloud, np.random.default_rng(3))
-    return sample, augment_eightfold(sample)
+    records, _ = written_variants(sample, n, range(8))
+    return sample, records, dihedral_variants(sample)
 
 
 def test_augment_identity_bit_equal(rng):
-    sample, variants = _augmented(rng)
-    assert variants[0].local_points.tobytes() == sample.local_points.tobytes()
-    assert variants[0].variant_id == 0
+    sample, records, variants = _augmented(rng)
+    assert variants[0][0].tobytes() == sample.local_points.tobytes()
+    assert records["features"][0, :, :3].tobytes() == \
+        sample.local_points.astype("<f4").tobytes()
+    assert records["variant_id"].tolist() == list(range(8))
 
 
 def test_augment_first_octant_and_isometry(rng):
-    sample, variants = _augmented(rng)
+    sample, records, variants = _augmented(rng)
     base = pairwise_distance_multiset(sample.local_points)
-    for v in variants:
-        assert v.local_points.min() >= -1e-9
-        np.testing.assert_allclose(pairwise_distance_multiset(v.local_points),
-                                   base, atol=1e-9)
-        assert v.class_label == sample.class_label
-        assert v.num_original == sample.num_original
+    for points, h in variants:
+        assert points.min() >= -1e-9
+        assert (points.max(axis=0) <= 2 * h + 1e-9).all()  # inside its own box
+        np.testing.assert_allclose(pairwise_distance_multiset(points), base, atol=1e-9)
+    assert (records["class_label"] == sample.class_label).all()
+    assert (records["num_original"] == sample.num_original).all()
 
 
 def test_augment_bit_equal_to_per_matrix_formula(rng):
@@ -122,32 +128,34 @@ def test_augment_bit_equal_to_per_matrix_formula(rng):
     sample = Sample(local_points=pts, intensities=rng.random(len(pts)), class_label=1,
                     frame_id=0, cluster_id=1, variant_id=0, origin_vertex=0,
                     bbox_local=OrientedBBox(h, 0.0, h, UP), num_original=len(pts))
-    for k, v in enumerate(augment_eightfold(sample)[1:], 1):
-        new_h = h[[1, 0, 2]] if k % 2 else h  # odd quarter-turns swap the extents
+    records, _ = written_variants(sample, len(pts), range(8))
+    for k, (points, new_h) in enumerate(dihedral_variants(sample)[1:], 1):
         want = pts.copy()
         want[:, :2] = (pts[:, :2] - h[:2]) @ DIHEDRAL_LINEAR[k].T + new_h[:2]
-        assert v.local_points.tobytes() == want.tobytes(), k
-        assert v.bbox_local.center.tobytes() == new_h.tobytes(), k
-        assert v.bbox_local.half_extents.tobytes() == new_h.tobytes(), k
+        assert points.tobytes() == want.tobytes(), k
+        # odd quarter-turns swap the extents
+        assert new_h.tobytes() == (h[[1, 0, 2]] if k % 2 else h).tobytes(), k
+        assert records["features"][k, :, :3].tobytes() == want.astype("<f4").tobytes(), k
 
 
 def test_augment_mirror_is_involution(rng):
-    sample, variants = _augmented(rng)
-    mirrored_twice = augment_eightfold(variants[4])[4]
-    np.testing.assert_allclose(mirrored_twice.local_points,
+    sample, _, variants = _augmented(rng)
+    mirrored = replace(sample, local_points=variants[4][0], variant_id=4)
+    written_variants(mirrored, len(sample.local_points), range(8))
+    np.testing.assert_allclose(dihedral_variants(mirrored)[4][0],
                                sample.local_points, atol=1e-12)
 
 
 def test_augment_asymmetric_points_give_eight_distinct(rng):
     pts = np.array([[0.3, 0.2, 0.1], [1.9, 0.4, 0.3], [0.5, 1.1, 0.8]])
     cloud = PointCloud(xyz=pts + [5, 5, 0], intensity=np.zeros(3))
-    bbox = min_oriented_bbox(cloud.xyz, UP)
+    bbox = fit_box(cloud.xyz, UP)
     prop = Proposal(1, np.arange(3), bbox, 7.0)
     sample = canonical_transform(prop, cloud, np.random.default_rng(5))
-    variants = augment_eightfold(sample)
+    records, _ = written_variants(sample, 3, range(8))
     keys = set()
-    for v in variants:
-        rows = np.round(v.local_points, 6)
+    for features in records["features"]:
+        rows = np.round(features[:, :3], 6)
         keys.add(rows[np.lexsort(rows.T)].tobytes())
     assert len(keys) == 8
 
@@ -167,40 +175,41 @@ def _fresh_sample(rng, num):
     pts = rng.uniform(0, 2, (num, 3))
     return Sample(local_points=pts, intensities=rng.random(num), class_label=1,
                   frame_id=0, cluster_id=1, variant_id=0, origin_vertex=0,
-                  bbox_local=min_oriented_bbox(pts, UP), num_original=num)
+                  bbox_local=fit_box(pts, UP), num_original=num)
 
 
 def test_resample_identity():
     rng = np.random.default_rng(0)
     s = _fresh_sample(rng, 64)
-    out = resample_points(s, 64, np.random.default_rng(1))
-    np.testing.assert_array_equal(out.local_points, s.local_points)
-    assert out.num_original == 64
+    records, [(points, _)] = written_variants(s, 64, [0])
+    np.testing.assert_array_equal(points, s.local_points)
+    assert records["features"][0, :, :3].tobytes() == s.local_points.astype("<f4").tobytes()
+    assert records["num_original"][0] == 64
 
 
 def test_resample_downsample_distinct(rng):
     s = _fresh_sample(rng, 96)
-    out = resample_points(s, 32, np.random.default_rng(2))
-    assert out.local_points.shape == (32, 3)
-    assert len(np.unique(out.local_points, axis=0)) == 32
-    assert out.num_original == 96
+    records, [(points, _)] = written_variants(s, 32, [0])
+    assert records["features"].shape == (1, 32, 5)
+    assert len(np.unique(points, axis=0)) == 32
+    assert records["num_original"][0] == 96
 
 
 def test_resample_upsample_full_coverage(rng):
     s = _fresh_sample(rng, 16)
-    out = resample_points(s, 32, np.random.default_rng(3))
-    assert out.local_points.shape == (32, 3)
+    records, [(points, _)] = written_variants(s, 32, [0])
+    assert records["features"].shape == (1, 32, 5)
     src = {tuple(np.round(p, 12)) for p in s.local_points}
-    kept = {tuple(np.round(p, 12)) for p in out.local_points}
+    kept = {tuple(np.round(p, 12)) for p in points}
     assert src == kept
-    assert out.num_original == 16
+    assert records["num_original"][0] == 16
 
 
 def test_resample_replay(rng):
     s = _fresh_sample(rng, 300)
-    a = resample_points(s, 100, np.random.default_rng(7))
-    b = resample_points(s, 100, np.random.default_rng(7))
-    assert a.local_points.tobytes() == b.local_points.tobytes()
+    a, _ = written_variants(s, 100, range(8))
+    b, _ = written_variants(s, 100, range(8))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_resample_empty_raises(rng):
@@ -208,71 +217,71 @@ def test_resample_empty_raises(rng):
     empty = Sample(local_points=np.empty((0, 3)), intensities=np.empty(0),
                    class_label=0, frame_id=0, cluster_id=1, variant_id=0,
                    origin_vertex=0, bbox_local=s.bbox_local, num_original=0)
-    with pytest.raises(ValueError):
-        resample_points(empty, 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cannot resample an empty sample"):
+        write_variants(np.zeros(1, dtype=record_dtype(8)), empty, [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize("num,n,expect", [(256, 512, -0.5), (512, 512, 0.0),
                                           (1024, 512, 1.0), (1536, 512, 2.0)])
 def test_feature_n_values(rng, num, n, expect):
     s = _fresh_sample(rng, num)
-    out = resample_points(s, n, np.random.default_rng(4))
-    fm = build_feature_matrix(out)
-    assert fm.rows.shape == (n, 5)
-    assert (fm.rows[:, 4] == np.float32(expect)).all()
+    records, _ = written_variants(s, n, range(8))
+    assert records["features"].shape == (8, n, 5)
+    assert (records["features"][..., 4] == np.float32(expect)).all()
 
 
 def test_feature_rows_match_points(rng):
     s = _fresh_sample(rng, 20)
-    out = resample_points(s, 20, np.random.default_rng(5))
-    fm = build_feature_matrix(out)
-    np.testing.assert_allclose(fm.rows[:, :3], out.local_points.astype(np.float32))
-    np.testing.assert_allclose(fm.rows[:, 3], out.intensities.astype(np.float32))
+    records, [(points, intensities)] = written_variants(s, 20, [0])
+    rows = records["features"][0]
+    np.testing.assert_allclose(rows[:, :3], points.astype(np.float32))
+    np.testing.assert_allclose(rows[:, 3], intensities.astype(np.float32))
+
+
+def _archive(rng, n_points, count, frame_id=0):
+    """The records of `count` fresh samples of 1 to 3N - 1 points, each
+    with 1-8 variants, checked against the oracle chain."""
+    chunks = [np.zeros(0, dtype=record_dtype(n_points))]
+    for k in range(count):
+        s = replace(_fresh_sample(rng, int(rng.integers(1, 3 * n_points))),
+                    class_label=int(rng.integers(0, 4)), frame_id=frame_id, cluster_id=k + 1)
+        chunks.append(written_variants(s, n_points, range(int(rng.integers(1, 9))))[0])
+    return np.concatenate(chunks)
 
 
 def test_archive_roundtrip_bits(tmp_path, rng):
     for trial in range(100):
         n_points = int(rng.integers(4, 64))
-        count = int(rng.integers(0, 6))
-        samples = []
-        for k in range(count):
-            raw = _fresh_sample(rng, int(rng.integers(1, 3 * n_points)))
-            s = resample_points(raw, n_points, np.random.default_rng(trial * 10 + k))
-            samples.append(s)
+        records = _archive(rng, n_points, int(rng.integers(0, 6)), frame_id=trial)
         path = tmp_path / f"a{trial}.ps3d"
-        export_samples(samples, path, n_points=n_points)
-        got_n, records = load_samples(path)
+        export_samples(records, path)
+        got_n, back = load_samples(path)
         assert got_n == n_points
-        assert len(records) == count
-        for s, r in zip(samples, records):
+        assert len(back) == len(records)
+        for r, w in zip(back, records):
             assert (r.class_label, r.variant_id, r.frame_id, r.cluster_id,
-                    r.num_original) == (s.class_label, s.variant_id, s.frame_id,
-                                        s.cluster_id, s.num_original)
-            assert r.features.tobytes() == build_feature_matrix(s).rows.tobytes()
+                    r.num_original) == w[["class_label", "variant_id", "frame_id",
+                                          "cluster_id", "num_original"]].item()
+            assert r.features.tobytes() == w["features"].tobytes()
 
 
 def test_archive_from_records_is_the_samples_archive(tmp_path, rng):
-    samples = [resample_points(_fresh_sample(rng, num), 16, np.random.default_rng(num))
-               for num in (5, 16, 40)]
-    records = pack_samples(samples)
+    records = _archive(rng, 16, 3)
     assert records.dtype == record_dtype(16)
     assert records.dtype.itemsize == 1 + 1 + 4 + 4 + 4 + 16 * 5 * 4  # <BBIII, N x 5 <f4
-    from_samples, from_records = tmp_path / "s.ps3d", tmp_path / "r.ps3d"
-    export_samples(samples, from_samples)
-    export_samples(records, from_records)
-    assert from_records.read_bytes() == from_samples.read_bytes()
-    with pytest.raises(ValueError):
-        export_samples(records, from_records, n_points=8)
-    with pytest.raises(ValueError, match="sample has 16 rows, archive N=8"):
-        pack_samples(samples, 8)
-    from_records.write_bytes(from_samples.read_bytes() + b"\0")
+    path = tmp_path / "r.ps3d"
+    export_samples(records, path)
+    # the header `<4sIIQ` (magic, version, N, count), then the records as they are
+    header = struct.pack("<4sIIQ", b"PS3D", 1, 16, len(records))
+    assert path.read_bytes() == header + records.tobytes()
+    path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(FileFormatError, match="1 trailing bytes"):
-        load_samples(from_records)
+        load_samples(path)
 
 
 def test_archive_empty(tmp_path):
     path = tmp_path / "empty.ps3d"
-    export_samples([], path, n_points=128)
+    export_samples(np.zeros(0, dtype=record_dtype(128)), path)
     n, records = load_samples(path)
     assert n == 128 and records == []
 
@@ -287,16 +296,16 @@ def test_archive_empty(tmp_path):
 ], ids=["magic", "truncated", "version", "n_points"])
 def test_archive_bad_header(tmp_path, edit, reason):
     path = tmp_path / "bad.ps3d"
-    export_samples([], path, n_points=8)
+    export_samples(np.zeros(0, dtype=record_dtype(8)), path)
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: {reason}")):
         load_samples(path)
 
 
 def test_archive_truncated(tmp_path, rng):
-    s = resample_points(_fresh_sample(rng, 16), 16, np.random.default_rng(0))
+    records, _ = written_variants(_fresh_sample(rng, 16), 16, [0])
     path = tmp_path / "t.ps3d"
-    export_samples([s], path)
+    export_samples(records, path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(FileFormatError):
         load_samples(path)
@@ -308,8 +317,8 @@ def test_write_variants_is_pack_of_resampled_variants(rng, num, variants):
     # fewer, as many and more points than rows: each resample branch
     prop, cloud = _proposal(rng, n=num, labels=np.full(num, 1, dtype=np.uint8))
     sample = canonical_transform(prop, cloud, np.random.default_rng(6), frame_id=4)
-    want = pack_samples([resample_points(v, 64, sample_rng(9, 4, 1, k))
-                         for k, v in enumerate(augment_eightfold(sample)[:variants])], 64)
+    want = archive_records(sample, resampled_variants(
+        sample, 64, [sample_rng(9, 4, 1, k) for k in range(variants)]))
     got = np.zeros(variants, dtype=record_dtype(64))
     write_variants(got, sample, [sample_rng(9, 4, 1, k) for k in range(variants)])
     assert got.tobytes() == want.tobytes()
@@ -356,8 +365,8 @@ def test_frame_records_variants_and_background_keep(clutter_frame, augment):
 
 
 def test_frame_records_is_the_object_path(clutter_frame):
-    # canonical_transform on stream 0, augment_eightfold, resample_points on
-    # streams 0..k-1, pack_samples: one foreground and one kept background proposal
+    # canonical_transform on stream 0, then the oracle's variants resampled on
+    # streams 0..k-1: one foreground and one kept background proposal
     cloud, proposals, classes = clutter_frame
     prep = SamplePrepParams(n_points=64, augment=True)
     records = frame_records(proposals, cloud, FRAME, SEED, prep)
@@ -368,8 +377,7 @@ def test_frame_records_is_the_object_path(clutter_frame):
         rng0 = sample_rng(SEED, FRAME, cid, 0)
         sample = canonical_transform(prop, cloud, rng0, frame_id=FRAME)
         rngs = [rng0, *(sample_rng(SEED, FRAME, cid, k) for k in range(1, count))]
-        want = pack_samples([resample_points(v, 64, rng) for v, rng in
-                             zip(augment_eightfold(sample)[:count], rngs)], 64)
+        want = archive_records(sample, resampled_variants(sample, 64, rngs))
         assert records[records["cluster_id"] == cid].tobytes() == want.tobytes()
 
 

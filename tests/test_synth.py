@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import all_rays_scene
 
-from ringseg import ConfigError, SceneValidationError, generate_synthetic_scene, synth
+from ringseg import (
+    ConfigError,
+    PointCloud,
+    SceneValidationError,
+    generate_synthetic_scene,
+    synth,
+)
 from ringseg.synth import (
     _OBJECT_KEYS,
     _SCENE_KEYS,
@@ -81,6 +87,7 @@ def test_owner_partition_and_ring_monotone():
     spec = sample_traffic_scene(seed=5, n_objects=5, num_rings=16,
                                 points_per_ring=256)
     scene = generate_synthetic_scene(spec)
+    assert scene.owner.dtype == np.int32
     assert ((scene.owner == -1) == scene.ground_mask).all()
     assert (np.diff(scene.ring_ids) >= 0).all()
     # labels match the owning object's class
@@ -88,6 +95,18 @@ def test_owner_partition_and_ring_monotone():
         sel = scene.owner == k
         if sel.any():
             assert (scene.cloud.labels[sel] == obj.class_id).all()
+
+
+@pytest.mark.parametrize("spec", [
+    *(sample_traffic_scene(seed) for seed in range(6)),
+    clutter_scene(),
+    replace(sample_traffic_scene(1), noise_sigma=0.05, ground_tilt_deg=3.0,
+            elevation_max_deg=-3.6),
+], ids=[*(f"traffic{seed}" for seed in range(6)), "clutter", "noisy-tilted"])
+def test_generated_cloud_passes_the_content_checks(spec):
+    # the generator skips PointCloud's content scans; its values pass them
+    cloud = generate_synthetic_scene(spec).cloud
+    PointCloud(xyz=cloud.xyz, intensity=cloud.intensity, labels=cloud.labels)
 
 
 # bearings on and next to the 0/2pi wrap, and any other
