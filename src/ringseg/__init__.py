@@ -36,8 +36,8 @@ _EXPORTS = {
     **dict.fromkeys(("Stage1Result", "run_stage1"), "pipeline"),
     **dict.fromkeys(("BoxTable", "adaptive_threshold", "enlarge_and_merge", "filter_proposals",
                      "fit_boxes"), "refine"),
-    **dict.fromkeys(("ArchiveRecord", "Sample", "canonical_transform", "export_samples",
-                     "load_samples", "sample_rng"), "samples"),
+    **dict.fromkeys(("Sample", "canonical_transform", "export_samples", "load_samples",
+                     "sample_rng"), "samples"),
     **dict.fromkeys(("ObjectSpec", "SceneSpec", "SyntheticScene",
                      "generate_synthetic_scene", "sample_traffic_scene", "scene_from_file"),
                     "synth"),

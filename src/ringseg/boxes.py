@@ -88,10 +88,6 @@ class OrientedBBox:
         inside &= local[:, 2] <= self.half_extents[2]
         return inside
 
-    @property
-    def area(self) -> float:
-        return 4.0 * self.half_extents[0] * self.half_extents[1]
-
 
 @dataclass(frozen=True)
 class Proposal:

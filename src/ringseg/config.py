@@ -141,9 +141,6 @@ class SizePrior:
         if not all(lo < hi for lo, hi in zip(self.mins, self.maxes)):
             raise ValueError("size prior mins must be < maxes")
 
-    def admits(self, extents: np.ndarray) -> bool:
-        return bool(_admitted(extents, [self])[0])
-
 
 def _admitted(extents: np.ndarray, priors) -> np.ndarray:
     """Per box of full extents (k, 3), whether at least one of `priors`

@@ -37,10 +37,6 @@ class PlaneModel:
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
 
-    def distances(self, xyz: np.ndarray) -> np.ndarray:
-        """Perpendicular point-plane distances (absolute)."""
-        return np.abs(xyz @ self.normal + self.offset)
-
 
 def segment_bounds(x: np.ndarray, n_seg: int) -> tuple[float, float]:
     """(lo, width) of the equal-width partition of the x range into n_seg bins."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  at import: numpy 2 loads it on first use, in a worker
 
-from .boxes import OrientedBBox, Proposal
+from .boxes import Proposal
 from .cloud import ClassId, PointCloud
 from .config import SamplePrepParams
 from .errors import FileFormatError
@@ -47,25 +47,23 @@ DIHEDRAL_LINEAR = np.stack(_ROT + [_MIRROR @ r for r in _ROT])
 
 @dataclass(frozen=True)
 class Sample:
-    """A proposal's points in its local (first-octant) frame."""
+    """A proposal's points in its local (first-octant) frame, with the
+    half extents of its box, whose bottom vertex `origin_vertex` is the
+    origin."""
 
     local_points: np.ndarray
     intensities: np.ndarray
     class_label: int
     frame_id: int
     cluster_id: int
-    variant_id: int
     origin_vertex: int
-    bbox_local: OrientedBBox
-    num_original: int
+    half_extents: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.local_points, dtype=np.float64)
-        inten = np.ascontiguousarray(self.intensities, dtype=np.float64)
-        pts.setflags(write=False)
-        inten.setflags(write=False)
-        object.__setattr__(self, "local_points", pts)
-        object.__setattr__(self, "intensities", inten)
+        for name in ("local_points", "intensities", "half_extents"):
+            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def sample_rng(seed: int, frame_id: int, cluster_id: int, stream: int) -> np.random.Generator:
@@ -124,22 +122,14 @@ def canonical_transform(
         label = int(np.bincount(cloud.labels[members], minlength=4).argmax())
     else:
         label = int(ClassId.BACKGROUND)
-    bbox_local = OrientedBBox(
-        center=np.array([hx, hy, hz]),
-        yaw=0.0,
-        half_extents=np.array([hx, hy, hz]),
-        normal=np.array([0.0, 0.0, 1.0]),
-    )
     return Sample(
         local_points=local,
         intensities=cloud.intensity[members],
         class_label=label,
         frame_id=frame_id,
         cluster_id=proposal.cluster_id,
-        variant_id=0,
         origin_vertex=vertex,
-        bbox_local=bbox_local,
-        num_original=members.size,
+        half_extents=bbox.half_extents,
     )
 
 
@@ -174,7 +164,7 @@ def write_variants(records: np.ndarray, sample: Sample, rngs) -> None:
         if num < n_points:
             row[num:] = rng.integers(0, num, size=n_points - num)
     x, y, z = np.take(sample.local_points.T, idx, axis=1)
-    hx, hy, _ = sample.bbox_local.half_extents
+    hx, hy, _ = sample.half_extents
     m = DIHEDRAL_LINEAR[1:count, :, :, None]
     # the odd variants turn by an odd quarter-turn, which swaps the box extents
     c = np.array([[hx, hy], [hy, hx]])[np.arange(1, count) % 2, :, None]
@@ -218,16 +208,6 @@ def frame_records(proposals, cloud: PointCloud, frame_id: int, seed: int,
     return records
 
 
-@dataclass(frozen=True)
-class ArchiveRecord:
-    class_label: int
-    variant_id: int
-    frame_id: int
-    cluster_id: int
-    num_original: int
-    features: np.ndarray
-
-
 _HEADER = struct.Struct("<4sIIQ")
 # a sample's head in the archive, in file order: `<BBIII`
 _HEAD = (("class_label", "u1"), ("variant_id", "u1"), ("frame_id", "<u4"),
@@ -255,8 +235,13 @@ def export_samples(records: np.ndarray, path) -> None:
         fh.write(np.ascontiguousarray(records).data)
 
 
-def load_samples(path) -> tuple[int, list[ArchiveRecord]]:
-    """Read a sample archive; returns (N, records)."""
+def load_samples(path) -> tuple[int, list[np.record]]:
+    """Read a sample archive; returns (N, records).
+
+    Each record is a read-only `numpy.record` view of `record_dtype(N)`
+    into the file's bytes, its fields read by name (`r.class_label`,
+    `r.features`, ...); nothing is copied.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -276,6 +261,4 @@ def load_samples(path) -> tuple[int, list[ArchiveRecord]]:
     if body > count * dtype.itemsize:
         raise FileFormatError(f"{path}: {body - count * dtype.itemsize} trailing bytes")
     records = np.frombuffer(data, dtype=dtype, count=count, offset=_HEADER.size)
-    heads = zip(*(records[name].tolist() for name, _ in _HEAD))
-    return n_points, [ArchiveRecord(*head, features)
-                      for head, features in zip(heads, records["features"].copy())]
+    return n_points, list(records.view(np.recarray))

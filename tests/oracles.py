@@ -320,7 +320,7 @@ def dihedral_variants(sample) -> list[tuple[np.ndarray, np.ndarray]]:
     and c' the center of the variant's own box, whose x and y extents
     swap when k is an odd quarter-turn; z is kept.
     """
-    h = sample.bbox_local.half_extents
+    h = sample.half_extents
     out = [(sample.local_points.copy(), h.copy())]
     for k in range(1, 8):
         new_h = h[[1, 0, 2]] if k % 2 else h.copy()

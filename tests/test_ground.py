@@ -179,7 +179,7 @@ def test_ground_fit_rms_non_increasing_on_planar_input(rng):
             sel = mask & (seg == s)
             if plane is None or not sel.any():
                 continue
-            total += float((plane.distances(cloud.xyz[sel]) ** 2).sum())
+            total += float(((cloud.xyz[sel] @ plane.normal + plane.offset) ** 2).sum())
         return np.sqrt(total / mask.sum())
 
     assert rms_after(3) <= rms_after(2) + 1e-12

@@ -36,10 +36,17 @@ from oracles import (
 UP = np.array([0.0, 0.0, 1.0])
 
 
+def _admits(prior, ext) -> bool:
+    """Whether a size prior admits full extents, its x range matched to
+    the longer horizontal extent."""
+    sorted_ext = (max(ext[0], ext[1]), min(ext[0], ext[1]), ext[2])
+    return all(lo <= e <= hi for lo, e, hi in zip(prior.mins, sorted_ext, prior.maxes))
+
+
 def test_unit_square_axis_aligned():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
     box = fit_box(pts, UP)
-    assert abs(box.area - 1.0) < 1e-9
+    assert abs(4.0 * box.half_extents[0] * box.half_extents[1] - 1.0) < 1e-9
     assert min(box.yaw % (np.pi / 2), np.pi / 2 - box.yaw % (np.pi / 2)) < 1e-9
 
 
@@ -48,7 +55,7 @@ def test_unit_square_rotated_45():
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     rot = base @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
     box = fit_box(rot, UP)
-    assert abs(box.area - 1.0) < 1e-9
+    assert abs(4.0 * box.half_extents[0] * box.half_extents[1] - 1.0) < 1e-9
     assert abs(box.yaw % (np.pi / 2) - np.pi / 4) < 1e-9
 
 
@@ -74,7 +81,7 @@ def test_calipers_vs_angle_sweep(rng):
         box = fit_box(pts, UP)
         uv = np.column_stack([pts @ e1, pts @ e2])
         oracle = sweep_min_rect_area(uv)
-        assert box.area <= oracle * 1.005 + 1e-12
+        assert 4.0 * box.half_extents[0] * box.half_extents[1] <= oracle * 1.005 + 1e-12
 
 
 def test_bbox_area_le_axis_aligned(rng):
@@ -83,7 +90,7 @@ def test_bbox_area_le_axis_aligned(rng):
         box = fit_box(pts, UP)
         aabb = ((pts[:, 0].max() - pts[:, 0].min())
                 * (pts[:, 1].max() - pts[:, 1].min()))
-        assert box.area <= aabb + 1e-9
+        assert 4.0 * box.half_extents[0] * box.half_extents[1] <= aabb + 1e-9
 
 
 def test_bbox_rotation_equivariance(rng):
@@ -93,7 +100,8 @@ def test_bbox_rotation_equivariance(rng):
     c, s = np.cos(ang), np.sin(ang)
     rot = pts @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
     turned = fit_box(rot, UP)
-    assert abs(turned.area - base.area) < 1e-9
+    base_h, turned_h = base.half_extents, turned.half_extents
+    assert abs(4.0 * turned_h[0] * turned_h[1] - 4.0 * base_h[0] * base_h[1]) < 1e-9
     dyaw = (turned.yaw - base.yaw - ang) % (np.pi / 2)
     assert min(dyaw, np.pi / 2 - dyaw) < 1e-7
 
@@ -422,7 +430,7 @@ def test_filter_matches_predicate_oracle(rng):
             d = float(np.linalg.norm(xyz[m].mean(axis=0)))
             ext = 2 * per_cluster_box(xyz[m], UP).half_extents
             count_ok = m.size >= adaptive_threshold(d, params)
-            size_ok = any(p.admits(ext) for p in params.size_priors.values())
+            size_ok = any(_admits(p, ext) for p in params.size_priors.values())
             if count_ok and size_ok:
                 expect.append(cid)
         assert kept == expect
@@ -623,8 +631,8 @@ def test_size_prior_validation():
     with pytest.raises(ValueError):
         SizePrior((1.0, 1.0, 1.0), (0.5, 2.0, 2.0))
     prior = SizePrior((1.5, 1.2, 1.0), (6.0, 2.5, 2.5))
-    assert prior.admits(np.array([1.8, 4.2, 1.5]))  # orientation-free
-    assert not prior.admits(np.array([10.0, 4.0, 3.0]))
+    assert _admits(prior, [1.8, 4.2, 1.5])  # orientation-free
+    assert not _admits(prior, [10.0, 4.0, 3.0])
 
 
 def test_refine_params_validation():

@@ -1,14 +1,18 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringseg
 from ringseg import (
     ClassId,
     FileFormatError,
-    OrientedBBox,
     PointCloud,
     Proposal,
     Sample,
@@ -55,7 +59,7 @@ def test_canonical_first_octant(rng):
         prop, cloud = _proposal(rng)
         sample = canonical_transform(prop, cloud, np.random.default_rng(0))
         assert sample.local_points.min() >= -1e-9
-        h = sample.bbox_local.half_extents
+        h = sample.half_extents
         far = sample.local_points.max(axis=0)
         assert (far <= 2 * h + 1e-9).all()
 
@@ -117,7 +121,7 @@ def test_augment_first_octant_and_isometry(rng):
         assert (points.max(axis=0) <= 2 * h + 1e-9).all()  # inside its own box
         np.testing.assert_allclose(pairwise_distance_multiset(points), base, atol=1e-9)
     assert (records["class_label"] == sample.class_label).all()
-    assert (records["num_original"] == sample.num_original).all()
+    assert (records["num_original"] == len(sample.local_points)).all()
 
 
 def test_augment_bit_equal_to_per_matrix_formula(rng):
@@ -126,8 +130,7 @@ def test_augment_bit_equal_to_per_matrix_formula(rng):
     on_axes = [h, [h[0], 0.2, 0.5], [0.4, h[1], 1.1], [h[0], 1.4, 0.0], [2.6, h[1], 1.8]]
     pts = np.vstack([on_axes, rng.uniform(0, 2 * h, (30, 3))])
     sample = Sample(local_points=pts, intensities=rng.random(len(pts)), class_label=1,
-                    frame_id=0, cluster_id=1, variant_id=0, origin_vertex=0,
-                    bbox_local=OrientedBBox(h, 0.0, h, UP), num_original=len(pts))
+                    frame_id=0, cluster_id=1, origin_vertex=0, half_extents=h)
     records, _ = written_variants(sample, len(pts), range(8))
     for k, (points, new_h) in enumerate(dihedral_variants(sample)[1:], 1):
         want = pts.copy()
@@ -140,7 +143,7 @@ def test_augment_bit_equal_to_per_matrix_formula(rng):
 
 def test_augment_mirror_is_involution(rng):
     sample, _, variants = _augmented(rng)
-    mirrored = replace(sample, local_points=variants[4][0], variant_id=4)
+    mirrored = replace(sample, local_points=variants[4][0])
     written_variants(mirrored, len(sample.local_points), range(8))
     np.testing.assert_allclose(dihedral_variants(mirrored)[4][0],
                                sample.local_points, atol=1e-12)
@@ -174,8 +177,8 @@ def test_dihedral_group_closure():
 def _fresh_sample(rng, num):
     pts = rng.uniform(0, 2, (num, 3))
     return Sample(local_points=pts, intensities=rng.random(num), class_label=1,
-                  frame_id=0, cluster_id=1, variant_id=0, origin_vertex=0,
-                  bbox_local=fit_box(pts, UP), num_original=num)
+                  frame_id=0, cluster_id=1, origin_vertex=0,
+                  half_extents=fit_box(pts, UP).half_extents)
 
 
 def test_resample_identity():
@@ -214,9 +217,7 @@ def test_resample_replay(rng):
 
 def test_resample_empty_raises(rng):
     s = _fresh_sample(rng, 4)
-    empty = Sample(local_points=np.empty((0, 3)), intensities=np.empty(0),
-                   class_label=0, frame_id=0, cluster_id=1, variant_id=0,
-                   origin_vertex=0, bbox_local=s.bbox_local, num_original=0)
+    empty = replace(s, local_points=np.empty((0, 3)), intensities=np.empty(0))
     with pytest.raises(ValueError, match="cannot resample an empty sample"):
         write_variants(np.zeros(1, dtype=record_dtype(8)), empty, [np.random.default_rng(0)])
 
@@ -309,6 +310,42 @@ def test_archive_truncated(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(FileFormatError):
         load_samples(path)
+
+
+_HWM_PROBE = """
+import sys
+from ringseg import load_samples
+
+def peak_kib():  # VmHWM, this process's own peak; ru_maxrss keeps the parent's at exec
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+before = peak_kib()
+n, records = load_samples(sys.argv[1])
+grown = peak_kib() - before
+assert n == 512 and len(records) == int(sys.argv[2]), (n, len(records))
+print(grown * 1024, sum(r.features.flags.writeable for r in records))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from procfs")
+def test_load_samples_peak_is_about_the_archive_size(tmp_path, rng):
+    # a fresh process, so the peak is the reader's; records that copy the
+    # features out of the file's bytes need ~2.0x the file
+    records = np.zeros(2000, dtype=record_dtype(512))
+    records["features"] = rng.random(records["features"].shape, dtype=np.float32)
+    records["variant_id"] = np.arange(2000) % 8
+    path = tmp_path / "big.ps3d"
+    export_samples(records, path)
+    src = str(Path(ringseg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _HWM_PROBE, str(path), "2000"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, writeable = map(int, proc.stdout.split())
+    assert grown <= 1.25 * path.stat().st_size
+    assert writeable == 0
 
 
 @pytest.mark.parametrize("variants", [1, 8])
