@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import logging
 import math
 import os
@@ -135,7 +136,13 @@ def _run_frames(worker, frames: list[tuple[str, object]], jobs: int = 1):
     Commands import the modules that they and their workers run before they
     call this: the children are forked, so they inherit those modules and
     their own imports are `sys.modules` lookups.
+
+    It also freezes the garbage collector's view of the heap: the objects
+    alive now, numpy's and the loaded modules', move to the permanent
+    generation, so neither the later collections nor the ones at
+    interpreter exit scan them again. The collector stays on.
     """
+    gc.freeze()
     jobs = max(1, min(jobs, len(frames))) if hasattr(os, "fork") else 1
     outcomes = [None] * len(frames)
     children = []
@@ -502,6 +509,14 @@ def _pin_allocator() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit status.
+
+    Besides the command's outputs, it leaves three process-wide settings,
+    also to an in-process caller: one BLAS thread unless the environment
+    sets another count (at `import ringseg.cli`), glibc's allocator
+    thresholds pinned (`_pin_allocator`), and the heap frozen for the
+    garbage collector before the frame loop (`_run_frames`).
+    """
     _pin_allocator()
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")

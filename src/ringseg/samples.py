@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import os
 import struct
 from dataclasses import dataclass
 
@@ -228,11 +229,23 @@ def export_samples(records: np.ndarray, path) -> None:
     memory, per sample class, variant id, frame id, cluster id, original
     point count, and N x 5 float32 feature rows. N is the one the records'
     dtype carries. Reload is bit-exact.
+
+    The archive appears whole or not at all: the bytes go to a temporary
+    file beside `path`, which replaces `path` once they are all written
+    and is deleted on any error. So an interrupted write leaves no partial
+    archive, and a file already at `path` survives it.
     """
     n = records.dtype["features"].shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n, len(records)))
-        fh.write(np.ascontiguousarray(records).data)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")  # x: never truncate a file that is not this call's
+    try:
+        with fh:
+            fh.write(_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n, len(records)))
+            fh.write(np.ascontiguousarray(records).data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_samples(path) -> tuple[int, list[np.record]]:

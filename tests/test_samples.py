@@ -312,6 +312,38 @@ def test_archive_truncated(tmp_path, rng):
         load_samples(path)
 
 
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["disk-full", "interrupt"])
+def test_archive_write_is_all_or_nothing(tmp_path, rng, monkeypatch, error):
+    path = tmp_path / "s.ps3d"
+    export_samples(_archive(rng, 16, 3), path)
+    old = path.read_bytes()
+
+    def open_failing_after_header(file, mode):
+        fh = open(file, mode)
+        write = fh.write
+
+        def write_header_only(data):
+            if fh.tell():
+                raise error
+            return write(data)
+
+        fh.write = write_header_only
+        return fh
+
+    monkeypatch.setattr(ringseg.samples, "open", open_failing_after_header, raising=False)
+    with pytest.raises(type(error)):
+        export_samples(_archive(rng, 16, 5), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["s.ps3d"]
+    monkeypatch.undo()
+    # a written archive replaces the old one
+    new = _archive(rng, 16, 2)
+    export_samples(new, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.ps3d"]
+    assert path.read_bytes()[20:] == new.tobytes()  # after the `<4sIIQ` header
+
+
 _HWM_PROBE = """
 import sys
 from ringseg import load_samples

@@ -127,3 +127,22 @@ def test_each_command_loads_only_its_modules(two_frames):
         assert pools == [], command
         if command in ("segment", "prepare", "eval"):
             assert first == [[]], (command, first)
+
+
+def test_cli_freezes_the_heap_and_library_calls_do_not(two_frames):
+    # the frame loop freezes what the command loaded, so the collections at
+    # exit skip it; the collector stays on, and a library caller gets no setting
+    code = ("import gc, sys, ringseg.cli; loaded = len(gc.get_objects()); "
+            "code = ringseg.cli.main(sys.argv[1:]); "
+            "print((code, gc.get_freeze_count() >= loaded, gc.isenabled()))")
+    for argv in (["segment", "--input", "in", "--output", "gc_seg", "--jobs", "2"],
+                 ["prepare", "--input", "in", "--segments", "gc_seg", "--output",
+                  "gc.ps3d", "--augment"],
+                 ["eval", "--gt", "in", "--clusters", "gc_seg", "--output", "gc.txt"]):
+        assert _fresh(code, *argv, cwd=two_frames) == (0, True, True), argv[0]
+    library = ("import gc, ringseg; "
+               "cloud = ringseg.generate_synthetic_scene(ringseg.sample_traffic_scene(0)).cloud; "
+               "cfg = ringseg.load_config(); "
+               "ringseg.run_stage1(cloud, cfg.ground, cfg.cluster, cfg.refine, cfg.num_rings); "
+               "print((gc.get_freeze_count(), gc.isenabled()))")
+    assert _fresh(library) == (0, True)
