@@ -413,9 +413,10 @@ def cmd_synth(scene_path: str, out_dir: str, frames: int, seed: int | None) -> i
     spec = scene_from_file(scene_path)
     base_seed = spec.rng_seed if seed is None else seed
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for i in range(frames):
         scene = generate_synthetic_scene(replace(spec, rng_seed=base_seed + i))
+        if i == 0:  # only once the scene generates, so a rejected one writes nothing
+            out.mkdir(parents=True, exist_ok=True)
         stem = out / f"{i:06d}"
         save_point_cloud(scene.cloud, f"{stem}.bin")
         save_labels(scene.cloud.labels, f"{stem}.label")

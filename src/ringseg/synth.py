@@ -10,6 +10,8 @@ Each `SceneSpec` / `ObjectSpec` field declares a scene parameter's
 default, check and requirement once, through `config._param`; the checks
 run when a scene file is read (ConfigError naming the key) and when a
 scene is generated (SceneValidationError), not when a spec is built.
+`_validate_layout` is the one check across fields; it runs when a scene
+is generated and names a rejected object by its scene-file key.
 
 Specs are validated so that every ray returns: elevations must all strike
 the ground when no object is in the way, which keeps each ring a complete
@@ -20,6 +22,7 @@ revolution and makes quadrant-traced ring ids exactly reproducible.
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -71,6 +74,8 @@ class ObjectSpec:
     clearance: float = _meters(0.0, zero_ok=True)
     z_base: float | None = _param(None, lambda v: v is None or math.isfinite(v),
                                   "finite meters", parse=float)
+    # the scene-file key that declared the object, which layout errors name
+    key: str | None = field(default=None, repr=False, compare=False)
 
     def footprint_radius(self) -> float:
         box_r = math.hypot(self.length, self.width) / 2.0
@@ -79,12 +84,6 @@ class ObjectSpec:
         if self.shape == "cylinder":
             return self.radius
         return max(box_r, self.radius)
-
-    def validate(self) -> None:
-        """The shape's size rules; each field has passed its own check."""
-        zero = [name for name in _SHAPE_SIZES[self.shape] if getattr(self, name) <= 0]
-        if zero:
-            raise SceneValidationError(f"a {self.shape} needs positive {', '.join(zero)}")
 
 
 @dataclass(frozen=True)
@@ -130,19 +129,20 @@ def _ground_height(normal: np.ndarray, offset: float, x, y):
     return -(offset + normal[0] * x + normal[1] * y) / normal[2]
 
 
-def _object_z_base(obj: ObjectSpec, normal: np.ndarray, offset: float) -> float:
-    """Bottom height keeping the whole footprint at/above the local ground."""
+def _footprint_ground(obj: ObjectSpec, normal: np.ndarray, offset: float) -> float:
+    """The highest ground under the footprint circle's centre and four rim points."""
     r = obj.footprint_radius()
     probes_x = np.array([obj.x, obj.x + r, obj.x - r, obj.x, obj.x])
     probes_y = np.array([obj.y, obj.y, obj.y, obj.y + r, obj.y - r])
-    ground = _ground_height(normal, offset, probes_x, probes_y).max()
+    return float(_ground_height(normal, offset, probes_x, probes_y).max())
+
+
+def _object_z_base(obj: ObjectSpec, normal: np.ndarray, offset: float) -> float:
+    """The explicit z_base, which `_validate_layout` keeps at or above the
+    footprint's ground, else that ground plus the clearance."""
     if obj.z_base is not None:
-        if obj.z_base < ground - 1e-9:
-            raise SceneValidationError(
-                f"object at ({obj.x:.2f}, {obj.y:.2f}) sits below the ground plane"
-            )
         return obj.z_base
-    return float(ground + obj.clearance)
+    return _footprint_ground(obj, normal, offset) + obj.clearance
 
 
 def _ray_box(dirs: np.ndarray, center: np.ndarray, half: np.ndarray, yaw: float) -> np.ndarray:
@@ -220,17 +220,24 @@ def _check(spec, where: str = "") -> None:
 
 
 def _validate_layout(spec: SceneSpec) -> None:
+    """Each object's field checks and the rules across fields and objects;
+    a breach names the object by the scene-file key that declared it, else
+    as `objects.<index in spec.objects>`."""
     objs = spec.objects
-    for i, obj in enumerate(objs):
-        _check(obj, f"objects.{i}.")
-        obj.validate()
+    keys = [obj.key or f"objects.{i}" for i, obj in enumerate(objs)]
+    normal, offset = spec.ground_plane()
+    for key, obj in zip(keys, objs):
+        _check(obj, f"{key}.")
+        zero = [name for name in _SHAPE_SIZES[obj.shape] if getattr(obj, name) <= 0]
+        if zero:
+            raise SceneValidationError(f"{key}: a {obj.shape} needs positive {', '.join(zero)}")
         if math.hypot(obj.x, obj.y) < obj.footprint_radius() + 0.5:
-            raise SceneValidationError("object footprint overlaps the sensor origin")
-    for i in range(len(objs)):
-        for j in range(i + 1, len(objs)):
-            gap = math.hypot(objs[i].x - objs[j].x, objs[i].y - objs[j].y)
-            if gap < objs[i].footprint_radius() + objs[j].footprint_radius():
-                raise SceneValidationError(f"objects {i} and {j} interpenetrate")
+            raise SceneValidationError(f"{key}: object footprint overlaps the sensor origin")
+        if obj.z_base is not None and obj.z_base < _footprint_ground(obj, normal, offset) - 1e-9:
+            raise SceneValidationError(f"{key}: object sits below the ground plane")
+    for (key_a, a), (key_b, b) in combinations(zip(keys, objs), 2):
+        if math.hypot(a.x - b.x, a.y - b.y) < a.footprint_radius() + b.footprint_radius():
+            raise SceneValidationError(f"{key_a} and {key_b} interpenetrate")
 
 
 def _reachable_columns(obj: ObjectSpec, points_per_ring: int) -> np.ndarray:
@@ -374,6 +381,8 @@ def scene_from_file(path) -> SceneSpec:
     `objects.<index>.<field>` for ObjectSpec fields (`class`, a name or
     id, for class_id), e.g. `objects.0.class = car`. A value its field
     rejects, an unknown key or a missing required one raises ConfigError.
+    Each object keeps its file key, which may skip indices, so that a
+    layout error at generation names it as the file does.
     """
     scene_kwargs: dict = {}
     object_kwargs: dict[int, dict] = {}
@@ -396,8 +405,30 @@ def scene_from_file(path) -> SceneSpec:
         missing = [key for key in required if _OBJECT_KEYS[key].name not in kwargs]
         if missing:
             raise ConfigError(f"objects.{idx}", f"missing {', '.join(missing)}")
-        objects.append(ObjectSpec(**kwargs))
+        objects.append(ObjectSpec(**kwargs, key=f"objects.{idx}"))
     return SceneSpec(objects=tuple(objects), **scene_kwargs)
+
+
+# a sampled class is declared here, one row each: shape, far end of the
+# 8 m+ distance draw, then each size field's uniform draw in draw order
+_TRAFFIC = {
+    int(ClassId.CAR): ("box", 35.0, (("length", 3.8, 4.8), ("width", 1.7, 2.0),
+                                     ("height", 1.4, 1.6))),
+    # pedestrians stay nearer: a thin cylinder's visible depth shrinks
+    # below the size priors once azimuth sampling gets too coarse
+    int(ClassId.PEDESTRIAN): ("cylinder", 20.0, (("radius", 0.3, 0.42), ("height", 1.6, 1.8))),
+    int(ClassId.CYCLIST): ("composite", 35.0, (("length", 1.6, 1.9), ("width", 0.4, 0.6),
+                                               ("height", 1.0, 1.2), ("radius", 0.22, 0.3),
+                                               ("rider_height", 0.8, 1.0))),
+}
+
+
+def _wedge(obj: ObjectSpec) -> tuple[float, float]:
+    """Bearing in [0, 2pi) and half-width of the azimuth wedge the sampler
+    reserves for `obj`: its footprint plus 0.3 m, seen from the sensor."""
+    d = math.hypot(obj.x, obj.y)
+    return math.atan2(obj.y, obj.x) % TWO_PI, math.asin(
+        min(1.0, (obj.footprint_radius() + 0.3) / d))
 
 
 def sample_traffic_scene(
@@ -405,75 +436,43 @@ def sample_traffic_scene(
     n_objects: int | None = None,
     num_rings: int = 64,
     points_per_ring: int = 1600,
-    noise_sigma: float = 0.02,
     ground_tilt_deg: float = 0.0,
 ) -> SceneSpec:
     """Random benchmark scene: mixed cars/pedestrians/cyclists on open ground.
 
-    Objects are rejection-placed with disjoint footprints at 8-35 m; cars
-    and cyclists face 15-75 degrees off the line of sight so two faces are
-    visible and both horizontal extents are observable.
+    Each attempt draws a class, then its distance (8 m to the class's far
+    end), bearing, heading skew and sizes from its `_TRAFFIC` row, so a new
+    sampled class is a new row. Objects are rejection-placed more than
+    1.2 m apart beyond their footprints and with disjoint `_wedge`s; boxes
+    and composites face 25-65 degrees off the line of sight so two faces
+    are visible and both horizontal extents are observable.
     """
     rng = np.random.default_rng([seed, 0xB07])
     if n_objects is None:
         n_objects = int(rng.integers(3, 11))
-    placed: list[ObjectSpec] = []
+    placed: list[tuple[ObjectSpec, tuple[float, float]]] = []  # with its wedge
     attempts = 0
     while len(placed) < n_objects and attempts < 200 * n_objects:
         attempts += 1
         cls = int(FOREGROUND_CLASSES[rng.integers(len(FOREGROUND_CLASSES))])
-        # pedestrians stay nearer: a thin cylinder's visible depth shrinks
-        # below the size priors once azimuth sampling gets too coarse
-        dist = rng.uniform(8.0, 20.0 if cls == int(ClassId.PEDESTRIAN) else 35.0)
+        shape, far, sizes = _TRAFFIC[cls]
+        dist = rng.uniform(8.0, far)
         angle = rng.uniform(0.0, TWO_PI)
-        x, y = dist * math.cos(angle), dist * math.sin(angle)
-        sight_deg = math.degrees(angle)
         # both box faces visible and neither so grazing that the azimuth
         # step stretches along-face point spacing past th_ring
         skew = float(rng.uniform(25.0, 65.0)) * (1 if rng.integers(2) else -1)
-        if cls == int(ClassId.CAR):
-            obj = ObjectSpec(
-                class_id=cls, shape="box", x=x, y=y, yaw_deg=sight_deg + skew,
-                length=float(rng.uniform(3.8, 4.8)),
-                width=float(rng.uniform(1.7, 2.0)),
-                height=float(rng.uniform(1.4, 1.6)),
-            )
-        elif cls == int(ClassId.PEDESTRIAN):
-            obj = ObjectSpec(
-                class_id=cls, shape="cylinder", x=x, y=y,
-                radius=float(rng.uniform(0.3, 0.42)),
-                height=float(rng.uniform(1.6, 1.8)),
-            )
-        else:
-            obj = ObjectSpec(
-                class_id=cls, shape="composite", x=x, y=y, yaw_deg=sight_deg + skew,
-                length=float(rng.uniform(1.6, 1.9)),
-                width=float(rng.uniform(0.4, 0.6)),
-                height=float(rng.uniform(1.0, 1.2)),
-                radius=float(rng.uniform(0.22, 0.3)),
-                rider_height=float(rng.uniform(0.8, 1.0)),
-            )
+        obj = ObjectSpec(
+            class_id=cls, shape=shape, x=dist * math.cos(angle), y=dist * math.sin(angle),
+            yaw_deg=0.0 if shape == "cylinder" else math.degrees(angle) + skew,
+            **{name: float(rng.uniform(lo, hi)) for name, lo, hi in sizes})
         # keep a clustering-safe gap: more than th_prop beyond the footprints;
-        # also keep azimuth spans disjoint so no object shadows another
-        def _span(o):
-            d = math.hypot(o.x, o.y)
-            half = math.asin(min(1.0, (o.footprint_radius() + 0.3) / d))
-            return math.atan2(o.y, o.x) % TWO_PI, half
-
-        a_new, w_new = _span(obj)
-        ok = True
-        for p in placed:
-            if (math.hypot(p.x - obj.x, p.y - obj.y)
-                    <= p.footprint_radius() + obj.footprint_radius() + 1.2):
-                ok = False
-                break
-            a_p, w_p = _span(p)
-            gap = abs(a_new - a_p)
-            if min(gap, TWO_PI - gap) <= w_new + w_p:
-                ok = False
-                break
-        if ok:
-            placed.append(obj)
+        # also keep azimuth wedges disjoint so no object shadows another
+        a, w = _wedge(obj)
+        if all(math.hypot(p.x - obj.x, p.y - obj.y)
+               > p.footprint_radius() + obj.footprint_radius() + 1.2
+               and min(abs(a - b), TWO_PI - abs(a - b)) > w + v
+               for p, (b, v) in placed):
+            placed.append((obj, (a, w)))
     if len(placed) < n_objects:
         raise SceneValidationError("could not place objects without overlap")
     # tilted ground needs steeper rays so every azimuth still strikes it;
@@ -485,8 +484,8 @@ def sample_traffic_scene(
         points_per_ring=points_per_ring,
         elevation_min_deg=-12.0,
         elevation_max_deg=elevation_max,
-        noise_sigma=noise_sigma,
+        noise_sigma=0.02,
         ground_tilt_deg=ground_tilt_deg,
         rng_seed=seed,
-        objects=tuple(placed),
+        objects=tuple(obj for obj, _ in placed),
     )

@@ -884,6 +884,46 @@ def test_synth_rejects_bad_scene_value(key, tmp_path, caplog):
     assert not (tmp_path / "o").exists()
 
 
+def _scene_object(i: int, **fields) -> str:
+    return "".join(f"objects.{i}.{k} = {v}\n" for k, v in fields.items())
+
+
+_CAR = {"class": "car", "shape": "box", "x": 12, "y": 0}
+# scene files breaching a rule across fields, and the message naming the
+# object by the key the file writes, though the file skips indices
+LAYOUT_BREACHES = {
+    "overlap": (_scene_object(3, **_CAR, length=4, width=2, height=1.5)
+                + _scene_object(7, **{"class": "pedestrian", "shape": "cylinder", "x": 12.5,
+                                      "y": 0.3, "radius": 0.4, "height": 1.7}),
+                "objects.3 and objects.7 interpenetrate"),
+    "no-sizes": (_scene_object(9, **_CAR), "objects.9: a box needs positive length, width, height"),
+    "at-origin": (_scene_object(0, **{"class": "pedestrian", "shape": "cylinder", "x": 0.5,
+                                      "y": 0, "radius": 0.3, "height": 1.7}),
+                  "objects.0: object footprint overlaps the sensor origin"),
+    "below-ground": (_scene_object(2, **_CAR, length=4, width=2, height=1.5, z_base=-5),
+                     "objects.2: object sits below the ground plane"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_BREACHES))
+def test_synth_layout_breach_names_the_file_key(case, tmp_path, caplog):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(LAYOUT_BREACHES[case][0])
+    assert main(["synth", "--scene", str(scene), "--output", str(tmp_path / "o")]) == 1
+    assert LAYOUT_BREACHES[case][1] in caplog.text
+
+
+@pytest.mark.parametrize("text", [LAYOUT_BREACHES["overlap"][0], "elevation_max_deg = 5\n"],
+                         ids=["layout", "no-return"])
+def test_synth_rejected_scene_writes_nothing(text, tmp_path, caplog):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(text)
+    assert main(["synth", "--scene", str(scene), "--output", str(tmp_path / "o" / "frames"),
+                 "--frames", "2"]) == 1
+    assert "ERROR" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 def test_origin_records_keep_the_frame(tmp_path):
     # no-return records written as (0, 0, 0) cluster at the sensor origin,
     # where no count threshold can be met: the filter drops that cluster

@@ -17,6 +17,7 @@ from ringseg import (
     generate_synthetic_scene,
     synth,
 )
+from ringseg.cloud import ClassId
 from ringseg.synth import (
     _OBJECT_KEYS,
     _SCENE_KEYS,
@@ -198,6 +199,28 @@ def test_traffic_sampler_draws_pinned():
     digest.update(repr(sample_traffic_scene(7, n_objects=4, ground_tilt_deg=3.0)).encode())
     assert digest.hexdigest() == (
         "5897e2af38784c7f06ce2feb8fcb208f04cbe9af8a4fc8475d140613910d592c")
+
+
+@pytest.mark.parametrize("n_objects", [None, 1], ids=["default", "one"])
+def test_traffic_sampler_places_by_its_rule(n_objects):
+    # the pinned digest freezes the draws; this checks what they must satisfy
+    for seed in range(200):
+        objs = sample_traffic_scene(seed, n_objects).objects
+        for obj in objs:
+            far = 20.0 if obj.class_id == ClassId.PEDESTRIAN else 35.0
+            assert 8.0 - 1e-9 <= math.hypot(obj.x, obj.y) <= far + 1e-9
+            if obj.shape == "cylinder":
+                assert obj.yaw_deg == 0.0
+            else:
+                sight = math.degrees(math.atan2(obj.y, obj.x))
+                off = abs((obj.yaw_deg - sight + 180.0) % 360.0 - 180.0)
+                assert 25.0 - 1e-9 <= off <= 65.0 + 1e-9
+        for a, b in combinations(objs, 2):
+            assert (math.hypot(a.x - b.x, a.y - b.y)
+                    > a.footprint_radius() + b.footprint_radius() + 1.2)
+            (bearing_a, half_a), (bearing_b, half_b) = synth._wedge(a), synth._wedge(b)
+            gap = abs(bearing_a - bearing_b)
+            assert min(gap, 2.0 * math.pi - gap) > half_a + half_b
 
 
 def test_each_object_casts_only_its_azimuth_window(monkeypatch):
