@@ -187,7 +187,8 @@ def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
 
     A line must hold every field, a cluster id of at least 1 (0 is the
     `.cluster` file's "no proposal"), finite numbers, positive half
-    extents and a unit normal (within 1e-6), and no cluster id may repeat:
+    extents and a unit normal (within 1e-6), no key may repeat within a
+    line, and no cluster id may repeat across lines:
     `prepare` writes samples from these boxes as they are.
     """
     from .boxes import OrientedBBox
@@ -203,7 +204,11 @@ def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
         tokens = [tok.split("=", 1) for tok in line.split()]
         if any(len(tok) != 2 for tok in tokens):
             raise FileFormatError(f"{where}: expected key=value tokens")
-        e = dict(tokens)
+        e = {}
+        for key, value in tokens:
+            if key in e:
+                raise FileFormatError(f"{where}: key {key} repeats")
+            e[key] = value
         missing = [key for key in _MANIFEST_KEYS if key not in e]
         if missing:
             raise FileFormatError(f"{where}: no {', '.join(missing)} field")

@@ -29,9 +29,6 @@ from .config import DEFAULT_SIZE_PRIORS, RefineParams, SizePrior, _admitted  # n
 
 # degenerate clusters (single point, collinear, flat) get this half extent
 EPS_HALF_EXTENT = 0.01
-# clusters from this size on drop interior points before the hull; on
-# traffic frames, filtering every cluster from 3 points on is no faster
-_HULL_FILTER_MIN = 64
 # a float turn smaller than this times its two products' magnitudes may
 # have the wrong sign (Shewchuk 1997, orient2d error bound A)
 _TURN_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
@@ -224,8 +221,10 @@ def fit_boxes(points: np.ndarray, offsets: np.ndarray, normals: np.ndarray) -> B
     Points are projected along the normal; the minimal rectangle of the
     projection is found by rotating calipers over the hull edges, or along
     the principal direction when the hull is degenerate (two points,
-    collinear). Half extents are floored at EPS_HALF_EXTENT so degenerate
-    clusters still yield a valid box. The plane basis and the projections
+    collinear). Every cluster's hull is taken over the points its
+    Akl-Toussaint prefilter keeps, which is the hull of all its points.
+    Half extents are floored at EPS_HALF_EXTENT so degenerate clusters
+    still yield a valid box. The plane basis and the projections
     are computed once per distinct normal, the hulls, calipers, rectangles
     and centers once over all clusters, with the same arithmetic per box as
     a fit of that box alone, so the boxes are bit-identical to fitting each
@@ -263,14 +262,9 @@ def fit_boxes(points: np.ndarray, offsets: np.ndarray, normals: np.ndarray) -> B
                 out[lone] = (points[lone, None, :] @ axis).reshape(-1)
         bases.append((n, e1, e2))
 
-    # hull vertices from clusters of three or more points, large ones
-    # dropping their interior points first
-    seen = sizes[cluster] >= 3
-    filtered = sizes >= _HULL_FILTER_MIN
-    if filtered.any():
-        at = filtered[cluster]
-        seen[at] = _hull_candidates(u[at], v[at], np.cumsum(sizes[filtered]) - sizes[filtered])
-    seen = np.flatnonzero(seen)
+    # every cluster drops its interior points before its hull; a cluster
+    # of one or two points keeps them all and gets fewer than 3 vertices
+    seen = np.flatnonzero(_hull_candidates(u, v, offsets[:-1]))
     vertices = seen[_hull_vertices(u[seen], v[seen], cluster[seen])]
     counts = np.bincount(cluster[vertices], minlength=k)
     hulled = counts >= 3
@@ -387,9 +381,7 @@ def merge_candidates(bbox: OrientedBBox, xyz: np.ndarray, eligible: np.ndarray,
     candidates = candidates[eligible[candidates]]
     for axis in (1, 2):
         candidates = candidates[np.abs(xyz[:, axis][candidates] - c[axis]) <= radius]
-    if candidates.size:
-        return candidates[bbox.contains(xyz[candidates])]
-    return candidates
+    return candidates[bbox.contains(xyz[candidates])]
 
 
 def enlarge_and_merge(

@@ -434,8 +434,6 @@ def _wedge(obj: ObjectSpec) -> tuple[float, float]:
 def sample_traffic_scene(
     seed: int,
     n_objects: int | None = None,
-    num_rings: int = 64,
-    points_per_ring: int = 1600,
     ground_tilt_deg: float = 0.0,
 ) -> SceneSpec:
     """Random benchmark scene: mixed cars/pedestrians/cyclists on open ground.
@@ -480,8 +478,6 @@ def sample_traffic_scene(
     # not shave the visible height of far objects under the size priors
     elevation_max = min(-0.4, -(abs(ground_tilt_deg) + 0.6))
     return SceneSpec(
-        num_rings=num_rings,
-        points_per_ring=points_per_ring,
         elevation_min_deg=-12.0,
         elevation_max_deg=elevation_max,
         noise_sigma=0.02,

@@ -4,10 +4,10 @@ Deliberately naive: explicit graph construction, exhaustive sweeps and
 per-point counting, sharing no code path with the library internals they
 check. The exceptions: `per_cluster_box`, the one-cluster-at-a-time
 box fit, which `refine.fit_boxes` must match bit for bit: it shares the
-plane basis, the PCA fallback and the prefilter size with the library,
-and fits each cluster alone with the scalar hull prefilter and monotone
-chain below; `min_merge_labels`, which runs the library's union-find
-over label ids so the tests can check it against `naive_min_merge`;
+plane basis and the PCA fallback with the library, and fits each cluster
+alone with the scalar monotone chain below over all of its points;
+`min_merge_labels`, which runs the library's union-find over label ids
+so the tests can check it against `naive_min_merge`;
 `xcut_merge_candidates`, which shares the library's box containment test;
 `dihedral_variants`, which takes the library's isometry matrices;
 `archive_records`, which lays its rows out in the archive's record type;
@@ -201,10 +201,11 @@ def scalar_hull_vertices(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def per_cluster_box(points: np.ndarray, normal: np.ndarray) -> refine.OrientedBBox:
     """The minimal-area ground-aligned box of one cluster, fitted alone.
 
-    The per-cluster path `refine.fit_boxes` batches: the scalar hull
-    prefilter and chain, then calipers that evaluate every hull-edge angle
-    with (h x h) outer products and take the first minimal area; the
-    rectangle at that angle comes from the cluster's own projections.
+    The per-cluster path `refine.fit_boxes` batches, without its hull
+    prefilter: the scalar chain over every point, then calipers that
+    evaluate every hull-edge angle with (h x h) outer products and take the
+    first minimal area; the rectangle at that angle comes from the
+    cluster's own projections.
     """
     points = np.atleast_2d(points)
     n = np.asarray(normal, dtype=np.float64)
@@ -215,12 +216,9 @@ def per_cluster_box(points: np.ndarray, normal: np.ndarray) -> refine.OrientedBB
 
     theta = 0.0
     if points.shape[0] >= 3:
-        keep = (scalar_hull_candidates(u, v)
-                if points.shape[0] >= refine._HULL_FILTER_MIN else slice(None))
-        uk, vk = u[keep], v[keep]
-        hull = scalar_hull_vertices(uk, vk)
+        hull = scalar_hull_vertices(u, v)
         if hull.size >= 3:
-            hv = np.column_stack([uk[hull], vk[hull]])
+            hv = np.column_stack([u[hull], v[hull]])
             edges = np.diff(np.vstack([hv, hv[:1]]), axis=0)
             angles = np.arctan2(edges[:, 1], edges[:, 0])
             c, s = np.cos(angles), np.sin(angles)

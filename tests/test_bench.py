@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from ringseg.synth import generate_synthetic_scene, sample_traffic_scene
 
 @pytest.fixture(scope="module")
 def small_frame():
-    spec = sample_traffic_scene(seed=2, n_objects=4, num_rings=24,
-                                points_per_ring=512)
+    spec = replace(sample_traffic_scene(seed=2, n_objects=4), num_rings=24, points_per_ring=512)
     return generate_synthetic_scene(spec).cloud
 
 

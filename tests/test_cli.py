@@ -287,6 +287,9 @@ def _field(line: str, key: str) -> str:
      "FileFormatError: {manifest}:1: normal (nx, ny, nz) has length 0.0, not 1"),
     (lambda lines: [*lines, lines[0]],
      "FileFormatError: {manifest}:{last}: cluster={cluster} repeats line 1"),
+    # the last value won: the box moved and prepare exited 0
+    (lambda lines: [lines[0] + " cx=9", *lines[1:]],
+     "FileFormatError: {manifest}:1: key cx repeats"),
     (lambda lines: [_with_fields(lines[0], cluster="0"), *lines[1:]],
      "FileFormatError: {manifest}:1: cluster=0 is no proposal id: ids start at 1"),
     (lambda lines: [_with_fields(lines[0], count="5"), *lines[1:]],
@@ -298,8 +301,8 @@ def _field(line: str, key: str) -> str:
     (lambda lines: [],
      "AlignmentError: {manifest} and {cluster_file} disagree on cluster {smallest}: "
      "the manifest has no line, the .cluster file {smallest_count} points"),
-], ids=["non-finite", "negative-half-extent", "zero-normal", "repeated-cluster", "cluster-0",
-        "wrong-count", "first-line-removed", "emptied"])
+], ids=["non-finite", "negative-half-extent", "zero-normal", "repeated-cluster", "repeated-key",
+        "cluster-0", "wrong-count", "first-line-removed", "emptied"])
 def test_prepare_rejects_manifest_values_it_cannot_use(synth_dir, tmp_path, caplog,
                                                        edit, message):
     # each edit made `prepare` exit 0 with a wrong archive before the reader

@@ -14,8 +14,7 @@ from conftest import clutter_scene
 def frame_and_result():
     cfg = load_config()
     scene = generate_synthetic_scene(
-        sample_traffic_scene(seed=6, n_objects=6, num_rings=32,
-                             points_per_ring=700))
+        replace(sample_traffic_scene(seed=6, n_objects=6), num_rings=32, points_per_ring=700))
     result = run_stage1(scene.cloud, cfg.ground, cfg.cluster, cfg.refine,
                         cfg.num_rings)
     return scene, result
@@ -34,8 +33,7 @@ def test_no_point_in_two_proposals(frame_and_result):
     # on this frame, boxes grown by 2 m in x and y share ground points
     cfg = load_config()
     scene = generate_synthetic_scene(
-        sample_traffic_scene(seed=4, n_objects=6, num_rings=32,
-                             points_per_ring=700))
+        replace(sample_traffic_scene(seed=4, n_objects=6), num_rings=32, points_per_ring=700))
     wide = run_stage1(scene.cloud, cfg.ground, cfg.cluster,
                       replace(cfg.refine, enlarge_xy=2.0), cfg.num_rings)
     ground = scene.cloud.xyz[wide.ground_mask]

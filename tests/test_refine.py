@@ -114,11 +114,8 @@ def test_bbox_contains_members(rng):
         assert (local <= box.half_extents + 1e-9).all()
 
 
-def test_hull_prefilter_leaves_box_unchanged(rng, monkeypatch):
-    def fit(pts, normal, filter_from):
-        monkeypatch.setattr(refine, "_HULL_FILTER_MIN", filter_from)
-        return fit_box(pts, normal)
-
+def test_hull_prefilter_leaves_box_unchanged(rng):
+    # the oracle takes its hull over every point, with no prefilter
     for k in range(60):
         n = int(rng.integers(3, 3000))
         if k % 3 == 0:
@@ -131,10 +128,7 @@ def test_hull_prefilter_leaves_box_unchanged(rng, monkeypatch):
         else:  # integer grid: many collinear and duplicate points
             pts = rng.integers(0, 5, (n, 3)).astype(float)
         normal = np.array([rng.normal(0, 0.05), rng.normal(0, 0.05), 1.0])
-        filtered, plain = fit(pts, normal, 3), fit(pts, normal, n + 1)
-        assert filtered.yaw == plain.yaw
-        assert np.array_equal(filtered.center, plain.center)
-        assert np.array_equal(filtered.half_extents, plain.half_extents)
+        _assert_boxes_match_oracle([pts], [normal])
 
 
 def _hull_cases(rng):
@@ -211,9 +205,8 @@ def _cluster(rng, shape: str, m: int) -> np.ndarray:
 
 
 def _box_fit_cases(rng):
-    """Degenerate and generic clusters, below and at or above the hull
-    prefilter size."""
-    sizes = (1, 2, 3, 5, 17, refine._HULL_FILTER_MIN - 1, refine._HULL_FILTER_MIN, 300)
+    """Degenerate and generic clusters, small and large."""
+    sizes = (1, 2, 3, 5, 17, 63, 64, 300)
     for m in sizes:
         for shape in _SHAPES:
             yield _cluster(rng, shape, m)
@@ -258,9 +251,9 @@ def test_fit_boxes_empty_and_invalid():
 
 @st.composite
 def _projected_batches(draw):
-    """Clusters of every shape and of sizes around the hull prefilter size,
-    each projected onto the plane of its own, possibly tilted, normal."""
-    sizes = (1, 2, 3, 5, refine._HULL_FILTER_MIN - 1, refine._HULL_FILTER_MIN, 150)
+    """Clusters of every shape, small and large, each projected onto the
+    plane of its own, possibly tilted, normal."""
+    sizes = (1, 2, 3, 5, 63, 64, 150)
     us, vs = [], []
     for _ in range(draw(st.integers(1, 8))):
         m = draw(st.sampled_from(sizes))

@@ -75,8 +75,7 @@ def test_cylinder_points_on_surface():
 
 
 def test_scene_deterministic():
-    spec = sample_traffic_scene(seed=9, n_objects=4, num_rings=16,
-                                points_per_ring=256)
+    spec = replace(sample_traffic_scene(seed=9, n_objects=4), num_rings=16, points_per_ring=256)
     a = generate_synthetic_scene(spec)
     b = generate_synthetic_scene(spec)
     assert a.cloud.xyz.tobytes() == b.cloud.xyz.tobytes()
@@ -85,8 +84,7 @@ def test_scene_deterministic():
 
 
 def test_owner_partition_and_ring_monotone():
-    spec = sample_traffic_scene(seed=5, n_objects=5, num_rings=16,
-                                points_per_ring=256)
+    spec = replace(sample_traffic_scene(seed=5, n_objects=5), num_rings=16, points_per_ring=256)
     scene = generate_synthetic_scene(spec)
     assert scene.owner.dtype == np.int32
     assert ((scene.owner == -1) == scene.ground_mask).all()
