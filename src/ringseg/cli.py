@@ -187,8 +187,8 @@ def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
 
     A line must hold every field, a cluster id of at least 1 (0 is the
     `.cluster` file's "no proposal"), finite numbers, positive half
-    extents and a unit normal (within 1e-6), no key may repeat within a
-    line, and no cluster id may repeat across lines:
+    extents and a unit normal (within 1e-6), and no other key; no key may
+    repeat within a line, and no cluster id may repeat across lines:
     `prepare` writes samples from these boxes as they are.
     """
     from .boxes import OrientedBBox
@@ -208,6 +208,8 @@ def _read_manifest(path: Path) -> list[tuple[int, int, float, OrientedBBox]]:
         for key, value in tokens:
             if key in e:
                 raise FileFormatError(f"{where}: key {key} repeats")
+            if key not in _MANIFEST_KEYS:
+                raise FileFormatError(f"{where}: unknown key {key}")
             e[key] = value
         missing = [key for key in _MANIFEST_KEYS if key not in e]
         if missing:

@@ -35,8 +35,10 @@ def read_text(path, error=ConfigError) -> str:
 
 
 def read_kv_file(path) -> dict[str, str]:
-    """Read `key = value` lines; '#' starts a comment, blanks are skipped."""
+    """Read `key = value` lines; '#' starts a comment, blanks are skipped,
+    and a key may appear once."""
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     # newline=None splits lines as a text-mode file does
     for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), 1):
         line = line.split("#", 1)[0].strip()
@@ -44,8 +46,11 @@ def read_kv_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}", "expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}", f"key {key} repeats line {line_of[key]}")
+        line_of[key] = lineno
+        values[key] = value
     return values
 
 

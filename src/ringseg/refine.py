@@ -18,7 +18,6 @@ this module imports them from there, and they resolve here too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +34,6 @@ _TURN_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 # the merge index bounds runs of this many consecutive scan points; on the
 # traffic frames 48, 64, 96 and 256 measured no faster
 MERGE_BLOCK = 128
-
-
-def _pca_direction(uv: np.ndarray) -> float:
-    """Dominant direction angle of 2D points (fallback for degenerate hulls)."""
-    centered = uv - uv.mean(axis=0)
-    cov = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    d = eigvecs[:, -1]
-    return math.atan2(d[1], d[0])
 
 
 def _hull_candidates(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -117,7 +107,7 @@ def _hull_vertices(u: np.ndarray, v: np.ndarray, cluster: np.ndarray) -> np.ndar
     rounding of 0 is decided exactly, so each chain keeps the vertices of
     its points' exact convex hull, in whatever order the points drop.
     Without the collapse, two copies of a vertex would drop each other. A
-    collinear cluster gives fewer than 3 vertices.
+    cluster of one distinct point gives 1 vertex, a collinear one 2.
     """
     order = np.lexsort((v, u, cluster))
     c, us, vs = cluster[order], u[order], v[order]
@@ -165,7 +155,9 @@ def _min_area_edge_angles(hu: np.ndarray, hv: np.ndarray, sizes: np.ndarray) -> 
     minimal area (rotating calipers: the optimum has a side on a hull edge).
 
     hu, hv hold the vertices of all hulls back to back, each hull
-    counter-clockwise; sizes[j] is the vertex count of hull j. Every edge of
+    counter-clockwise; sizes[j] >= 1 is the vertex count of hull j. A hull
+    of one vertex has one edge, of angle 0, and a hull of two has the two
+    directions of its line. Every edge of
     a hull is paired with every vertex of the same hull, and the extents of
     each edge's pairs come from one reduceat per bound.
     """
@@ -219,12 +211,11 @@ def fit_boxes(points: np.ndarray, offsets: np.ndarray, normals: np.ndarray) -> B
     The clusters lie back to back: cluster i is the (m, 3) block
     points[offsets[i]:offsets[i + 1]], and normals[i] is its ground normal.
     Points are projected along the normal; the minimal rectangle of the
-    projection is found by rotating calipers over the hull edges, or along
-    the principal direction when the hull is degenerate (two points,
-    collinear). Every cluster's hull is taken over the points its
-    Akl-Toussaint prefilter keeps, which is the hull of all its points.
-    Half extents are floored at EPS_HALF_EXTENT so degenerate clusters
-    still yield a valid box. The plane basis and the projections
+    projection is found by rotating calipers over the hull edges, which
+    lay a collinear cluster's box along its line. Every cluster's hull is
+    taken over the points its Akl-Toussaint prefilter keeps, which is the
+    hull of all its points. Half extents are floored at EPS_HALF_EXTENT so
+    degenerate clusters still yield a valid box. The plane basis and the projections
     are computed once per distinct normal, the hulls, calipers, rectangles
     and centers once over all clusters, with the same arithmetic per box as
     a fit of that box alone, so the boxes are bit-identical to fitting each
@@ -263,18 +254,11 @@ def fit_boxes(points: np.ndarray, offsets: np.ndarray, normals: np.ndarray) -> B
         bases.append((n, e1, e2))
 
     # every cluster drops its interior points before its hull; a cluster
-    # of one or two points keeps them all and gets fewer than 3 vertices
+    # of one or two points keeps them all, so every hull has a vertex
     seen = np.flatnonzero(_hull_candidates(u, v, offsets[:-1]))
     vertices = seen[_hull_vertices(u[seen], v[seen], cluster[seen])]
-    counts = np.bincount(cluster[vertices], minlength=k)
-    hulled = counts >= 3
-    theta = np.zeros(k)
-    if hulled.any():
-        vertices = vertices[hulled[cluster[vertices]]]
-        theta[hulled] = _min_area_edge_angles(u[vertices], v[vertices], counts[hulled])
-    for i in np.flatnonzero(~hulled & (sizes >= 2)).tolist():  # degenerate hulls
-        rows = slice(offsets[i], offsets[i + 1])
-        theta[i] = _pca_direction(np.column_stack([u[rows], v[rows]]))
+    theta = _min_area_edge_angles(u[vertices], v[vertices],
+                                  np.bincount(cluster[vertices], minlength=k))
 
     # the rectangle at each box's angle, over all clusters' points at once
     starts = offsets[:-1]

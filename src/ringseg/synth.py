@@ -389,7 +389,8 @@ def scene_from_file(path) -> SceneSpec:
     for key, raw in read_kv_file(path).items():
         if key.startswith("objects."):
             parts = key.split(".")
-            if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _OBJECT_KEYS:
+            index_ok = len(parts) == 3 and parts[1].isascii() and parts[1].isdigit()
+            if not index_ok or parts[2] not in _OBJECT_KEYS:
                 raise ConfigError(key, "expected objects.<index>.<field>")
             f = _OBJECT_KEYS[parts[2]]
             object_kwargs.setdefault(int(parts[1]), {})[f.name] = field_value(key, f, raw)

@@ -4,8 +4,8 @@ Deliberately naive: explicit graph construction, exhaustive sweeps and
 per-point counting, sharing no code path with the library internals they
 check. The exceptions: `per_cluster_box`, the one-cluster-at-a-time
 box fit, which `refine.fit_boxes` must match bit for bit: it shares the
-plane basis and the PCA fallback with the library, and fits each cluster
-alone with the scalar monotone chain below over all of its points;
+plane basis with the library, and fits each cluster alone with the scalar
+monotone chain below over all of its points;
 `min_merge_labels`, which runs the library's union-find over label ids
 so the tests can check it against `naive_min_merge`;
 `xcut_merge_candidates`, which shares the library's box containment test;
@@ -214,22 +214,17 @@ def per_cluster_box(points: np.ndarray, normal: np.ndarray) -> refine.OrientedBB
     u, v = points @ e1, points @ e2
     w = points @ n
 
-    theta = 0.0
-    if points.shape[0] >= 3:
-        hull = scalar_hull_vertices(u, v)
-        if hull.size >= 3:
-            hv = np.column_stack([u[hull], v[hull]])
-            edges = np.diff(np.vstack([hv, hv[:1]]), axis=0)
-            angles = np.arctan2(edges[:, 1], edges[:, 0])
-            c, s = np.cos(angles), np.sin(angles)
-            xs = np.outer(c, hv[:, 0]) + np.outer(s, hv[:, 1])
-            ys = np.outer(c, hv[:, 1]) - np.outer(s, hv[:, 0])
-            areas = (xs.max(axis=1) - xs.min(axis=1)) * (ys.max(axis=1) - ys.min(axis=1))
-            theta = float(angles[np.argmin(areas)])
-        else:
-            theta = refine._pca_direction(np.column_stack([u, v]))
-    elif points.shape[0] == 2:
-        theta = refine._pca_direction(np.column_stack([u, v]))
+    theta = 0.0  # one point has an empty scalar hull
+    hull = scalar_hull_vertices(u, v)
+    if hull.size:
+        hv = np.column_stack([u[hull], v[hull]])
+        edges = np.diff(np.vstack([hv, hv[:1]]), axis=0)
+        angles = np.arctan2(edges[:, 1], edges[:, 0])
+        c, s = np.cos(angles), np.sin(angles)
+        xs = np.outer(c, hv[:, 0]) + np.outer(s, hv[:, 1])
+        ys = np.outer(c, hv[:, 1]) - np.outer(s, hv[:, 0])
+        areas = (xs.max(axis=1) - xs.min(axis=1)) * (ys.max(axis=1) - ys.min(axis=1))
+        theta = float(angles[np.argmin(areas)])
 
     c, s = math.cos(theta), math.sin(theta)
     xs = u * c + v * s

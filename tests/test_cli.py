@@ -290,6 +290,9 @@ def _field(line: str, key: str) -> str:
     # the last value won: the box moved and prepare exited 0
     (lambda lines: [lines[0] + " cx=9", *lines[1:]],
      "FileFormatError: {manifest}:1: key cx repeats"),
+    # a key the reader does not know was ignored
+    (lambda lines: [lines[0] + " bogus=7", *lines[1:]],
+     "FileFormatError: {manifest}:1: unknown key bogus"),
     (lambda lines: [_with_fields(lines[0], cluster="0"), *lines[1:]],
      "FileFormatError: {manifest}:1: cluster=0 is no proposal id: ids start at 1"),
     (lambda lines: [_with_fields(lines[0], count="5"), *lines[1:]],
@@ -302,7 +305,7 @@ def _field(line: str, key: str) -> str:
      "AlignmentError: {manifest} and {cluster_file} disagree on cluster {smallest}: "
      "the manifest has no line, the .cluster file {smallest_count} points"),
 ], ids=["non-finite", "negative-half-extent", "zero-normal", "repeated-cluster", "repeated-key",
-        "cluster-0", "wrong-count", "first-line-removed", "emptied"])
+        "unknown-key", "cluster-0", "wrong-count", "first-line-removed", "emptied"])
 def test_prepare_rejects_manifest_values_it_cannot_use(synth_dir, tmp_path, caplog,
                                                        edit, message):
     # each edit made `prepare` exit 0 with a wrong archive before the reader
@@ -875,6 +878,8 @@ BAD_SCENES = {
     "objects.0.height": "objects.0.class = car\nobjects.0.shape = box\nobjects.0.x = 12\n"
                         "objects.0.y = 0\nobjects.0.length = 4\nobjects.0.width = 2\n"
                         "objects.0.height = nan\n",
+    # '²' passed str.isdigit() and int() raised a ValueError
+    "objects.².x": "objects.².x = 5\n",
 }
 
 
@@ -914,6 +919,25 @@ def test_synth_layout_breach_names_the_file_key(case, tmp_path, caplog):
     scene.write_text(LAYOUT_BREACHES[case][0])
     assert main(["synth", "--scene", str(scene), "--output", str(tmp_path / "o")]) == 1
     assert LAYOUT_BREACHES[case][1] in caplog.text
+
+
+@pytest.mark.parametrize("kind", ["config", "scene"])
+def test_repeated_file_key_exits_2_naming_both_lines(kind, tmp_path, caplog):
+    # the last value won: enlarge_z read 9.0, and the car stood at x = 30
+    path = tmp_path / f"{kind}.cfg"
+    out = tmp_path / "o"
+    if kind == "config":
+        path.write_text("refine.enlarge_z = 0.4\nrefine.enlarge_z = 9\n")
+        argv = ["segment", "--config", str(path), "--input", str(tmp_path)]
+        where, key, first = 2, "refine.enlarge_z", 1
+    else:
+        path.write_text(_scene_object(0, **_CAR, length=4, width=2, height=1.5)
+                        + "objects.0.x = 30\n")
+        argv = ["synth", "--scene", str(path)]
+        where, key, first = 8, "objects.0.x", 3
+    assert main(argv + ["--output", str(out)]) == 2
+    assert f"config key '{path}:{where}': key {key} repeats line {first}" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [LAYOUT_BREACHES["overlap"][0], "elevation_max_deg = 5\n"],

@@ -157,10 +157,20 @@ def test_hull_vertices_match_brute_force_oracle(rng):
             assert got == want  # same vertices, counter-clockwise, same start
             x, y = uv[hull, 0], uv[hull, 1]
             assert (x * np.roll(y, -1) - np.roll(x, -1) * y).sum() > 0
-        else:  # collinear: the box fit falls back to the PCA direction
+        else:  # collinear: the calipers lay the box along the line
             assert len(got) < 3 and set(got) == set(want)
             pts = np.column_stack([uv, np.zeros(len(uv))])
-            assert fit_box(pts, UP).yaw == refine._pca_direction(uv) % np.pi
+            box = fit_box(pts, UP)
+            assert box.yaw == per_cluster_box(pts, UP).yaw
+            assert (np.abs(box.to_local(pts)) <= box.half_extents + 1e-9).all()
+
+
+def test_repeated_point_gets_yaw_zero_and_epsilon_cube():
+    pts = np.tile([2.5, -1.0, 0.3], (7, 1))
+    table = _fit([pts], [UP])
+    assert table.yaw[0] == 0.0
+    assert np.array_equal(table.half_extents[0], np.full(3, refine.EPS_HALF_EXTENT))
+    np.testing.assert_allclose(table.center[0], pts[0])
 
 
 def _fit(clusters, normals) -> BoxTable:
@@ -314,7 +324,7 @@ def test_batched_hull_matches_scalar_oracles(batch):
         want = list(zip(ui[hull].tolist(), vi[hull].tolist()))
         if len(set(want)) >= 3:
             assert got == want, i  # same vertices, counter-clockwise, same start
-        else:  # degenerate either way: the box fit takes the PCA direction
+        else:  # degenerate either way: 1 vertex, or 2 on one line, for the calipers
             assert len(set(got)) == len(got) < 3, i
 
 
